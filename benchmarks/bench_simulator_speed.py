@@ -22,8 +22,6 @@ from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
 from repro.cache.observers import ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
-from repro.cache.stream import PackedMissStream
-from repro.core.batch import ColumnarReplayEngine
 from repro.core.engine import FusedProbeEngine
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
@@ -93,27 +91,6 @@ def test_l2_replay_throughput_instrumented(benchmark, stream):
 
     stats = timed(benchmark, run, repeats=3)
     assert stats.last_result == len(stream)
-
-
-def test_l2_replay_throughput_columnar(benchmark, stream):
-    """Batched replay of the packed stream (warm: memoized aggregates)."""
-    packed = PackedMissStream.from_miss_stream(stream)
-    engine = ColumnarReplayEngine(
-        64 * 1024, 32, 4,
-        [
-            ("naive", NaiveLookup(4)),
-            ("mru", MRULookup(4)),
-            ("partial", PartialCompareLookup(4, tag_bits=16)),
-        ],
-        track_distance=False,
-    )
-
-    def run():
-        outcome = engine.replay(packed)
-        return outcome.stats.accesses
-
-    stats = timed(benchmark, run, repeats=3)
-    assert stats.last_result == packed.n_events
 
 
 def test_l2_replay_throughput_legacy_observers(benchmark, stream):

@@ -28,15 +28,12 @@ trace land next to the output (``<output>.manifest.json`` /
 from __future__ import annotations
 
 import argparse
-import os
 import platform
 from pathlib import Path
 
 from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
 from repro.cache.observers import ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
-from repro.cache.stream import PackedMissStream
-from repro.core.batch import ColumnarReplayEngine
 from repro.core.engine import FusedProbeEngine
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
@@ -84,39 +81,6 @@ def legacy_cache():
         ]
     )
     return cache
-
-
-def columnar_engine():
-    """The batch-replay engine over the same roster as ``fused_cache``.
-
-    ``track_distance=False`` matches the fused benchmark cache (which
-    attaches no MRU-distance tracker), keeping the probe accounting
-    configuration identical between the two timed paths.
-    """
-    return ColumnarReplayEngine(
-        L2_CAPACITY, L2_BLOCK, ASSOCIATIVITY,
-        [
-            ("naive", NaiveLookup(ASSOCIATIVITY)),
-            ("mru", MRULookup(ASSOCIATIVITY)),
-            ("partial", PartialCompareLookup(ASSOCIATIVITY, tag_bits=16)),
-        ],
-        track_distance=False,
-    )
-
-
-def columnar_probe_totals(outcome) -> dict:
-    """Per-scheme probe totals of a columnar replay (fused layout)."""
-    totals = {}
-    for label, accumulator in outcome.accumulators.items():
-        totals[label] = {
-            "hit_accesses": accumulator.hit_accesses,
-            "hit_probes": accumulator.hit_probes,
-            "miss_accesses": accumulator.miss_accesses,
-            "miss_probes": accumulator.miss_probes,
-            "writeback_accesses": accumulator.writeback_accesses,
-            "writeback_probes": accumulator.writeback_probes,
-        }
-    return totals
 
 
 def replay_once(stream, make_cache):
@@ -225,67 +189,14 @@ def main(argv=None) -> int:
             f"{requests / timing.median:12.0f} req/s"
         )
 
-    # Columnar batch replay: same stream, same roster, accounted in
-    # bulk per-set runs. Timed under REPRO_NO_NUMPY so the recorded
-    # throughput is the stdlib path's (numpy only accelerates the
-    # one-time partition pass anyway, which warmup pays for).
-    name = "l2_replay_columnar"
-    packed = PackedMissStream.from_miss_stream(stream)
-    engine = columnar_engine()
-    numpy_env_before = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        with tracer.span(
-            name, repetitions=args.repetitions, warmup=args.warmup
-        ):
-            timing = measure(
-                lambda: engine.replay(packed),
-                repeats=args.repetitions,
-                warmup=args.warmup,
-            )
-    finally:
-        if numpy_env_before is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = numpy_env_before
-    span_record = tracer.records[-1]
-    metrics.histogram("bench.median_seconds").observe(timing.median)
-    results[name] = {
-        "timing": timing.to_dict(),
-        "requests": requests,
-        "requests_per_second": requests / timing.median,
-        "phase_wall_seconds": span_record.wall_seconds,
-        "phase_cpu_seconds": span_record.cpu_seconds,
-    }
-    print(
-        f"{name:30s} {timing.median * 1e3:8.2f} ms  "
-        f"±{timing.mad * 1e3:6.2f} (MAD)  "
-        f"CI [{timing.ci_low * 1e3:7.2f}, {timing.ci_high * 1e3:7.2f}]  "
-        f"{requests / timing.median:12.0f} req/s"
-    )
-    columnar_counts = columnar_probe_totals(timing.last_result)
-    if columnar_counts != probe_counts:
-        print(
-            "ERROR: columnar probe totals diverge from the fused engine "
-            "(bit-identity invariant broken)"
-        )
-        for scheme in sorted(set(columnar_counts) | set(probe_counts)):
-            if columnar_counts.get(scheme) != probe_counts.get(scheme):
-                print(f"  {scheme}: fused={probe_counts.get(scheme)}")
-                print(f"  {scheme}: columnar={columnar_counts.get(scheme)}")
-        return 1
-
     fused = results["l2_replay_fused_engine"]["timing"]["median_seconds"]
     legacy = results["l2_replay_legacy_observers"]["timing"]["median_seconds"]
-    columnar = results["l2_replay_columnar"]["timing"]["median_seconds"]
     summary = {
         "fused_speedup_over_legacy": legacy / fused,
-        "columnar_speedup_over_fused": fused / columnar,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
     print(f"fused engine speedup over legacy observers: {legacy / fused:.2f}x")
-    print(f"columnar replay speedup over fused engine:  {fused / columnar:.2f}x")
 
     output = Path(args.output)
     manifest = RunManifest.build(

@@ -25,7 +25,6 @@ from repro.cache.hierarchy import (
     MissStream,
     TwoLevelHierarchy,
     cached_miss_stream,
-    cached_packed_miss_stream,
     capture_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
@@ -78,7 +77,6 @@ __all__ = [
     "StreamArtifactStore",
     "TwoLevelHierarchy",
     "cached_miss_stream",
-    "cached_packed_miss_stream",
     "capture_miss_stream",
     "clear_miss_stream_cache",
     "get_artifact_store",

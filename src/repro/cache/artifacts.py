@@ -1,15 +1,16 @@
 """Content-addressed, mmap-able miss-stream artifact store.
 
-The in-process miss-stream caches in :mod:`repro.cache.hierarchy`
-deduplicate L1 captures *within* one process (and, on fork platforms,
-across workers that inherit the parent's memory). This module extends
-the unit of reuse across process boundaries and sessions: a captured
-stream is persisted once as a columnar ``RPM2`` file named by the
-content address of its inputs — the workload identity plus the L1
-geometry, hashed with the same canonicalization as run manifests
+The in-process miss-stream cache in :mod:`repro.cache.hierarchy`
+(:func:`~repro.cache.hierarchy.cached_miss_stream`) deduplicates L1
+captures *within* one process (and, on fork platforms, across workers
+that inherit the parent's memory). This module extends the unit of
+reuse across process boundaries and sessions: a captured stream is
+persisted once as a columnar ``RPM2`` file named by the content
+address of its inputs — the workload identity plus the L1 geometry,
+hashed with the same canonicalization as run manifests
 (:func:`repro.obs.manifest.config_hash`) — and every later consumer
-(sweep worker pools, ``repro-serve`` jobs, fresh benchmark sessions)
-memory-maps it zero-copy instead of re-simulating the L1.
+(sweep worker pools, ``repro-serve`` jobs, fresh sessions) loads it
+instead of re-simulating the L1.
 
 Layout of a store directory::
 

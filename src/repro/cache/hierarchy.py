@@ -88,89 +88,23 @@ class MissStream:
         return len(self.events)
 
     def save(self, path) -> None:
-        """Persist the stream to ``path`` (gzip if it ends in ``.gz``).
+        """Persist the stream to ``path`` as RPM2 (gzip if it ends ``.gz``).
 
         Capturing an L1 miss stream is the expensive step of large
         studies; saving it lets many later sessions replay it into new
-        L2 configurations without rerunning the L1. The record payload
-        is assembled in one pass and written in one call — no
-        per-record I/O. (:meth:`PackedMissStream.save` writes the
-        columnar ``RPM2`` format instead; this method keeps the legacy
-        ``RPMS`` record format readable and writable.)
+        L2 configurations without rerunning the L1. The file is the
+        one written by :meth:`PackedMissStream.save`.
         """
-        import gzip
-        import struct
-        from pathlib import Path
-
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
-        record = struct.Struct("<bQ")
-        pack = record.pack
-        with opener(path, "wb") as handle:
-            handle.write(b"RPMS")
-            handle.write(
-                struct.pack("<QQ", self.processor_references, len(self.events))
-            )
-            handle.write(
-                b"".join(
-                    pack(code, address if code >= 0 else 0)
-                    for code, address in self.events
-                )
-            )
+        PackedMissStream.from_miss_stream(self).save(path)
 
     @classmethod
     def load(cls, path) -> "MissStream":
-        """Load a stream previously written by :meth:`save`.
-
-        Dispatches on the magic: legacy ``RPMS`` record files are read
-        with one bulk ``struct.iter_unpack``; columnar ``RPM2`` files
-        (written by :meth:`PackedMissStream.save`) are unpacked through
-        :class:`~repro.cache.stream.PackedMissStream`.
+        """Load a stream written by :meth:`save` (or a legacy RPMS file).
 
         Raises:
             TraceFormatError: On a bad header or truncated file.
         """
-        import gzip
-        from pathlib import Path
-
-        from repro.errors import TraceFormatError
-
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "rb") as handle:
-            magic = handle.read(4)
-            if magic == b"RPM2":
-                pass  # fall through to the columnar loader below
-            elif magic == b"RPMS":
-                handle.seek(0)
-                return cls._load_handle(handle, path)
-            else:
-                raise TraceFormatError(f"{path} is not a saved miss stream")
         return PackedMissStream.load(path, mmap=False).to_miss_stream()
-
-    @classmethod
-    def _load_handle(cls, handle, path) -> "MissStream":
-        """Read one legacy ``RPMS`` stream from an open binary handle."""
-        import struct
-
-        from repro.errors import TraceFormatError
-
-        if handle.read(4) != b"RPMS":
-            raise TraceFormatError(f"{path} is not a saved miss stream")
-        header = handle.read(16)
-        if len(header) != 16:
-            raise TraceFormatError("truncated miss-stream header")
-        processor_references, count = struct.unpack("<QQ", header)
-        record = struct.Struct("<bQ")
-        data = handle.read(record.size * count)
-        if len(data) != record.size * count:
-            raise TraceFormatError("truncated miss-stream record")
-        stream = cls(processor_references=processor_references)
-        stream.events = [
-            FLUSH_MARKER if code < 0 else (code, address)
-            for code, address in record.iter_unpack(data)
-        ]
-        return stream
 
 
 @dataclass
@@ -368,94 +302,69 @@ def cached_miss_stream(
     :class:`~repro.experiments.runner.ExperimentRunner` instances —
     never re-simulate the L1 for a workload they have already seen.
 
+    When a stream artifact store is configured
+    (``REPRO_STREAM_ARTIFACTS`` or
+    :func:`repro.cache.artifacts.set_artifact_store`), an in-process
+    miss is looked up there before capturing, and a fresh capture is
+    persisted as a content-addressed ``RPM2`` artifact, so later
+    processes (sweep workers, ``repro-serve`` jobs, new sessions) load
+    it instead of re-simulating the L1.
+
     Cache behavior is published to the process metrics registry
-    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``), and
-    each capture — the expensive phase — runs under an ``l1_capture``
-    tracing span with its wall time recorded in the
-    ``miss_stream.capture_seconds`` histogram. Instrumentation wraps
-    the whole capture, never the per-reference loop.
+    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``, and
+    ``miss_stream.artifact_hits`` / ``miss_stream.artifact_misses``
+    when a store is configured), and each capture — the expensive
+    phase — runs under an ``l1_capture`` tracing span with its wall
+    time recorded in the ``miss_stream.capture_seconds`` histogram.
+    Instrumentation wraps the whole capture, never the per-reference
+    loop.
 
     Returns:
         ``(stream, l1_readin_miss_ratio)``. The stream is shared;
         callers must treat it as immutable.
     """
-    key = (_workload_key(workload), capacity_bytes, block_size)
-    entry = _MISS_STREAM_CACHE.get(key)
-    metrics = get_metrics()
-    if entry is None:
-        metrics.counter("miss_stream.cache_misses").inc()
-        l1 = DirectMappedCache(capacity_bytes, block_size)
-        start = time.perf_counter()
-        with span(
-            "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
-        ):
-            stream = capture_miss_stream(iter(workload), l1)
-        metrics.histogram("miss_stream.capture_seconds").observe(
-            time.perf_counter() - start
-        )
-        entry = (stream, l1.stats.readin_miss_ratio)
-        _MISS_STREAM_CACHE[key] = entry
-    else:
-        metrics.counter("miss_stream.cache_hits").inc()
-    return entry
-
-
-#: Process-wide packed miss-stream cache, content-addressed like
-#: :data:`_MISS_STREAM_CACHE`. Values are (PackedMissStream,
-#: L1 read-in miss ratio) pairs.
-_PACKED_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
-
-
-def cached_packed_miss_stream(
-    workload, capacity_bytes: int, block_size: int
-) -> Tuple[PackedMissStream, float]:
-    """Packed (columnar) captured L1 stream, memoized and artifact-backed.
-
-    The columnar sibling of :func:`cached_miss_stream` and the unit of
-    reuse for the batch-replay engine: the same in-process memoization,
-    plus an optional on-disk layer — when a stream artifact store is
-    configured (``REPRO_STREAM_ARTIFACTS`` or
-    :func:`repro.cache.artifacts.set_artifact_store`), captures are
-    persisted as content-addressed, mmap-able ``RPM2`` artifacts and
-    later processes (sweep workers, ``repro-serve`` jobs, new sessions)
-    load them zero-copy instead of re-simulating the L1. Artifact reuse
-    is published as ``miss_stream.artifact_hits`` /
-    ``miss_stream.artifact_misses`` next to the in-process
-    ``miss_stream.cache_*`` counters.
-
-    Returns:
-        ``(packed_stream, l1_readin_miss_ratio)``; treat the stream as
-        immutable — it is shared.
-    """
     from repro.cache.artifacts import get_artifact_store
 
     key = (_workload_key(workload), capacity_bytes, block_size)
-    entry = _PACKED_STREAM_CACHE.get(key)
+    entry = _MISS_STREAM_CACHE.get(key)
     metrics = get_metrics()
     if entry is not None:
         metrics.counter("miss_stream.cache_hits").inc()
         return entry
+    metrics.counter("miss_stream.cache_misses").inc()
     store = get_artifact_store()
     if store is not None:
-        entry = store.load(workload, capacity_bytes, block_size)
-        if entry is not None:
+        loaded = store.load(workload, capacity_bytes, block_size)
+        if loaded is not None:
             metrics.counter("miss_stream.artifact_hits").inc()
-            _PACKED_STREAM_CACHE[key] = entry
+            packed, miss_ratio = loaded
+            entry = (packed.to_miss_stream(), miss_ratio)
+            _MISS_STREAM_CACHE[key] = entry
             return entry
         metrics.counter("miss_stream.artifact_misses").inc()
-    stream, miss_ratio = cached_miss_stream(workload, capacity_bytes, block_size)
-    packed = PackedMissStream.from_miss_stream(stream)
-    entry = (packed, miss_ratio)
-    _PACKED_STREAM_CACHE[key] = entry
+    l1 = DirectMappedCache(capacity_bytes, block_size)
+    start = time.perf_counter()
+    with span(
+        "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
+    ):
+        stream = capture_miss_stream(iter(workload), l1)
+    metrics.histogram("miss_stream.capture_seconds").observe(
+        time.perf_counter() - start
+    )
+    miss_ratio = l1.stats.readin_miss_ratio
+    entry = (stream, miss_ratio)
+    _MISS_STREAM_CACHE[key] = entry
     if store is not None:
-        store.save(workload, capacity_bytes, block_size, packed, miss_ratio)
+        store.save(
+            workload, capacity_bytes, block_size,
+            PackedMissStream.from_miss_stream(stream), miss_ratio,
+        )
     return entry
 
 
 def clear_miss_stream_cache() -> None:
     """Drop every memoized miss stream (frees the captured traces)."""
     _MISS_STREAM_CACHE.clear()
-    _PACKED_STREAM_CACHE.clear()
 
 
 def split_stream_at_flushes(stream: MissStream) -> List[MissStream]:
@@ -487,16 +396,8 @@ def split_stream_at_flushes(stream: MissStream) -> List[MissStream]:
     return segments
 
 
-def replay_miss_stream(stream, l2: SetAssociativeCache) -> None:
-    """Feed a captured miss stream into an (instrumented) L2 cache.
-
-    Accepts either a legacy :class:`MissStream` or a columnar
-    :class:`~repro.cache.stream.PackedMissStream`; the replay order —
-    and therefore every counter — is identical for equivalent streams.
-    """
-    if isinstance(stream, PackedMissStream):
-        _replay_packed(stream, l2)
-        return
+def replay_miss_stream(stream: MissStream, l2: SetAssociativeCache) -> None:
+    """Feed a captured miss stream into an (instrumented) L2 cache."""
     for code, address in stream.events:
         if (code, address) == FLUSH_MARKER:
             l2.invalidate_all()
@@ -505,23 +406,3 @@ def replay_miss_stream(stream, l2: SetAssociativeCache) -> None:
             l2.read_in(address)
         else:
             l2.write_back(address)
-
-
-def _replay_packed(stream: PackedMissStream, l2: SetAssociativeCache) -> None:
-    """Replay a packed stream: bulk column walks between flush boundaries."""
-    read_in = l2.read_in
-    write_back = l2.write_back
-    codes = stream.codes
-    addresses = stream.addresses
-    position = 0
-    boundaries = list(stream.flush_offsets)
-    boundaries.append(len(codes))
-    for index, boundary in enumerate(boundaries):
-        for i in range(position, boundary):
-            if codes[i]:
-                write_back(addresses[i])
-            else:
-                read_in(addresses[i])
-        position = boundary
-        if index < len(boundaries) - 1:
-            l2.invalidate_all()

@@ -13,12 +13,7 @@ list of ``(kind_code, address)`` tuples — two heap objects per event.
   of events that precede it — flushes are *not* inline sentinels).
 
 Columns are stdlib :class:`array.array` / :class:`memoryview` buffers,
-so splitting at flush boundaries is zero-copy slicing, counting event
-kinds is a single C-level pass, and persistence is a handful of bulk
-writes. When numpy is importable (and ``REPRO_NO_NUMPY`` is unset) the
-columns can additionally be viewed as ndarrays for vectorized address
-arithmetic; every consumer falls back to the stdlib buffers behind the
-same API, so numpy stays strictly optional.
+so persistence is a handful of bulk writes.
 
 The on-disk **RPM2** format (version 2 of the ``RPMS`` record format)
 lays the columns out contiguously with 8-byte alignment::
@@ -37,19 +32,19 @@ so :meth:`PackedMissStream.load` can map the file and hand out
 zero-copy ``memoryview.cast("Q")`` windows directly over the page
 cache — the content-addressed stream-artifact store
 (:mod:`repro.cache.artifacts`) relies on this for cheap reuse across
-worker processes and service jobs. Legacy ``RPMS`` files load through
-the same entry point (materialized, not mapped).
+worker processes and service jobs. Legacy ``RPMS`` record files, which
+nothing writes any more, load through the same entry point
+(materialized, not mapped).
 """
 
 from __future__ import annotations
 
 import gzip
-import os
 import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import TraceFormatError
 
@@ -61,31 +56,8 @@ _MAGIC = b"RPM2"
 _LEGACY_MAGIC = b"RPMS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when unavailable or disabled.
-
-    Disabled explicitly with ``REPRO_NO_NUMPY=1`` (the CI no-numpy job
-    uses this to keep the stdlib ``array`` path exercised); the
-    environment is re-read on every call so tests can toggle it, while
-    the import itself is attempted at most once.
-    """
-    if os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0"):
-        return None
-    global _NUMPY, _NUMPY_IMPORTED
-    if not _NUMPY_IMPORTED:
-        _NUMPY_IMPORTED = True
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - numpy genuinely absent
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-_NUMPY = None
-_NUMPY_IMPORTED = False
+#: One legacy RPMS record: signed code (-1 = flush), address.
+_LEGACY_RECORD = struct.Struct("<bQ")
 
 
 def _pad8(n: int) -> int:
@@ -103,7 +75,7 @@ class PackedMissStream:
 
     __slots__ = (
         "_codes", "_addresses", "_flushes", "processor_references",
-        "_mmap", "_counts", "_partitions",
+        "_mmap", "_counts",
     )
 
     def __init__(
@@ -124,9 +96,6 @@ class PackedMissStream:
         self._mmap = _mmap
         # (readins, writebacks, counted_events) — see the properties.
         self._counts: Optional[Tuple[int, int, int]] = None
-        # Per-geometry replay partitions, attached lazily by the
-        # columnar batch-replay engine (repro.core.batch).
-        self._partitions: dict = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,11 +134,7 @@ class PackedMissStream:
         n = len(self._codes)
         if self._counts is not None and self._counts[2] == n:
             return
-        np = numpy_or_none()
-        if np is not None and n:
-            writebacks = int(np.count_nonzero(np.frombuffer(self._codes, np.uint8)))
-        else:
-            writebacks = sum(self._codes)
+        writebacks = sum(self._codes)
         self._counts = (n - writebacks, writebacks, n)
 
     @property
@@ -192,12 +157,10 @@ class PackedMissStream:
         self._codes.append(code)
         self._addresses.append(address)
         self._counts = None
-        self._partitions.clear()
 
     def append_flush(self) -> None:
         """Record a cold-start boundary at the current position."""
         self._flushes.append(len(self._codes))
-        self._partitions.clear()
 
     @classmethod
     def from_events(
@@ -245,40 +208,6 @@ class PackedMissStream:
             events=list(self.iter_events()),
             processor_references=self.processor_references,
         )
-
-    # ------------------------------------------------------------------
-    # Splitting
-
-    def split_at_flushes(self) -> List["PackedMissStream"]:
-        """Zero-copy cold-start segments (flush boundaries consumed).
-
-        Segment-for-segment equivalent to
-        :func:`~repro.cache.hierarchy.split_stream_at_flushes` on the
-        unpacked stream: empty segments are dropped and
-        ``processor_references`` rides on the first segment only. Each
-        segment's columns are memoryview windows into this stream's
-        buffers — no events are copied.
-        """
-        codes = memoryview(self._codes)
-        if codes.format != "B":  # an mmap-backed byte view
-            codes = codes.cast("B")
-        addresses = memoryview(self._addresses)
-        boundaries = [0, *self._flushes, len(self._codes)]
-        segments: List[PackedMissStream] = []
-        for start, end in zip(boundaries, boundaries[1:]):
-            if start >= end:
-                continue
-            segments.append(
-                PackedMissStream(
-                    codes=codes[start:end],
-                    addresses=addresses[start:end],
-                    flush_offsets=array("Q"),
-                    _mmap=self._mmap,
-                )
-            )
-        if segments:
-            segments[0].processor_references = self.processor_references
-        return segments
 
     # ------------------------------------------------------------------
     # Persistence (RPM2, with legacy RPMS fallback)
@@ -369,10 +298,17 @@ class PackedMissStream:
 
     @classmethod
     def _load_legacy(cls, handle, path) -> "PackedMissStream":
-        """Pack a legacy RPMS record file (via the legacy loader)."""
-        from repro.cache.hierarchy import MissStream
-
-        return cls.from_miss_stream(MissStream._load_handle(handle, path))
+        """Pack a legacy RPMS record file: magic, ``<QQ`` (references,
+        record count), then one :data:`_LEGACY_RECORD` per event."""
+        handle.read(4)
+        header = handle.read(16)
+        if len(header) != 16:
+            raise TraceFormatError(f"truncated miss-stream header in {path}")
+        refs, count = struct.unpack("<QQ", header)
+        data = handle.read(_LEGACY_RECORD.size * count)
+        if len(data) != _LEGACY_RECORD.size * count:
+            raise TraceFormatError(f"truncated miss-stream record in {path}")
+        return cls.from_events(_LEGACY_RECORD.iter_unpack(data), refs)
 
     @classmethod
     def _parse_header(cls, buffer, path) -> Tuple[int, int, int, int, int]:
@@ -458,23 +394,6 @@ class PackedMissStream:
             processor_references=refs,
             _mmap=mapping,
         )
-
-    # ------------------------------------------------------------------
-    # numpy fast path (optional, same data)
-
-    def codes_numpy(self):
-        """The codes column as a numpy ``uint8`` view, or ``None``."""
-        np = numpy_or_none()
-        if np is None:
-            return None
-        return np.frombuffer(self._codes, dtype=np.uint8)
-
-    def addresses_numpy(self):
-        """The addresses column as a numpy ``uint64`` view, or ``None``."""
-        np = numpy_or_none()
-        if np is None:
-            return None
-        return np.frombuffer(self._addresses, dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Pickling (memoryview/mmap-backed streams materialize on the way)

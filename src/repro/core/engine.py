@@ -400,43 +400,6 @@ class FusedProbeEngine:
         """The accumulator of the channel registered under ``label``."""
         return self.channels[label].accumulator
 
-    def reset(self) -> None:
-        """Zero every accumulated fact, keeping the channel roster.
-
-        After a reset the engine is indistinguishable from a freshly
-        built one with the same schemes attached, so one engine can
-        account many short replays in sequence — the columnar
-        batch-replay engine (:mod:`repro.core.batch`) replays each
-        per-set run through a single scratch engine and reads the
-        finalized accumulators as that run's delta. The ``observe``
-        closure is untouched: it captures the (mutated in place)
-        counter lists, not their values.
-        """
-        counts = self._counts
-        for i in range(len(counts)):
-            counts[i] = 0
-        for hist in (
-            self._frame_hist, self._dist_hist,
-            self._wb_frame_hist, self._wb_dist_hist,
-        ):
-            for i in range(len(hist)):
-                hist[i] = 0
-        for channel in self.channels.values():
-            channel.tail_hit_probes = 0
-            channel.tail_wb_probes = 0
-            acc = channel._accumulator
-            acc.hit_accesses = acc.hit_probes = 0
-            acc.miss_accesses = acc.miss_probes = 0
-            acc.writeback_accesses = acc.writeback_probes = 0
-        for group in self._partial:
-            group.hit_probes = 0
-            group.miss_probes = 0
-            group.wb_probes = 0
-        for stats in self._distances:
-            stats.counts = {}
-            stats.hits = stats.accesses = stats.updates = 0
-        self._published_counts = [0] * len(counts)
-
     def _rebuild_observe(self) -> None:
         """Specialize ``observe`` for the current channel roster.
 

@@ -9,9 +9,8 @@ associativities x all schemes) affordable:
   (:func:`~repro.cache.hierarchy.cached_miss_stream`), so L2-only
   sweeps never re-simulate the L1;
 - each replay uses the fused probe-accounting engine
-  (:class:`~repro.core.engine.FusedProbeEngine`) by default, computing
-  every scheme's probes from one set of shared lookup facts per access
-  (pass ``use_engine=False`` for the legacy observer reference path);
+  (:class:`~repro.core.engine.FusedProbeEngine`), computing every
+  scheme's probes from one set of shared lookup facts per access;
 - :meth:`ExperimentRunner.run_segmented` shards one replay across
   ``multiprocessing`` workers at the stream's cold-start boundaries and
   merges the per-shard :class:`~repro.core.probes.ProbeAccumulator`\\ s,
@@ -33,7 +32,6 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -41,12 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cache.hierarchy import (
     MissStream,
     cached_miss_stream,
-    cached_packed_miss_stream,
     replay_miss_stream,
     split_stream_at_flushes,
 )
-from repro.cache.stream import PackedMissStream
-from repro.cache.observers import MruDistanceObserver, ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.core.analysis import default_subsets
@@ -77,40 +72,6 @@ from repro.resilience.policy import (
     SweepOutcome,
 )
 from repro.trace.synthetic import AtumWorkload
-
-#: Environment variable selecting the columnar batch-replay path for
-#: runners constructed with ``use_columnar=None`` (the default). Set by
-#: the ``--columnar`` CLI flags; forked sweep workers inherit it.
-COLUMNAR_ENV_VAR = "REPRO_COLUMNAR"
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no",
-    )
-
-
-@contextmanager
-def _columnar_env(enabled: Optional[bool]):
-    """Export ``REPRO_COLUMNAR`` for the duration of a worker pool.
-
-    Sweep worker payloads are shape-frozen (callers construct them
-    directly), so the columnar switch travels to forked workers through
-    the environment instead; ``None`` means "leave whatever the caller
-    exported alone".
-    """
-    if enabled is None:
-        yield
-        return
-    before = os.environ.get(COLUMNAR_ENV_VAR)
-    os.environ[COLUMNAR_ENV_VAR] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop(COLUMNAR_ENV_VAR, None)
-        else:
-            os.environ[COLUMNAR_ENV_VAR] = before
 
 
 @dataclass(frozen=True)
@@ -222,38 +183,24 @@ def _instrument(
     cache: SetAssociativeCache,
     plan: Sequence[Tuple[str, object]],
     writeback_optimization: bool,
-    use_engine: bool,
 ):
-    """Attach probe accounting for ``plan`` to ``cache``.
+    """Attach a fused probe-accounting engine for ``plan`` to ``cache``.
 
     Returns ``(accumulators, distance)`` where ``accumulators`` maps
     labels to :class:`~repro.core.probes.ProbeAccumulator` and
-    ``distance`` tracks the MRU hit-distance histogram — either through
-    the fused engine (default) or the legacy observer reference path.
+    ``distance`` tracks the MRU hit-distance histogram.
     """
     accumulators: Dict[str, ProbeAccumulator] = {}
-    if use_engine:
-        engine = FusedProbeEngine(cache.associativity)
-        for label, scheme in plan:
-            channel = engine.add_scheme(
-                scheme,
-                writeback_optimization=writeback_optimization,
-                label=label,
-            )
-            accumulators[label] = channel.accumulator
-        distance = engine.add_mru_distance()
-        cache.attach_engine(engine)
-        return accumulators, distance
+    engine = FusedProbeEngine(cache.associativity)
     for label, scheme in plan:
-        observer = ProbeObserver(
+        channel = engine.add_scheme(
             scheme,
             writeback_optimization=writeback_optimization,
             label=label,
         )
-        accumulators[label] = observer.accumulator
-        cache.attach(observer)
-    distance = MruDistanceObserver(cache.associativity)
-    cache.attach(distance)
+        accumulators[label] = channel.accumulator
+    distance = engine.add_mru_distance()
+    cache.attach_engine(engine)
     return accumulators, distance
 
 
@@ -306,39 +253,19 @@ def _replay_segment(payload):
     so a fresh cache reproduces exactly the state the serial replay
     would have.
     """
-    (l2, associativity, segment, plan_args, writeback_optimization,
-     use_engine) = payload
+    l2, associativity, segment, plan_args, writeback_optimization = payload
     shard_metrics = MetricsRegistry()
     start = time.perf_counter()
-    if use_engine and isinstance(segment, PackedMissStream):
-        # Columnar shard: the parent split a packed stream, so account
-        # the segment through the batch-replay engine instead of the
-        # per-event closure path (bit-identical by construction).
-        from repro.core.batch import ColumnarReplayEngine
-
-        engine = ColumnarReplayEngine(
-            l2.capacity_bytes, l2.block_size, associativity,
-            _scheme_plan(associativity, *plan_args),
-            writeback_optimization=writeback_optimization,
-        )
-        outcome = engine.replay(segment, metrics=shard_metrics)
-        outcome.publish_engine_metrics(shard_metrics)
-        obs = {
-            "metrics": shard_metrics.snapshot(),
-            "seconds": time.perf_counter() - start,
-        }
-        return outcome.stats, outcome.accumulators, outcome.distance, obs
     cache = SetAssociativeCache(
         l2.capacity_bytes, l2.block_size, associativity
     )
     accumulators, distance = _instrument(
         cache, _scheme_plan(associativity, *plan_args),
-        writeback_optimization, use_engine,
+        writeback_optimization,
     )
     replay_miss_stream(segment, cache)
-    if cache.engine is not None:
-        cache.engine.finalize()
-        cache.engine.publish_metrics(shard_metrics)
+    cache.engine.finalize()
+    cache.engine.publish_metrics(shard_metrics)
     obs = {
         "metrics": shard_metrics.snapshot(),
         "seconds": time.perf_counter() - start,
@@ -368,14 +295,13 @@ def _run_sweep_shard(payload):
     configuration, and returns ``(indexed_results, metric_snapshot)``
     for order-preserving merge in the parent.
     """
-    shard_index, workload, use_engine, points = payload
+    shard_index, workload, points = payload
     queue = _PROGRESS_QUEUE
     detail = f"l1={points[0][1].l1}, {len(points)} points"
     if queue is not None:
         queue.put(("started", shard_index, detail))
     runner = ExperimentRunner(
-        workload, use_engine=use_engine,
-        metrics=MetricsRegistry(), tracer=Tracer(),
+        workload, metrics=MetricsRegistry(), tracer=Tracer()
     )
     results = []
     for index, point in points:
@@ -429,10 +355,9 @@ def _run_sweep_point(payload):
     parent under the submitting request's trace. Metrics stay
     per-point (the snapshot is part of the return value).
     """
-    workload, use_engine, point = payload
+    workload, point = payload
     runner = ExperimentRunner(
-        workload, use_engine=use_engine,
-        metrics=MetricsRegistry(), tracer=get_tracer(),
+        workload, metrics=MetricsRegistry(), tracer=get_tracer()
     )
     result = runner.run(
         point.l1,
@@ -477,16 +402,6 @@ class ExperimentRunner:
     Args:
         workload: Reference workload; defaults to
             :func:`~repro.experiments.configs.default_workload`.
-        use_engine: Account probes through the fused engine (default).
-            ``False`` selects the legacy per-observer lookup path — the
-            reference implementation the engine is differential-tested
-            against; results are bit-identical either way.
-        use_columnar: Replay through the columnar batch engine
-            (:class:`~repro.core.batch.ColumnarReplayEngine`): packed
-            per-set runs with memoized bulk deltas instead of per-event
-            dispatch, bit-identical to the fused path. ``None`` (the
-            default) consults the ``REPRO_COLUMNAR`` environment
-            variable. Only effective with ``use_engine=True``.
         metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` for
             ``engine.*`` and ``runner.*`` metrics; defaults to the
             process-global registry.
@@ -501,25 +416,17 @@ class ExperimentRunner:
     def __init__(
         self,
         workload: Optional[AtumWorkload] = None,
-        use_engine: bool = True,
-        use_columnar: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         obs_dir=None,
     ) -> None:
         self.workload = workload if workload is not None else default_workload()
-        self.use_engine = use_engine
-        if use_columnar is None:
-            use_columnar = _env_truthy(COLUMNAR_ENV_VAR)
-        self.use_columnar = use_columnar and use_engine
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
         self._streams: Dict[str, MissStream] = {}
-        self._packed: Dict[str, PackedMissStream] = {}
         self._l1_stats: Dict[str, float] = {}
         self._results: Dict[tuple, ConfigResult] = {}
-        self._columnar_engines: Dict[tuple, Any] = {}
         self._run_log: List[Dict[str, Any]] = []
 
     def miss_stream(self, l1: CacheGeometry) -> MissStream:
@@ -537,30 +444,10 @@ class ExperimentRunner:
             self._l1_stats[key] = miss_ratio
         return self._streams[key]
 
-    def packed_miss_stream(self, l1: CacheGeometry) -> PackedMissStream:
-        """Columnar captured L1 stream for ``l1`` (memoized, artifact-backed).
-
-        The batch-replay sibling of :meth:`miss_stream`: content
-        addressed the same way, but loaded zero-copy from a configured
-        stream-artifact store when one holds this capture (see
-        :mod:`repro.cache.artifacts`) instead of re-simulating the L1.
-        """
-        key = l1.label
-        if key not in self._packed:
-            packed, miss_ratio = cached_packed_miss_stream(
-                self.workload, l1.capacity_bytes, l1.block_size
-            )
-            self._packed[key] = packed
-            self._l1_stats[key] = miss_ratio
-        return self._packed[key]
-
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""
         if l1.label not in self._l1_stats:
-            if self.use_columnar:
-                self.packed_miss_stream(l1)
-            else:
-                self.miss_stream(l1)
+            self.miss_stream(l1)
         return self._l1_stats[l1.label]
 
     def run(
@@ -598,33 +485,6 @@ class ExperimentRunner:
         if cached is not None:
             self.metrics.counter("runner.result_cache_hits").inc()
             return cached
-        if self.use_columnar:
-            packed = self.packed_miss_stream(l1)
-            engine = self._columnar_engine(
-                l2, associativity, cache_key, tag_bits, transforms,
-                mru_list_lengths, extra_tag_bits, writeback_optimization,
-            )
-            self.metrics.counter("runner.replays").inc()
-            with self.tracer.span(
-                "l2_replay",
-                l1=l1.label, l2=l2.label, associativity=associativity,
-                engine="columnar",
-            ):
-                outcome = engine.replay(packed, metrics=self.metrics)
-            outcome.publish_engine_metrics(self.metrics)
-            result = _assemble_result(
-                l1, l2, associativity, outcome.stats,
-                packed.processor_references, self.l1_miss_ratio(l1),
-                outcome.accumulators, outcome.distance,
-            )
-            self._results[cache_key] = result
-            self._record_run(
-                "run", l1, l2, associativity, tag_bits, transforms,
-                mru_list_lengths, extra_tag_bits, writeback_optimization,
-            )
-            if self.obs_dir is not None:
-                self.write_obs()
-            return result
         stream = self.miss_stream(l1)
 
         cache = SetAssociativeCache(
@@ -635,7 +495,7 @@ class ExperimentRunner:
             tuple(mru_list_lengths), tuple(extra_tag_bits),
         )
         accumulators, distance = _instrument(
-            cache, plan, writeback_optimization, self.use_engine
+            cache, plan, writeback_optimization
         )
         self.metrics.counter("runner.replays").inc()
         with self.tracer.span(
@@ -643,10 +503,8 @@ class ExperimentRunner:
             l1=l1.label, l2=l2.label, associativity=associativity,
         ):
             replay_miss_stream(stream, cache)
-            if cache.engine is not None:
-                cache.engine.finalize()
-        if cache.engine is not None:
-            cache.engine.publish_metrics(self.metrics)
+            cache.engine.finalize()
+        cache.engine.publish_metrics(self.metrics)
 
         result = _assemble_result(
             l1, l2, associativity, cache.stats,
@@ -661,32 +519,6 @@ class ExperimentRunner:
         if self.obs_dir is not None:
             self.write_obs()
         return result
-
-    def _columnar_engine(
-        self, l2, associativity, cache_key, tag_bits, transforms,
-        mru_list_lengths, extra_tag_bits, writeback_optimization,
-    ):
-        """Memoized batch-replay engine for one instrumented config.
-
-        Keyed like the result cache (minus the L1, which only selects
-        the stream): reusing the engine keeps its per-partition
-        aggregates warm across repeated runs of the same point.
-        """
-        engine_key = cache_key[1:]
-        engine = self._columnar_engines.get(engine_key)
-        if engine is None:
-            from repro.core.batch import ColumnarReplayEngine
-
-            engine = ColumnarReplayEngine(
-                l2.capacity_bytes, l2.block_size, associativity,
-                _scheme_plan(
-                    associativity, tag_bits, tuple(transforms),
-                    tuple(mru_list_lengths), tuple(extra_tag_bits),
-                ),
-                writeback_optimization=writeback_optimization,
-            )
-            self._columnar_engines[engine_key] = engine
-        return engine
 
     def run_segmented(
         self,
@@ -719,21 +551,15 @@ class ExperimentRunner:
             l1 = parse_geometry(l1)
         if isinstance(l2, str):
             l2 = parse_geometry(l2)
-        if self.use_columnar:
-            stream = self.packed_miss_stream(l1)
-            with self.tracer.span("split_stream", l1=l1.label):
-                segments = stream.split_at_flushes()
-        else:
-            stream = self.miss_stream(l1)
-            with self.tracer.span("split_stream", l1=l1.label):
-                segments = split_stream_at_flushes(stream)
+        stream = self.miss_stream(l1)
+        with self.tracer.span("split_stream", l1=l1.label):
+            segments = split_stream_at_flushes(stream)
         plan_args = (
             tag_bits, tuple(transforms), tuple(mru_list_lengths),
             tuple(extra_tag_bits),
         )
         payloads = [
-            (l2, associativity, segment, plan_args,
-             writeback_optimization, self.use_engine)
+            (l2, associativity, segment, plan_args, writeback_optimization)
             for segment in segments
         ]
         if processes is None:
@@ -757,11 +583,7 @@ class ExperimentRunner:
 
         stats = CacheStats()
         accumulators: Dict[str, ProbeAccumulator] = {}
-        distance = (
-            MruDistanceStats(associativity)
-            if self.use_engine
-            else MruDistanceObserver(associativity)
-        )
+        distance = MruDistanceStats(associativity)
         shard_seconds = self.metrics.histogram("runner.shard_seconds")
         for shard_stats, shard_accs, shard_distance, shard_obs in shards:
             stats.merge(shard_stats)
@@ -824,7 +646,7 @@ class ExperimentRunner:
             return None
         manifest = RunManifest.build(
             tool="ExperimentRunner",
-            config={"use_engine": self.use_engine, "runs": self._run_log},
+            config={"runs": self._run_log},
             workload=self.workload,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -835,7 +657,7 @@ class ExperimentRunner:
 
 
 def _merge_distance(target, other) -> None:
-    """Merge two MRU-distance histograms (engine stats or observers)."""
+    """Merge two MRU-distance histograms."""
     target.hits += other.hits
     target.accesses += other.accesses
     target.updates += other.updates
@@ -884,7 +706,6 @@ class ParallelSweepRunner:
         workload: Shared workload; defaults to
             :func:`~repro.experiments.configs.default_workload`.
         processes: Worker count; defaults to the CPU count.
-        use_engine: Forwarded to the per-worker runners.
         metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` the
             merged worker snapshots land in; defaults to the
             process-global registry.
@@ -902,8 +723,6 @@ class ParallelSweepRunner:
         self,
         workload: Optional[AtumWorkload] = None,
         processes: Optional[int] = None,
-        use_engine: bool = True,
-        use_columnar: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         obs_dir=None,
@@ -911,12 +730,6 @@ class ParallelSweepRunner:
     ) -> None:
         self.workload = workload if workload is not None else default_workload()
         self.processes = processes
-        self.use_engine = use_engine
-        #: Columnar replay in the workers. ``None`` defers to whatever
-        #: ``REPRO_COLUMNAR`` says at worker fork time; True/False is
-        #: exported around the pool so workers inherit the choice (the
-        #: payload tuples are shape-frozen and cannot carry it).
-        self.use_columnar = use_columnar
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
@@ -993,7 +806,7 @@ class ParallelSweepRunner:
         for index, point in enumerate(points):
             by_l1.setdefault(point.l1, []).append((index, point))
         shards = [
-            (shard_index, self.workload, self.use_engine, group)
+            (shard_index, self.workload, group)
             for shard_index, group in enumerate(by_l1.values())
         ]
         processes = self.processes
@@ -1012,11 +825,11 @@ class ParallelSweepRunner:
             with self.tracer.span(
                 "sweep",
                 points=len(points), shards=len(shards), processes=processes,
-            ), _columnar_env(self.use_columnar):
+            ):
                 if processes == 1:
                     outputs = []
                     for shard in shards:
-                        shard_index, _, _, group = shard
+                        shard_index, _, group = shard
                         detail = f"l1={group[0][1].l1}, {len(group)} points"
                         reporter.started(shard_index, detail)
                         outputs.append(_run_sweep_shard(shard))
@@ -1045,16 +858,17 @@ class ParallelSweepRunner:
     def sweep_config_hash(self) -> str:
         """Content address of this sweep's identity (checkpoint key).
 
-        Covers the workload identity and the instrumentation path —
-        everything that must match for checkpointed results to be
-        interchangeable with fresh ones. The point list is *not*
-        included: points are keyed individually by
+        Covers the workload identity — everything that must match for
+        checkpointed results to be interchangeable with fresh ones. The
+        point list is *not* included: points are keyed individually by
         :func:`~repro.resilience.checkpoint.point_signature`, so a
         resumed sweep may reorder or extend them.
         """
         return config_hash({
             "workload": describe_workload(self.workload),
-            "use_engine": self.use_engine,
+            # Constant, so checkpoints written before the observer path
+            # was removed keep their hash and still resume.
+            "use_engine": True,
         })
 
     def _run_points_resilient(
@@ -1092,7 +906,7 @@ class ParallelSweepRunner:
                     remaining=len(points) - outcome.resumed,
                 )
         tasks = [
-            (index, (self.workload, self.use_engine, point))
+            (index, (self.workload, point))
             for index, point in enumerate(points)
             if outcome.results[index] is None
         ]
@@ -1139,7 +953,7 @@ class ParallelSweepRunner:
             with self.tracer.span(
                 "sweep",
                 points=len(points), tasks=len(tasks), policy=policy.value,
-            ), _columnar_env(self.use_columnar):
+            ):
                 report = executor.run(tasks)
         except SweepPointError:
             # fail_fast: the failure is already in self.failures via
@@ -1233,7 +1047,6 @@ class ParallelSweepRunner:
             config={
                 "points": self._points_log,
                 "processes": self.processes,
-                "use_engine": self.use_engine,
             },
             workload=self.workload,
             tracer=self.tracer,
@@ -1249,8 +1062,6 @@ def run_sweep_job(
     points: Sequence[SweepPoint],
     workload: Optional[AtumWorkload] = None,
     processes: Optional[int] = None,
-    use_engine: bool = True,
-    use_columnar: Optional[bool] = None,
     failure_policy: "FailurePolicy | str" = FailurePolicy.RETRY_THEN_COLLECT,
     retry: Optional[RetryPolicy] = None,
     checkpoint: "SweepCheckpoint | str | None" = None,
@@ -1273,10 +1084,6 @@ def run_sweep_job(
         workload: Shared workload; defaults to
             :func:`~repro.experiments.configs.default_workload`.
         processes: Worker-pool size; defaults to the CPU count.
-        use_engine: Forwarded to the per-worker runners.
-        use_columnar: Columnar batch replay in the workers (exported
-            via ``REPRO_COLUMNAR`` around the pool); ``None`` inherits
-            the caller's environment.
         failure_policy: ``fail_fast`` / ``collect`` /
             ``retry_then_collect`` (enum or string).
         retry: Backoff and per-point timeout parameters.
@@ -1289,8 +1096,6 @@ def run_sweep_job(
     runner = ParallelSweepRunner(
         workload,
         processes=processes,
-        use_engine=use_engine,
-        use_columnar=use_columnar,
         metrics=metrics,
         tracer=tracer,
     )

@@ -156,11 +156,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the provenance manifest and JSONL span trace here",
     )
     parser.add_argument(
-        "--columnar", action="store_true",
-        help="replay through the columnar batch engine (bit-identical, "
-        "much faster on repeated points)",
-    )
-    parser.add_argument(
         "--stream-artifacts", metavar="DIR", default=None,
         help="persist captured miss streams as content-addressed RPM2 "
         "artifacts in DIR and mmap them on reuse (workers inherit it)",
@@ -189,7 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = ParallelSweepRunner(
         default_workload(scale=args.scale, seed=args.seed),
         processes=args.processes,
-        use_columnar=True if args.columnar else None,
         obs_dir=args.obs_dir,
     )
     retry = RetryPolicy(

@@ -50,13 +50,6 @@ _JOB_COLUMNS = [
     {"header": "error", "key": "error"},
 ]
 
-#: Counters surfaced in the replay/stream section (PR 6's engines).
-_REPLAY_COUNTERS = (
-    "replay.columnar_replays",
-    "miss_stream.artifact_hits",
-    "miss_stream.artifact_misses",
-)
-
 #: The per-shard cluster table layout (text and HTML renderings).
 #: Every field is a label or a count — no ages, no countdowns — so
 #: the rows stay byte-stable under a fixed cluster state.
@@ -200,14 +193,8 @@ def render_dashboard_text(payload: Dict[str, Any]) -> str:
         lines.append("")
     replay = status.get("replay") or {}
     counters = replay.get("counters") or {}
-    batch = replay.get("batch_size") or {}
     lines.append(
-        "replay: {columnar} columnar replays"
-        " (batch count={count}, max={maximum}),"
-        " artifact hits/misses {hits}/{misses}".format(
-            columnar=counters.get("replay.columnar_replays", 0),
-            count=batch.get("count", 0),
-            maximum=batch.get("max") or 0,
+        "replay: artifact hits/misses {hits}/{misses}".format(
             hits=counters.get("miss_stream.artifact_hits", 0),
             misses=counters.get("miss_stream.artifact_misses", 0),
         )
@@ -297,15 +284,10 @@ def render_dashboard_html(payload: Dict[str, Any]) -> str:
         body.append(builder.render(shard_rows, columns=_SHARD_COLUMNS))
     replay = status.get("replay") or {}
     counters = replay.get("counters") or {}
-    batch = replay.get("batch_size") or {}
-    body.append("<h2>Replay engines</h2>")
+    body.append("<h2>Stream artifacts</h2>")
     body.append(
         builder.render(
             [
-                ("columnar replays",
-                 counters.get("replay.columnar_replays", 0)),
-                ("batched replays", batch.get("count", 0)),
-                ("max batch size", batch.get("max") or 0),
                 ("stream artifact hits",
                  counters.get("miss_stream.artifact_hits", 0)),
                 ("stream artifact misses",

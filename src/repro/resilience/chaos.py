@@ -674,7 +674,7 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
     """
     from repro.cache.artifacts import StreamArtifactStore, set_artifact_store
     from repro.cache.hierarchy import (
-        cached_packed_miss_stream,
+        cached_miss_stream,
         clear_miss_stream_cache,
     )
     from repro.cache.stream import PackedMissStream
@@ -694,7 +694,7 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
         clear_miss_stream_cache()
         set_artifact_store(store)
         try:
-            cached_packed_miss_stream(harness.workload, 4096, 16)
+            cached_miss_stream(harness.workload, 4096, 16)
         finally:
             set_artifact_store(None)
             clear_miss_stream_cache()

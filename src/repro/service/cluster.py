@@ -645,12 +645,10 @@ class ClusterService:
             "counters": {
                 name: merged.counter(name).value
                 for name in (
-                    "replay.columnar_replays",
                     "miss_stream.artifact_hits",
                     "miss_stream.artifact_misses",
                 )
             },
-            "batch_size": merged.histogram("replay.batch_size").to_dict(),
         }
         return {
             "ready": ready,

@@ -57,8 +57,6 @@ def shard_args(args) -> List[str]:
         forwarded += ["--max-probes", str(args.max_probes)]
     if args.stream_artifacts is not None:
         forwarded += ["--stream-artifacts", args.stream_artifacts]
-    if args.columnar:
-        forwarded += ["--columnar"]
     return forwarded
 
 
@@ -163,7 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--seed", type=int, default=1989)
     parser.add_argument("--max-probes", type=int, default=None)
-    parser.add_argument("--columnar", action="store_true")
     parser.add_argument("--stream-artifacts", metavar="DIR", default=None)
     parser.add_argument(
         "--bench-history",

@@ -169,12 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "abandoning them to their checkpoints",
     )
     parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="replay jobs through the columnar batch engine "
-        "(bit-identical results)",
-    )
-    parser.add_argument(
         "--bench-history",
         metavar="FILE",
         default="BENCH_simulator.json",
@@ -202,9 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--queue-size must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    # Via the environment so job workers (forked per job) inherit them.
-    if args.columnar:
-        os.environ["REPRO_COLUMNAR"] = "1"
+    # Via the environment so job workers (forked per job) inherit it.
     if args.stream_artifacts is not None:
         os.environ["REPRO_STREAM_ARTIFACTS"] = args.stream_artifacts
 

@@ -509,14 +509,13 @@ class SimulationService:
         }
 
     def _replay_snapshot(self) -> Dict[str, Any]:
-        """The replay/stream engine counters as a dedicated block.
+        """The stream-artifact counters as a dedicated block.
 
         Reading via get-or-create keeps the block present (zeroed)
         before the first job runs, so operators see the namespace
         instead of inferring it from absence.
         """
         counter_names = (
-            "replay.columnar_replays",
             "miss_stream.artifact_hits",
             "miss_stream.artifact_misses",
         )
@@ -525,7 +524,6 @@ class SimulationService:
                 name: self.metrics.counter(name).value
                 for name in counter_names
             },
-            "batch_size": self.metrics.histogram("replay.batch_size").to_dict(),
         }
 
     def _latency_snapshot(self) -> Dict[str, Any]:

@@ -14,13 +14,10 @@ from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import (
     FLUSH_MARKER,
     MissStream,
-    cached_packed_miss_stream,
+    cached_miss_stream,
     capture_miss_stream,
     clear_miss_stream_cache,
-    replay_miss_stream,
-    split_stream_at_flushes,
 )
-from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stream import PackedMissStream
 from repro.errors import TraceFormatError
 from repro.obs.metrics import get_metrics
@@ -73,36 +70,6 @@ class TestConversion:
         assert list(stream.iter_events()) == [(0, 32), FLUSH_MARKER, (1, 64)]
 
 
-class TestSplit:
-    def test_split_matches_legacy_split(self, legacy_stream, packed):
-        legacy_segments = split_stream_at_flushes(legacy_stream)
-        packed_segments = packed.split_at_flushes()
-        assert len(packed_segments) == len(legacy_segments)
-        for legacy_seg, packed_seg in zip(legacy_segments, packed_segments):
-            assert list(packed_seg.iter_events()) == legacy_seg.events
-            assert (
-                packed_seg.processor_references
-                == legacy_seg.processor_references
-            )
-
-    def test_segments_are_zero_copy_views(self, packed):
-        segments = packed.split_at_flushes()
-        assert sum(seg.n_events for seg in segments) == packed.n_events
-        for seg in segments:
-            assert seg.n_flushes == 0
-
-
-class TestReplayDispatch:
-    def test_packed_replay_matches_legacy_replay(self, legacy_stream, packed):
-        a = SetAssociativeCache(16 * 1024, 32, 4)
-        b = SetAssociativeCache(16 * 1024, 32, 4)
-        replay_miss_stream(legacy_stream, a)
-        replay_miss_stream(packed, b)
-        assert a.stats.__dict__ == b.stats.__dict__
-        for set_a, set_b in zip(a.sets, b.sets):
-            assert set_a.view() == set_b.view()
-
-
 class TestRpm2SaveLoad:
     def test_roundtrip(self, packed, tmp_path):
         path = tmp_path / "stream.rpm2"
@@ -133,9 +100,10 @@ class TestRpm2SaveLoad:
         packed.save(path)
         assert PackedMissStream.load(path).content_hash() == packed.content_hash()
 
-    def test_legacy_rpms_loads_through_packed(self, legacy_stream, tmp_path):
-        path = tmp_path / "stream.rpms"
-        legacy_stream.save(path)
+    def test_legacy_rpms_loads_through_packed(
+        self, legacy_stream, tmp_path, write_rpms
+    ):
+        path = write_rpms(legacy_stream, tmp_path / "stream.rpms")
         loaded = PackedMissStream.load(path)
         assert list(loaded.iter_events()) == legacy_stream.events
 
@@ -221,28 +189,29 @@ class TestArtifactStore:
         store = StreamArtifactStore(tmp_path)
         assert store.load(workload, 2048, 16) is None
         set_artifact_store(store)
-        packed, ratio = cached_packed_miss_stream(workload, 2048, 16)
+        stream, ratio = cached_miss_stream(workload, 2048, 16)
         entry = store.load(workload, 2048, 16)
         assert entry is not None
         loaded, loaded_ratio = entry
         assert loaded_ratio == ratio
-        assert list(loaded.iter_events()) == list(packed.iter_events())
+        assert list(loaded.iter_events()) == stream.events
 
     def test_artifact_hit_skips_recapture(self, tmp_path):
         workload = AtumWorkload(
             segments=1, references_per_segment=1_000, seed=6
         )
         set_artifact_store(tmp_path)
-        first, ratio = cached_packed_miss_stream(workload, 2048, 16)
+        first, ratio = cached_miss_stream(workload, 2048, 16)
         clear_miss_stream_cache()
         metrics = get_metrics()
         hits_before = metrics.counter("miss_stream.artifact_hits").value
-        second, ratio_again = cached_packed_miss_stream(workload, 2048, 16)
+        second, ratio_again = cached_miss_stream(workload, 2048, 16)
         assert metrics.counter("miss_stream.artifact_hits").value == (
             hits_before + 1
         )
         assert ratio_again == ratio
-        assert list(second.iter_events()) == list(first.iter_events())
+        assert second.events == first.events
+        assert second.processor_references == first.processor_references
 
     def test_corrupt_artifact_treated_as_miss(self, tmp_path):
         workload = AtumWorkload(
@@ -250,11 +219,11 @@ class TestArtifactStore:
         )
         store = StreamArtifactStore(tmp_path)
         set_artifact_store(store)
-        cached_packed_miss_stream(workload, 2048, 16)
+        cached_miss_stream(workload, 2048, 16)
         stream_path = next(tmp_path.glob("*.rpm2"))
         stream_path.write_bytes(b"RPM2" + b"\x00" * 3)
         assert store.load(workload, 2048, 16) is None
         clear_miss_stream_cache()
-        packed, _ = cached_packed_miss_stream(workload, 2048, 16)
-        assert packed.n_events > 0
+        stream, _ = cached_miss_stream(workload, 2048, 16)
+        assert stream.readins > 0
         assert store.load(workload, 2048, 16) is not None

@@ -23,26 +23,26 @@ def stream():
 
 class TestSaveLoad:
     def test_roundtrip(self, stream, tmp_path):
-        path = tmp_path / "stream.rpms"
+        path = tmp_path / "stream.rpm2"
         stream.save(path)
         loaded = MissStream.load(path)
         assert loaded.events == stream.events
         assert loaded.processor_references == stream.processor_references
 
     def test_gzip_roundtrip(self, stream, tmp_path):
-        path = tmp_path / "stream.rpms.gz"
+        path = tmp_path / "stream.rpm2.gz"
         stream.save(path)
         loaded = MissStream.load(path)
         assert loaded.events == stream.events
 
     def test_flush_markers_survive(self, stream, tmp_path):
         assert FLUSH_MARKER in stream.events
-        path = tmp_path / "s.rpms"
+        path = tmp_path / "s.rpm2"
         stream.save(path)
         assert FLUSH_MARKER in MissStream.load(path).events
 
     def test_replay_of_loaded_stream_matches(self, stream, tmp_path):
-        path = tmp_path / "s.rpms"
+        path = tmp_path / "s.rpm2"
         stream.save(path)
         loaded = MissStream.load(path)
 
@@ -55,11 +55,20 @@ class TestSaveLoad:
             assert set_a.view() == set_b.view()
 
     def test_empty_stream(self, tmp_path):
-        path = tmp_path / "empty.rpms"
+        path = tmp_path / "empty.rpm2"
         MissStream().save(path)
         loaded = MissStream.load(path)
         assert loaded.events == []
         assert loaded.processor_references == 0
+
+    def test_save_writes_rpm2(self, stream, tmp_path):
+        path = tmp_path / "s.rpm2"
+        stream.save(path)
+        assert path.read_bytes()[:4] == b"RPM2"
+        loaded = PackedMissStream.load(path)
+        assert loaded.content_hash() == (
+            PackedMissStream.from_miss_stream(stream).content_hash()
+        )
 
 
 class TestErrors:
@@ -75,9 +84,8 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="header"):
             MissStream.load(path)
 
-    def test_truncated_records(self, stream, tmp_path):
-        path = tmp_path / "cut.rpms"
-        stream.save(path)
+    def test_truncated_records(self, stream, tmp_path, write_rpms):
+        path = write_rpms(stream, tmp_path / "cut.rpms")
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(TraceFormatError, match="record"):
@@ -85,7 +93,7 @@ class TestErrors:
 
 
 class TestColumnarInterop:
-    """The legacy loader reads the columnar ``RPM2`` format and back."""
+    """Both loaders read RPM2, and both still read legacy ``RPMS``."""
 
     def test_legacy_load_of_rpm2_file(self, stream, tmp_path):
         packed = PackedMissStream.from_miss_stream(stream)
@@ -95,11 +103,16 @@ class TestColumnarInterop:
         assert loaded.events == stream.events
         assert loaded.processor_references == stream.processor_references
 
-    def test_packed_load_of_rpms_file(self, stream, tmp_path):
-        path = tmp_path / "legacy.rpms"
-        stream.save(path)
+    def test_packed_load_of_rpms_file(self, stream, tmp_path, write_rpms):
+        path = write_rpms(stream, tmp_path / "legacy.rpms")
         loaded = PackedMissStream.load(path)
         assert list(loaded.iter_events()) == stream.events
+        assert loaded.processor_references == stream.processor_references
+
+    def test_legacy_load_of_rpms_file(self, stream, tmp_path, write_rpms):
+        path = write_rpms(stream, tmp_path / "legacy.rpms")
+        loaded = MissStream.load(path)
+        assert loaded.events == stream.events
         assert loaded.processor_references == stream.processor_references
 
     def test_rpm2_replay_matches_legacy_replay(self, stream, tmp_path):
@@ -109,7 +122,7 @@ class TestColumnarInterop:
         a = SetAssociativeCache(16 * 1024, 32, 4)
         b = SetAssociativeCache(16 * 1024, 32, 4)
         replay_miss_stream(stream, a)
-        replay_miss_stream(mapped, b)
+        replay_miss_stream(mapped.to_miss_stream(), b)
         assert a.stats.__dict__ == b.stats.__dict__
 
     def test_corrupt_rpm2_header(self, tmp_path):

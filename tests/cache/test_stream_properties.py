@@ -25,7 +25,7 @@ def streams(draw):
 @given(stream=streams())
 @settings(max_examples=100, deadline=None)
 def test_save_load_roundtrip(stream, tmp_path_factory):
-    path = tmp_path_factory.mktemp("streams") / "s.rpms"
+    path = tmp_path_factory.mktemp("streams") / "s.rpm2"
     stream.save(path)
     loaded = MissStream.load(path)
     assert loaded.events == stream.events

@@ -7,6 +7,10 @@ point-sharded sweeps
 reproduce the serial :meth:`~repro.experiments.runner.ExperimentRunner.run`
 results exactly for a fixed workload seed: every worker derives its
 trace deterministically and the merged counters are integer sums.
+
+The runner replays through the fused engine only; the per-scheme
+:class:`~repro.cache.observers.ProbeObserver` path survives here as an
+independent oracle for it.
 """
 
 import pytest
@@ -14,12 +18,19 @@ import pytest
 from repro.cache.hierarchy import (
     cached_miss_stream,
     clear_miss_stream_cache,
+    replay_miss_stream,
     split_stream_at_flushes,
 )
+from repro.cache.observers import MruDistanceObserver, ProbeObserver
+from repro.cache.set_associative import SetAssociativeCache
+from repro.experiments.configs import DEFAULT_TAG_BITS, parse_geometry
 from repro.experiments.runner import (
     ExperimentRunner,
     ParallelSweepRunner,
     SweepPoint,
+    _assemble_result,
+    _scheme_plan,
+    config_result_to_dict,
 )
 from repro.trace.synthetic import AtumWorkload
 
@@ -55,15 +66,68 @@ def test_run_segmented_matches_serial(processes):
     assert_results_identical(segmented, serial)
 
 
-def test_run_segmented_matches_serial_legacy_path():
+def observer_reference(
+    workload,
+    l1,
+    l2,
+    associativity,
+    tag_bits=DEFAULT_TAG_BITS,
+    transforms=("xor",),
+    mru_list_lengths=(),
+    extra_tag_bits=(),
+    writeback_optimization=True,
+):
+    """The result :meth:`ExperimentRunner.run` must produce, built by
+    hand: one :class:`ProbeObserver` per scheme of the runner's plan
+    and an :class:`MruDistanceObserver`, attached to a plain L2."""
+    l1, l2 = parse_geometry(l1), parse_geometry(l2)
+    stream, l1_miss_ratio = cached_miss_stream(
+        workload, l1.capacity_bytes, l1.block_size
+    )
+    cache = SetAssociativeCache(l2.capacity_bytes, l2.block_size, associativity)
+    plan = _scheme_plan(
+        associativity, tag_bits, tuple(transforms),
+        tuple(mru_list_lengths), tuple(extra_tag_bits),
+    )
+    accumulators = {}
+    for label, scheme in plan:
+        observer = ProbeObserver(
+            scheme, writeback_optimization=writeback_optimization, label=label
+        )
+        accumulators[label] = observer.accumulator
+        cache.attach(observer)
+    distance = MruDistanceObserver(associativity)
+    cache.attach(distance)
+    replay_miss_stream(stream, cache)
+    return _assemble_result(
+        l1, l2, associativity, cache.stats, stream.processor_references,
+        l1_miss_ratio, accumulators, distance,
+    )
+
+
+ORACLE_OPTIONS = dict(mru_list_lengths=(2,), transforms=("xor", "swap"))
+
+
+def test_run_matches_observer_oracle():
     workload = small_workload()
-    serial = ExperimentRunner(workload, use_engine=False).run(
-        "4K-16", "64K-32", 4
+    expected = observer_reference(
+        workload, "4K-16", "64K-32", 4, **ORACLE_OPTIONS
     )
-    segmented = ExperimentRunner(workload, use_engine=False).run_segmented(
-        "4K-16", "64K-32", 4, processes=2
+    result = ExperimentRunner(workload).run(
+        "4K-16", "64K-32", 4, **ORACLE_OPTIONS
     )
-    assert_results_identical(segmented, serial)
+    assert config_result_to_dict(result) == config_result_to_dict(expected)
+
+
+def test_run_segmented_matches_observer_oracle():
+    workload = small_workload()
+    expected = observer_reference(
+        workload, "4K-16", "64K-32", 4, **ORACLE_OPTIONS
+    )
+    result = ExperimentRunner(workload).run_segmented(
+        "4K-16", "64K-32", 4, processes=2, **ORACLE_OPTIONS
+    )
+    assert config_result_to_dict(result) == config_result_to_dict(expected)
 
 
 def test_run_segmented_with_options():
@@ -112,16 +176,12 @@ def test_parallel_sweep_empty():
     assert ParallelSweepRunner(small_workload()).run_points([]) == []
 
 
-def test_engine_and_legacy_runner_results_identical():
-    """The runner's two instrumentation paths agree end to end."""
-    workload = small_workload()
-    engine_result = ExperimentRunner(workload, use_engine=True).run(
-        "4K-16", "64K-32", 4, mru_list_lengths=(2,), transforms=("xor", "swap")
-    )
-    legacy_result = ExperimentRunner(workload, use_engine=False).run(
-        "4K-16", "64K-32", 4, mru_list_lengths=(2,), transforms=("xor", "swap")
-    )
-    assert_results_identical(engine_result, legacy_result)
+def test_sweep_config_hash_is_pinned():
+    """Checkpoints written by earlier versions must still resume: the
+    sweep identity hash may not drift."""
+    workload = AtumWorkload(segments=2, references_per_segment=2_000, seed=19)
+    sweep = ParallelSweepRunner(workload)
+    assert sweep.sweep_config_hash() == "149789745f53fd13"
 
 
 def test_cached_miss_stream_is_shared():
@@ -175,7 +235,7 @@ class TestStuckProgressDrainer:
         for index, point in enumerate(points):
             by_l1.setdefault(point.l1, []).append((index, point))
         shards = [
-            (shard_index, workload, sweep.use_engine, group)
+            (shard_index, workload, group)
             for shard_index, group in enumerate(by_l1.values())
         ]
 
@@ -226,7 +286,7 @@ class TestStuckProgressDrainer:
         )
         sweep = ParallelSweepRunner(workload, processes=2)
         point = SweepPoint("4K-16", "64K-32", 2)
-        shards = [(0, workload, sweep.use_engine, [(0, point)])]
+        shards = [(0, workload, [(0, point)])]
         warnings = []
         monkeypatch.setattr(
             runner_module.log,

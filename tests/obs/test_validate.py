@@ -373,7 +373,7 @@ def make_dashboard(**overrides):
             "queue": {"depth": 0, "capacity": 16},
             "breakers": {},
             "jobs": {},
-            "replay": {"counters": {}, "batch_size": {"count": 0}},
+            "replay": {"counters": {}},
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
         },
         "jobs": [{"id": "job-1", "status": "done"}],

@@ -18,7 +18,7 @@ def make_status(with_shards=True):
                   "closed": False},
         "breakers": {},
         "jobs": {"done": 2, "running": 1},
-        "replay": {"counters": {}, "batch_size": {"count": 0}},
+        "replay": {"counters": {}},
         "latency": {
             "latency.job_seconds": {
                 "count": 3, "p50": 0.5, "p95": 0.9, "p99": 0.9,

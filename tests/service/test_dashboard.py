@@ -186,23 +186,21 @@ class TestStatusReplayBlock:
         service = make_service(tmp_path)
         status = service.status()
         replay = status["replay"]
-        assert replay["counters"]["replay.columnar_replays"] == 0
-        assert replay["counters"]["miss_stream.artifact_hits"] == 0
-        assert replay["counters"]["miss_stream.artifact_misses"] == 0
-        assert replay["batch_size"]["count"] == 0
+        assert replay["counters"] == {
+            "miss_stream.artifact_hits": 0,
+            "miss_stream.artifact_misses": 0,
+        }
         # The get-or-create read also materializes them in the
         # registry snapshot, so /metrics always shows the namespace.
         counters = status["metrics"]["counters"]
-        assert "replay.columnar_replays" in counters
         assert "miss_stream.artifact_hits" in counters
+        assert "miss_stream.artifact_misses" in counters
 
     def test_counters_flow_through(self, tmp_path):
         metrics = MetricsRegistry()
-        metrics.counter("replay.columnar_replays").inc(3)
-        metrics.histogram("replay.batch_size").observe(128)
         metrics.counter("miss_stream.artifact_hits").inc()
+        metrics.counter("miss_stream.artifact_misses").inc(3)
         service = make_service(tmp_path, metrics=metrics)
         replay = service.status()["replay"]
-        assert replay["counters"]["replay.columnar_replays"] == 3
         assert replay["counters"]["miss_stream.artifact_hits"] == 1
-        assert replay["batch_size"]["max"] == 128
+        assert replay["counters"]["miss_stream.artifact_misses"] == 3
