@@ -134,20 +134,6 @@ class QueueFullError(ServiceError):
         self.retry_after = retry_after
 
 
-class ShardUnavailableError(ServiceError):
-    """No cluster shard could accept or answer a routed request.
-
-    Raised by the cluster front door when the owning shard *and* every
-    ring successor are dead, ejected, or unreachable. ``retry_after``
-    hints when a shard restart or half-open rejoin is expected. Maps
-    to HTTP 503 in ``repro-cluster``.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class CircuitOpenError(ServiceError):
     """A circuit breaker is open: the protected call was not attempted.
 

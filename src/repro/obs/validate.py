@@ -273,21 +273,8 @@ SUPPORTED_REPORT_SCHEMA_VERSION = 1
 #: understands. Mirrors
 #: ``repro.report.dashboard.DASHBOARD_SCHEMA_VERSION`` (same
 #: duplication rationale as above). v2 added ``status.latency``; v3
-#: added the optional ``status.shards`` cluster table.
+#: adds nothing this validator checks.
 SUPPORTED_DASHBOARD_SCHEMA_VERSION = 3
-
-#: Required keys of one ``status.shards`` row (v3 cluster dashboards;
-#: the block itself is optional — ``repro-serve`` has no shards).
-_DASHBOARD_SHARD_FIELDS = {
-    "name": (str,),
-    "state": (str,),
-    "alive": (bool,),
-    "breaker": (str,),
-    "restarts": (int,),
-}
-
-#: The shard lifecycle labels the cluster supervisor emits.
-_SHARD_STATES = frozenset({"healthy", "half_open", "ejected", "dead"})
 
 #: Required trajectory-report keys and their accepted types.
 _REPORT_FIELDS = {
@@ -413,33 +400,6 @@ def validate_dashboard(data: Dict[str, Any]) -> List[str]:
                     "dashboard status: missing or non-object 'latency' "
                     "(required from schema v2)"
                 )
-        # The per-shard cluster table arrived with schema v3. It stays
-        # optional (a repro-serve dashboard has no shards), but when
-        # present every row must carry the lifecycle fields.
-        shards = status.get("shards")
-        if shards is not None:
-            if not isinstance(shards, dict):
-                errors.append(
-                    "dashboard status: 'shards' must be an object"
-                )
-            else:
-                for name, row in shards.items():
-                    where = f"dashboard status shards[{name!r}]"
-                    if not isinstance(row, dict):
-                        errors.append(f"{where}: not a JSON object")
-                        continue
-                    errors.extend(
-                        _check_fields(row, _DASHBOARD_SHARD_FIELDS, where)
-                    )
-                    state = row.get("state")
-                    if (
-                        isinstance(state, str)
-                        and state not in _SHARD_STATES
-                    ):
-                        errors.append(
-                            f"{where}: unknown state {state!r} "
-                            f"(expected one of {sorted(_SHARD_STATES)})"
-                        )
     for index, record in enumerate(data.get("jobs") or []):
         where = f"dashboard jobs[{index}]"
         if not isinstance(record, dict):

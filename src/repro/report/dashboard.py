@@ -33,10 +33,9 @@ from repro.report.trajectory import TrajectoryReport, html_page
 #: Version of the ``/dashboard.json`` payload layout. Mirrored by
 #: ``repro.obs.validate.SUPPORTED_DASHBOARD_SCHEMA_VERSION`` (the
 #: validator must not import this package); a cross-check test keeps
-#: them in lockstep. v2 added the ``status.latency`` quantile block;
-#: v3 added the optional ``status.shards`` cluster table (present on
-#: ``repro-cluster`` dashboards, absent on single-shard
-#: ``repro-serve`` ones).
+#: them in lockstep. v2 added the ``status.latency`` quantile block.
+#: v3 added an optional per-shard table that nothing emits any more;
+#: the number stays so existing v3 documents keep validating.
 DASHBOARD_SCHEMA_VERSION = 3
 
 #: The job-table layout, shared by the text and HTML renderings.
@@ -48,20 +47,6 @@ _JOB_COLUMNS = [
     {"header": "wall (s)", "key": "wall_seconds", "format": ".3f",
      "align": "right"},
     {"header": "error", "key": "error"},
-]
-
-#: The per-shard cluster table layout (text and HTML renderings).
-#: Every field is a label or a count — no ages, no countdowns — so
-#: the rows stay byte-stable under a fixed cluster state.
-_SHARD_COLUMNS = [
-    {"header": "shard", "key": "name"},
-    {"header": "state", "key": "state"},
-    {"header": "breaker", "key": "breaker"},
-    {"header": "exec brk", "key": "execute_breaker"},
-    {"header": "queue", "key": "queue_depth", "align": "right"},
-    {"header": "jobs", "key": "jobs", "align": "right"},
-    {"header": "restarts", "key": "restarts", "align": "right"},
-    {"header": "readmitted", "key": "readmitted_to", "align": "right"},
 ]
 
 #: The latency-quantile table layout (text and HTML renderings).
@@ -98,12 +83,6 @@ def _latency_rows(status: Dict[str, Any]) -> List[Dict[str, Any]]:
             "p999": summary.get("p999", 0.0),
         })
     return rows
-
-
-def _shard_rows(status: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """The ``status.shards`` block as display rows, name order."""
-    shards = status.get("shards") or {}
-    return [shards[name] for name in sorted(shards)]
 
 
 def _job_view(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -180,17 +159,6 @@ def render_dashboard_text(payload: Dict[str, Any]) -> str:
                 threshold=breaker.get("failure_threshold"),
             )
         )
-    shard_rows = _shard_rows(status)
-    if shard_rows:
-        lines.append("")
-        lines.append(
-            TableBuilder().render(
-                shard_rows,
-                columns=_SHARD_COLUMNS,
-                title=f"shards ({len(shard_rows)})",
-            )
-        )
-        lines.append("")
     replay = status.get("replay") or {}
     counters = replay.get("counters") or {}
     lines.append(
@@ -278,10 +246,6 @@ def render_dashboard_html(payload: Dict[str, Any]) -> str:
             ],
         )
     )
-    shard_rows = _shard_rows(status)
-    if shard_rows:
-        body.append(f"<h2>Shards ({len(shard_rows)})</h2>")
-        body.append(builder.render(shard_rows, columns=_SHARD_COLUMNS))
     replay = status.get("replay") or {}
     counters = replay.get("counters") or {}
     body.append("<h2>Stream artifacts</h2>")

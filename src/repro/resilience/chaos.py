@@ -38,14 +38,7 @@ the resilience layer makes about it:
   :class:`~repro.errors.IntegrityError` (never returned as data),
   ``repro-fsck`` quarantines all three with an honest unrepairable
   verdict, and a recomputation from the quarantined state is
-  bit-identical to the baseline — detection, never wrong answers;
-- ``cluster`` — a whole shard process is SIGKILLed mid-job under
-  live ``repro-loadgen`` traffic; the front door ejects it, re-admits
-  the orphaned job onto the ring successor (which *resumes* the
-  shared checkpoint — the advisory lock's dead-owner takeover), the
-  job completes with results bit-identical to an undisturbed run, and
-  the cluster flight record's ``route``/``shard_failover``/``readmit``
-  spans tie the whole failover to one trace id.
+  bit-identical to the baseline — detection, never wrong answers.
 
 Exit code 0 means every requested scenario held; 1 names the ones
 that did not. With ``--obs-dir`` the persistent-crash scenario writes
@@ -399,188 +392,6 @@ def scenario_service(harness: ChaosHarness) -> bool:
         return service.drain(grace=30.0)
 
 
-def scenario_cluster(harness: ChaosHarness) -> bool:
-    """A shard dies mid-job under load; failover is bit-identical.
-
-    Spins up a real 3-shard cluster (``repro-serve`` child processes
-    sharing one checkpoint spool), routes a multi-point job, and
-    SIGKILLs the owning shard once the job's checkpoint holds at
-    least one — but not every — point. Under concurrent closed-loop
-    ``repro-loadgen`` traffic, the supervisor must eject the dead
-    shard, re-admit the orphaned job onto the ring successor, and the
-    successor must *resume* the shared checkpoint (the advisory
-    lock's dead-owner takeover) so the finished job's per-point
-    results are bit-identical to an undisturbed local run of the same
-    workload. The cluster flight record must span the failover:
-    ``route``, ``shard_failover``, and ``readmit`` on one trace id.
-    """
-    import os
-    import threading
-
-    import repro
-    from repro.experiments.configs import default_workload
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import Tracer
-    from repro.resilience.checkpoint import SweepCheckpoint
-    from repro.service import loadgen
-    from repro.service.cluster import ClusterService, serve_cluster_in_thread
-    from repro.service.shard import ShardProcess
-
-    scale, seed = 0.05, 7
-    points = [
-        SweepPoint("4K-16", "64K-32", 2),
-        SweepPoint("4K-16", "64K-32", 4),
-        SweepPoint("8K-16", "64K-32", 4),
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        # The undisturbed baseline: the same workload and points the
-        # shards will run, checkpointed locally, loaded as the
-        # bit-identical reference.
-        baseline_ckpt = root / "baseline.ckpt"
-        runner = ParallelSweepRunner(
-            default_workload(scale=scale, seed=seed),
-            processes=harness.processes,
-            metrics=MetricsRegistry(),
-        )
-        runner.run_points(list(points), checkpoint=str(baseline_ckpt))
-        expected = SweepCheckpoint(baseline_ckpt).load()
-        if len(expected) != len(points):
-            return False
-
-        # Shard children import repro from wherever this process did.
-        pythonpath = str(Path(repro.__file__).parents[1])
-        if os.environ.get("PYTHONPATH"):
-            pythonpath += os.pathsep + os.environ["PYTHONPATH"]
-        spool = root / "spool"
-        shard_args = [
-            "--scale", str(scale),
-            "--seed", str(seed),
-            "--processes", "1",
-            "--drain-grace", "10",
-        ]
-        shards = [
-            ShardProcess(
-                f"shard-{index}",
-                cluster_dir=root / "cluster",
-                spool_dir=spool,
-                args=shard_args,
-                env={"PYTHONPATH": pythonpath},
-            )
-            for index in range(3)
-        ]
-        cluster = ClusterService(
-            shards,
-            cluster_dir=root / "cluster",
-            metrics=MetricsRegistry(),
-            tracer=Tracer(),
-            probe_interval=0.2,
-            restart_backoff=0.2,
-        )
-        server = None
-        loadgen_thread = None
-        try:
-            cluster.start()
-            server, _ = serve_cluster_in_thread(cluster)
-            host, port = server.address
-            # Background loadgen traffic through the front door for
-            # the whole failover window.
-            loadgen_thread = threading.Thread(
-                target=loadgen.main,
-                args=(
-                    [
-                        "--target", f"http://{host}:{port}",
-                        "--mode", "closed",
-                        "--concurrency", "2",
-                        "--requests", "6",
-                        "--history", str(root / "BENCH_loadgen.json"),
-                        "--json",
-                    ],
-                ),
-                name="chaos-loadgen",
-                daemon=True,
-            )
-            loadgen_thread.start()
-
-            payload = {
-                "points": [
-                    {
-                        "l1": p.l1,
-                        "l2": p.l2,
-                        "associativity": p.associativity,
-                    }
-                    for p in points
-                ]
-            }
-            record = cluster.submit(payload)
-            cluster_id, owner = record["id"], record["shard"]
-            ckpt_path = spool / f"{record['config_hash']}.ckpt"
-
-            # Kill the owner mid-job: after the checkpoint proves real
-            # progress, before it proves completion.
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                checkpoint = SweepCheckpoint(ckpt_path)
-                if checkpoint.exists() and len(checkpoint.load()) >= 1:
-                    break
-                time.sleep(0.01)
-            else:
-                return False
-            cluster.shards[owner].kill()
-            if len(SweepCheckpoint(ckpt_path).load()) >= len(points):
-                return False  # too late to be "mid-job"; nothing failed over
-
-            # The prober must detect the death, re-admit onto the ring
-            # successor, and the job must complete there.
-            final = None
-            deadline = time.monotonic() + 180.0
-            while time.monotonic() < deadline:
-                final = cluster.job(cluster_id)
-                if final is not None and final["status"] == "done":
-                    break
-                time.sleep(0.2)
-            if final is None or final["status"] != "done":
-                return False
-            if final["readmissions"] < 1 or final["shard"] == owner:
-                return False
-            shard_record = final.get("shard_record") or {}
-            summary = shard_record.get("summary") or {}
-            if not summary.get("resumed"):
-                return False  # recomputed instead of resuming
-
-            # Bit-identical: the finished checkpoint must equal the
-            # undisturbed run's, record for record.
-            if SweepCheckpoint(ckpt_path).load() != expected:
-                return False
-
-            # The flight record spans the failover on one trace id.
-            flight = cluster.job_trace(cluster_id)
-            if flight is None:
-                return False
-
-            def walk(nodes):
-                for node in nodes:
-                    yield node
-                    yield from walk(node["children"])
-
-            spans = list(walk(flight["tree"]))
-            names = {span["name"] for span in spans}
-            if not {"route", "shard_failover", "readmit"} <= names:
-                return False
-            if any(
-                span["trace_id"] != flight["trace_id"] for span in spans
-            ):
-                return False
-            if loadgen_thread is not None:
-                loadgen_thread.join(timeout=120.0)
-            return True
-        finally:
-            if server is not None:
-                server.shutdown()
-                server.server_close()
-            cluster.drain(grace=15.0)
-
-
 def scenario_torn_disk(harness: ChaosHarness) -> bool:
     """Power loss at every checkpoint write point; no silent data loss.
 
@@ -783,7 +594,6 @@ SCENARIOS: Dict[str, Callable[[ChaosHarness], bool]] = {
     "service": scenario_service,
     "torn-disk": scenario_torn_disk,
     "bitrot": scenario_bitrot,
-    "cluster": scenario_cluster,
 }
 
 

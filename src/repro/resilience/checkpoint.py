@@ -36,10 +36,10 @@ Durability discipline:
   automatically. Staleness is decided by *process identity*, not PID
   liveness alone: the lockfile records the holder's PID **and** its
   kernel start time (``/proc/<pid>/stat`` field 22), so a recycled
-  PID — common on the failover path, where a cluster shard dies under
-  load and the ring successor re-admits its job while the OS reuses
-  PIDs — is recognized as a different process and the lock is stolen
-  instead of wedging the takeover forever.
+  PID — a sweep SIGKILLed mid-run leaves its lockfile behind, and by
+  the time it is resumed the OS may have handed that PID to an
+  unrelated process — is recognized as a different process and the
+  lock is stolen instead of wedging the resume forever.
 
 Records are keyed by :func:`point_signature` — a content address of
 the point's full configuration — so reordering or extending the point
@@ -354,10 +354,10 @@ class SweepCheckpoint:
     def _steal_stale_lock(self) -> bool:
         """Remove the lockfile iff its recorded holder is verifiably gone.
 
-        The takeover check the failover path depends on: when a ring
-        successor re-admits a dead shard's job, the shard's PID may
-        already belong to a *different* process. Liveness of the PID
-        alone would wedge the takeover, so the holder counts as alive
+        The takeover check a resume depends on: when a SIGKILLed
+        sweep is restarted, the dead writer's PID may already belong
+        to a *different* process. Liveness of the PID alone would
+        wedge the resume, so the holder counts as alive
         only when the PID exists **and** its recorded start time (when
         the lock carries one and the platform can read one) matches
         the current process's — anything else is a stale lock.

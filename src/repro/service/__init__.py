@@ -15,19 +15,7 @@ failure instead of falling over:
   then hard exit 130) and the worker watchdog;
 - :mod:`repro.service.server` — the service core and the stdlib HTTP
   layer (``/jobs``, ``/healthz``, ``/readyz``, ``/metrics``);
-- :mod:`repro.service.servecli` — the ``repro-serve`` entry point;
-- :mod:`repro.service.ring` — consistent hashing with virtual nodes
-  (the cluster's placement function);
-- :mod:`repro.service.shard` — supervised shard handles (child
-  process or in-process thread) behind one HTTP-client contract;
-- :mod:`repro.service.cluster` — the ``repro-cluster`` front door:
-  config-hash routing, shard lifecycle (healthy / ejected /
-  half-open rejoin), failover re-admission, aggregated metrics and
-  dashboards, two-phase cluster drain;
-- :mod:`repro.service.clustercli` — the ``repro-cluster`` entry
-  point;
-- :mod:`repro.service.loadgen` — the ``repro-loadgen`` open/closed
-  loop load generator recording into a BenchHistory.
+- :mod:`repro.service.servecli` — the ``repro-serve`` entry point.
 
 Everything is stdlib-only (``http.server`` + threads) and unit-
 testable without sockets: the HTTP layer is a thin adapter over
@@ -36,43 +24,28 @@ testable without sockets: the HTTP layer is a thin adapter over
 
 from repro.service.admission import AdmissionController, estimate_probe_count
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.cluster import (
-    ClusterHTTPServer,
-    ClusterService,
-    serve_cluster_in_thread,
-)
 from repro.service.drain import HARD_EXIT_CODE, DrainCoordinator, Watchdog
 from repro.service.queue import BoundedJobQueue
-from repro.service.ring import ConsistentHashRing, ring_hash
 from repro.service.server import (
     Job,
     ServiceHTTPServer,
     SimulationService,
     serve_in_thread,
 )
-from repro.service.shard import InProcessShard, ShardHandle, ShardProcess
 
 __all__ = [
     "AdmissionController",
     "BoundedJobQueue",
     "CircuitBreaker",
     "CLOSED",
-    "ClusterHTTPServer",
-    "ClusterService",
-    "ConsistentHashRing",
     "DrainCoordinator",
     "HALF_OPEN",
     "HARD_EXIT_CODE",
-    "InProcessShard",
     "Job",
     "OPEN",
     "ServiceHTTPServer",
-    "ShardHandle",
-    "ShardProcess",
     "SimulationService",
     "Watchdog",
     "estimate_probe_count",
-    "ring_hash",
-    "serve_cluster_in_thread",
     "serve_in_thread",
 ]

@@ -20,15 +20,6 @@ is rejected and, once the backlog is consumed, :meth:`take` returns
 ``None`` to wake blocked workers — the first step of the service's
 graceful shutdown.
 
-Rejections can carry a **deterministically jittered** ``Retry-After``
-(``retry_jitter``): each 429 quotes ``retry_after`` stretched by the
-next value of a seeded PRNG, up to ``retry_after * (1 +
-retry_jitter)``. Without it, a fleet of load-generator clients shed
-in the same instant all come back in the same instant — a thundering
-herd aimed squarely at a shard that is trying to recover. The jitter
-sequence is seeded (byte-stable in tests: same seed, same sequence)
-and quantized to milliseconds so responses stay reproducible.
-
 Every transition is counted in the ``service.queue.*`` metrics
 (depth/accepted/rejected/shed_transitions), so an operator can see
 backpressure happening, not just its symptoms.
@@ -36,7 +27,6 @@ backpressure happening, not just its symptoms.
 
 from __future__ import annotations
 
-import random
 import threading
 from collections import deque
 from typing import Any, Deque, Optional
@@ -59,19 +49,9 @@ class BoundedJobQueue:
             one-slot hysteresis) floored at 0.
         retry_after: Base seconds clients are told to wait before
             retrying a rejected offer (the HTTP ``Retry-After`` hint).
-        retry_jitter: Fractional spread added to ``retry_after`` on
-            each rejection: the quoted hint is ``retry_after * (1 +
-            U)`` with ``U`` drawn from a *seeded* PRNG in ``[0,
-            retry_jitter]``, quantized to milliseconds. 0 (the
-            default) keeps the hint exact.
-        jitter_seed: Seed of the jitter PRNG; a fixed default keeps
-            the sequence byte-stable across runs and tests.
         metrics: Registry for ``service.queue.*`` instruments;
             defaults to the process-global registry.
     """
-
-    #: Default jitter-PRNG seed (the paper's year, like the workloads).
-    DEFAULT_JITTER_SEED = 1989
 
     def __init__(
         self,
@@ -79,8 +59,6 @@ class BoundedJobQueue:
         high_watermark: Optional[int] = None,
         low_watermark: Optional[int] = None,
         retry_after: float = 1.0,
-        retry_jitter: float = 0.0,
-        jitter_seed: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if capacity < 1:
@@ -100,13 +78,7 @@ class BoundedJobQueue:
                 f"low={self.low_watermark}, high={self.high_watermark}, "
                 f"capacity={capacity}"
             )
-        if retry_jitter < 0:
-            raise ConfigurationError("retry_jitter must be >= 0")
         self.retry_after = retry_after
-        self.retry_jitter = retry_jitter
-        self._jitter_rng = random.Random(
-            self.DEFAULT_JITTER_SEED if jitter_seed is None else jitter_seed
-        )
         self.metrics = metrics if metrics is not None else get_metrics()
         self._items: Deque[Any] = deque()
         self._lock = threading.Lock()
@@ -147,16 +119,15 @@ class BoundedJobQueue:
             if self._closed:
                 raise QueueFullError(
                     "service is draining; no new jobs are admitted",
-                    retry_after=self._jittered_retry_after(),
+                    retry_after=self.retry_after,
                 )
             depth = len(self._items)
             if depth >= self.capacity or self._shedding:
                 self.metrics.counter("service.queue.rejected").inc()
-                hint = self._jittered_retry_after()
                 raise QueueFullError(
                     f"job queue saturated (depth {depth}/{self.capacity}); "
-                    f"retry in {hint:g}s",
-                    retry_after=hint,
+                    f"retry in {self.retry_after:g}s",
+                    retry_after=self.retry_after,
                 )
             self._items.append(job)
             depth += 1
@@ -171,18 +142,6 @@ class BoundedJobQueue:
             self.metrics.counter("service.queue.accepted").inc()
             self.metrics.gauge("service.queue.depth").set(depth)
             self._not_empty.notify()
-
-    def _jittered_retry_after(self) -> float:
-        """The next ``Retry-After`` hint (lock held by the caller).
-
-        Milliseconds quantization keeps the value byte-stable through
-        JSON round-trips; with ``retry_jitter == 0`` the base hint is
-        returned untouched (bit-for-bit back-compatible).
-        """
-        if self.retry_jitter <= 0:
-            return self.retry_after
-        spread = self._jitter_rng.random() * self.retry_jitter
-        return round(self.retry_after * (1.0 + spread), 3)
 
     def take(self, timeout: Optional[float] = None) -> Optional[Any]:
         """Dequeue the oldest job, blocking up to ``timeout`` seconds.

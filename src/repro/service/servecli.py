@@ -53,7 +53,6 @@ def build_service(args) -> SimulationService:
         high_watermark=args.high_watermark,
         low_watermark=args.low_watermark,
         retry_after=args.retry_after,
-        retry_jitter=args.retry_jitter,
         max_probe_budget=args.max_probes,
         workers=args.workers,
         processes=args.processes,
@@ -104,20 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=1.0,
         help="Retry-After hint (seconds) on 429 responses",
-    )
-    parser.add_argument(
-        "--retry-jitter",
-        type=float,
-        default=0.0,
-        help="deterministic fractional jitter on the 429 Retry-After "
-        "hint (0 disables; 0.5 spreads hints over [1x, 1.5x])",
-    )
-    parser.add_argument(
-        "--port-file",
-        metavar="FILE",
-        default=None,
-        help="write the bound 'host:port' to FILE once listening "
-        "(how a cluster front door discovers --port 0 shards)",
     )
     parser.add_argument(
         "--max-probes",
@@ -207,16 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     service.start()
 
     host, port = server.address
-    if args.port_file is not None:
-        # Write-temp-then-rename so a polling supervisor never reads a
-        # torn address.
-        from pathlib import Path
-
-        port_file = Path(args.port_file)
-        port_file.parent.mkdir(parents=True, exist_ok=True)
-        tmp = port_file.with_name(port_file.name + ".tmp")
-        tmp.write_text(f"{host}:{port}\n", encoding="utf-8")
-        os.replace(tmp, port_file)
     log.info(f"repro-serve listening on http://{host}:{port}")
     import threading
 

@@ -158,12 +158,6 @@ class SimulationService:
         high_watermark / low_watermark: Shedding hysteresis bounds
             (defaults per :class:`~repro.service.queue.BoundedJobQueue`).
         retry_after: Seconds clients are told to back off on 429.
-        retry_jitter: Deterministic fractional spread on the 429
-            ``Retry-After`` hint (see
-            :class:`~repro.service.queue.BoundedJobQueue`) so
-            synchronized clients don't thundering-herd a recovering
-            shard; 0 disables it.
-        jitter_seed: Seed for the jitter PRNG (fixed default).
         max_probe_budget: Admission ceiling on estimated probes per
             job (``None`` = unlimited).
         workers: Job-worker thread count (each runs one job at a time
@@ -203,8 +197,6 @@ class SimulationService:
         high_watermark: Optional[int] = None,
         low_watermark: Optional[int] = None,
         retry_after: float = 1.0,
-        retry_jitter: float = 0.0,
-        jitter_seed: Optional[int] = None,
         max_probe_budget: Optional[int] = None,
         workers: int = 1,
         processes: Optional[int] = None,
@@ -229,8 +221,6 @@ class SimulationService:
             high_watermark=high_watermark,
             low_watermark=low_watermark,
             retry_after=retry_after,
-            retry_jitter=retry_jitter,
-            jitter_seed=jitter_seed,
             metrics=self.metrics,
         )
         self.admission = AdmissionController(
@@ -899,6 +889,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up;
+                # the body's extent is unknown, so drop the connection.
+                self.close_connection = True
+                self._send_json(400, {"error": "bad Content-Length"})
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": f"bad JSON body: {exc}"})

@@ -17,7 +17,7 @@ makes that trust earned instead of assumed:
   envelopes for JSONL stores and checksum envelopes for JSON
   documents, with transparent reads of legacy unframed files;
 - :mod:`repro.storage.fsck` — the ``repro-fsck`` scanner/repairer for
-  spool and cluster directories;
+  spool and artifact directories;
 - :mod:`repro.storage.scrub` — the background scrubber ``repro-serve``
   runs over its spool, surfacing ``storage.scrub.*`` metrics.
 

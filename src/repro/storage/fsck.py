@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "root",
-        help="spool / artifact / cluster directory to scan",
+        help="spool or artifact directory to scan",
     )
     parser.add_argument(
         "--repair",

@@ -477,6 +477,11 @@ class TestDashboardValidation:
         # Pre-quantile dashboards never carried the block.
         assert validate_dashboard(make_dashboard(schema_version=1)) == []
 
+    def test_v3_dashboard_is_valid(self):
+        document = make_dashboard(schema_version=3)
+        document["status"]["latency"] = {}
+        assert validate_dashboard(document) == []
+
 
 class TestReportCliFlags:
     def test_report_and_dashboard_flags(self, tmp_path, capsys):
@@ -507,67 +512,3 @@ class TestReportCliFlags:
         path = manifest.write(tmp_path / "BENCH_simulator.manifest.json")
         assert validate_manifest_file(path) == []
 
-
-class TestDashboardShardTable:
-    """Schema v3: the optional per-shard state table."""
-
-    def shard_row(self, **overrides):
-        row = {
-            "name": "shard-0",
-            "state": "healthy",
-            "alive": True,
-            "breaker": "closed",
-            "restarts": 0,
-        }
-        row.update(overrides)
-        return row
-
-    def dashboard_with_shards(self, shards):
-        document = make_dashboard(schema_version=3)
-        document["status"]["latency"] = {}
-        document["status"]["shards"] = shards
-        return document
-
-    def test_valid_shard_table_passes(self):
-        document = self.dashboard_with_shards(
-            {
-                "shard-0": self.shard_row(),
-                "shard-1": self.shard_row(
-                    name="shard-1", state="dead", alive=False,
-                    breaker="open", restarts=2,
-                ),
-            }
-        )
-        assert validate_dashboard(document) == []
-
-    def test_all_lifecycle_states_accepted(self):
-        for state in ("healthy", "half_open", "ejected", "dead"):
-            document = self.dashboard_with_shards(
-                {"shard-0": self.shard_row(state=state)}
-            )
-            assert validate_dashboard(document) == []
-
-    def test_unknown_state_label_rejected(self):
-        document = self.dashboard_with_shards(
-            {"shard-0": self.shard_row(state="zombie")}
-        )
-        errors = validate_dashboard(document)
-        assert any("zombie" in e for e in errors)
-
-    def test_missing_row_field_rejected(self):
-        row = self.shard_row()
-        del row["breaker"]
-        document = self.dashboard_with_shards({"shard-0": row})
-        errors = validate_dashboard(document)
-        assert any("breaker" in e for e in errors)
-
-    def test_non_object_table_rejected(self):
-        document = self.dashboard_with_shards([self.shard_row()])
-        errors = validate_dashboard(document)
-        assert errors
-
-    def test_v3_without_shards_stays_valid(self):
-        # Single-shard repro-serve dashboards carry no table.
-        document = make_dashboard(schema_version=3)
-        document["status"]["latency"] = {}
-        assert validate_dashboard(document) == []

@@ -157,66 +157,18 @@ class TestSnapshot:
         }
 
 
-class TestRetryJitter:
+class TestRetryAfter:
     def reject_hint(self, queue):
         with pytest.raises(QueueFullError) as excinfo:
             queue.offer("overflow")
         return excinfo.value.retry_after
 
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_queue(capacity=1, retry_jitter=-0.1)
-
-    def test_zero_jitter_quotes_exact_base(self):
+    def test_rejections_quote_exact_base(self):
         queue = make_queue(capacity=1, retry_after=2.5)
         queue.offer("a")
         assert [self.reject_hint(queue) for _ in range(5)] == [2.5] * 5
 
-    def test_jitter_sequence_is_seeded_and_byte_stable(self):
-        # Two queues with the same seed quote the identical hint
-        # sequence — and it matches a hand-rolled PRNG replay, so the
-        # quoted floats survive JSON round-trips byte-for-byte.
-        import random
-
-        def hints(seed):
-            queue = make_queue(
-                capacity=1, retry_after=2.0, retry_jitter=0.5,
-                jitter_seed=seed,
-            )
-            queue.offer("a")
-            return [self.reject_hint(queue) for _ in range(8)]
-
-        assert hints(123) == hints(123)
-        rng = random.Random(123)
-        expected = [
-            round(2.0 * (1.0 + rng.random() * 0.5), 3) for _ in range(8)
-        ]
-        assert hints(123) == expected
-        assert hints(7) != hints(123)
-
-    def test_jitter_bounds_and_quantization(self):
-        queue = make_queue(
-            capacity=1, retry_after=1.0, retry_jitter=0.25, jitter_seed=42
-        )
-        queue.offer("a")
-        for _ in range(50):
-            hint = self.reject_hint(queue)
-            assert 1.0 <= hint <= 1.25
-            assert hint == round(hint, 3)
-
-    def test_default_seed_is_fixed(self):
-        first = make_queue(capacity=1, retry_after=1.0, retry_jitter=1.0)
-        second = make_queue(capacity=1, retry_after=1.0, retry_jitter=1.0)
-        first.offer("a")
-        second.offer("a")
-        assert [self.reject_hint(first) for _ in range(4)] == [
-            self.reject_hint(second) for _ in range(4)
-        ]
-
-    def test_draining_rejection_is_jittered_too(self):
-        queue = make_queue(
-            capacity=4, retry_after=2.0, retry_jitter=0.5, jitter_seed=99
-        )
+    def test_draining_rejection_quotes_exact_base(self):
+        queue = make_queue(capacity=4, retry_after=2.0)
         queue.close()
-        hint = self.reject_hint(queue)
-        assert 2.0 <= hint <= 3.0
+        assert self.reject_hint(queue) == 2.0

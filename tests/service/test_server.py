@@ -1,6 +1,7 @@
 """Simulation service core and its HTTP API (stubbed job execution)."""
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -296,6 +297,18 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_400(self, http_service):
+        # A raw request: urllib would never send a negative length.
+        _, client = http_service
+        host, port = client.base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            response = sock.makefile("rb").readline()
+        assert response.split()[1] == b"400"
 
     def test_unknown_routes_are_404(self, http_service):
         _, client = http_service
