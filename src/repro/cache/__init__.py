@@ -28,7 +28,6 @@ from repro.cache.hierarchy import (
     capture_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
-    split_stream_at_flushes,
 )
 from repro.cache.stream import PackedMissStream
 from repro.cache.stack import StackSimulator
@@ -85,5 +84,4 @@ __all__ = [
     "replay_miss_stream",
     "run_with_invalidations",
     "set_artifact_store",
-    "split_stream_at_flushes",
 ]

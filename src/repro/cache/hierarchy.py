@@ -367,35 +367,6 @@ def clear_miss_stream_cache() -> None:
     _MISS_STREAM_CACHE.clear()
 
 
-def split_stream_at_flushes(stream: MissStream) -> List[MissStream]:
-    """Split a captured stream into its cold-start segments.
-
-    Every segment starts at a flush boundary, so replaying each into a
-    *fresh* L2 is event-for-event identical to replaying the whole
-    stream serially — the property the parallel sweep runner uses to
-    shard one replay across worker processes and merge the resulting
-    accumulators. Flush markers are consumed by the split (a fresh
-    cache is already cold); empty segments are dropped.
-
-    ``processor_references`` is carried on the first segment only, so
-    summing over segments matches the original stream.
-    """
-    segments: List[MissStream] = []
-    current: List[Tuple[int, int]] = []
-    for event in stream.events:
-        if event == FLUSH_MARKER:
-            if current:
-                segments.append(MissStream(events=current))
-                current = []
-            continue
-        current.append(event)
-    if current:
-        segments.append(MissStream(events=current))
-    if segments:
-        segments[0].processor_references = stream.processor_references
-    return segments
-
-
 def replay_miss_stream(stream: MissStream, l2: SetAssociativeCache) -> None:
     """Feed a captured miss stream into an (instrumented) L2 cache."""
     for code, address in stream.events:

@@ -197,11 +197,9 @@ class SetAssociativeCache:
 
         After the flush the cache is indistinguishable from a freshly
         constructed one: set state, tag indices, and the replacement
-        policy's fill randomness are all restored to their cold state.
-        That property is what lets a captured stream be replayed
-        segment-by-segment into fresh caches with bit-identical results
-        (see
-        :meth:`~repro.experiments.runner.ExperimentRunner.run_segmented`).
+        policy's fill randomness are all restored to their cold state,
+        so every cold-start segment of a replay starts exactly as a
+        fresh cache would.
         """
         for cache_set in self.sets:
             cache_set.invalidate_all()

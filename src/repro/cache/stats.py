@@ -63,15 +63,6 @@ class CacheStats:
             return 0.0
         return self.writebacks / self.accesses
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another counter set into this one."""
-        self.readin_hits += other.readin_hits
-        self.readin_misses += other.readin_misses
-        self.writeback_hits += other.writeback_hits
-        self.writeback_misses += other.writeback_misses
-        self.evictions += other.evictions
-        self.dirty_evictions += other.dirty_evictions
-
 
 @dataclass
 class HierarchyStats:

@@ -156,14 +156,6 @@ class MruDistanceStats:
             for i in range(1, self.associativity + 1)
         ]
 
-    def merge(self, other: "MruDistanceStats") -> None:
-        """Fold another histogram's counts into this one."""
-        self.hits += other.hits
-        self.accesses += other.accesses
-        self.updates += other.updates
-        for distance, count in other.counts.items():
-            self.counts[distance] = self.counts.get(distance, 0) + count
-
 
 class _PartialGroup:
     """All channels sharing one partial-compare configuration.
@@ -279,10 +271,10 @@ class FusedProbeEngine:
     ``accumulator`` (auto-finalizing) or call :meth:`finalize` after
     the replay.
 
-    Engines hold closures and are not picklable; ship the channel
-    accumulators (plain data) across process boundaries instead, as
-    :meth:`~repro.experiments.runner.ExperimentRunner.run_segmented`
-    does.
+    Engines hold closures and are not picklable; ship plain results
+    across process boundaries instead, as the sweep workers of
+    :class:`~repro.experiments.runner.ParallelSweepRunner` do with
+    each point's :class:`~repro.experiments.runner.ConfigResult`.
 
     Args:
         associativity: Set size ``a`` of the instrumented cache.

@@ -149,12 +149,3 @@ class ProbeAccumulator:
         if denominator == 0:
             return 0.0
         return (self.hit_probes + self.writeback_probes) / denominator
-
-    def merge(self, other: "ProbeAccumulator") -> None:
-        """Fold another accumulator's counts into this one."""
-        self.hit_accesses += other.hit_accesses
-        self.hit_probes += other.hit_probes
-        self.miss_accesses += other.miss_accesses
-        self.miss_probes += other.miss_probes
-        self.writeback_accesses += other.writeback_accesses
-        self.writeback_probes += other.writeback_probes

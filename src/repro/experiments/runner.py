@@ -1,7 +1,7 @@
 """Simulation runners: one L1 pass per L1 geometry, many instrumented
-L2 replays on top of it — serially or across worker processes.
+L2 replays on top of it — serially or one sweep point per worker.
 
-Three layers of reuse keep the full Table 4 grid (8 configs x 3
+Three layers keep the full Table 4 grid (8 configs x 3
 associativities x all schemes) affordable:
 
 - captured L1 miss streams are memoized process-wide, content-addressed
@@ -11,27 +11,21 @@ associativities x all schemes) affordable:
 - each replay uses the fused probe-accounting engine
   (:class:`~repro.core.engine.FusedProbeEngine`), computing every
   scheme's probes from one set of shared lookup facts per access;
-- :meth:`ExperimentRunner.run_segmented` shards one replay across
-  ``multiprocessing`` workers at the stream's cold-start boundaries and
-  merges the per-shard :class:`~repro.core.probes.ProbeAccumulator`\\ s,
-  while :class:`ParallelSweepRunner` shards whole sweep points. Both
-  are bit-identical to the serial path for a fixed workload seed.
+- :class:`ParallelSweepRunner` runs each sweep point as one task on
+  the fault-tolerant
+  :class:`~repro.resilience.executor.ResilientPoolExecutor`,
+  bit-identical to the serial path for a fixed workload seed.
 
 Every runner is threaded through the :mod:`repro.obs` observability
 layer — phase tracing spans, a mergeable metrics registry, live
-per-shard progress (``REPRO_PROGRESS=1``), and run provenance
+per-point progress (``REPRO_PROGRESS=1``), and run provenance
 manifests (pass ``obs_dir=``) — with all instrumentation off the
-per-access hot path: workers publish metric snapshots once per shard,
-and the parent merges them alongside the probe accumulators with the
-same bit-identical discipline.
+per-access hot path: workers publish one metric snapshot per point,
+and the parent merges them with the same bit-identical discipline.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -40,12 +34,11 @@ from repro.cache.hierarchy import (
     MissStream,
     cached_miss_stream,
     replay_miss_stream,
-    split_stream_at_flushes,
 )
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.core.analysis import default_subsets
-from repro.core.engine import FusedProbeEngine, MruDistanceStats
+from repro.core.engine import FusedProbeEngine
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
@@ -65,12 +58,7 @@ from repro.obs.progress import ProgressReporter
 from repro.obs.spans import Tracer, get_tracer
 from repro.resilience.checkpoint import SweepCheckpoint, point_signature
 from repro.resilience.executor import ResilientPoolExecutor
-from repro.resilience.policy import (
-    FailurePolicy,
-    PointFailure,
-    RetryPolicy,
-    SweepOutcome,
-)
+from repro.resilience.policy import FailurePolicy, RetryPolicy, SweepOutcome
 from repro.trace.synthetic import AtumWorkload
 
 
@@ -243,102 +231,6 @@ def _assemble_result(
     return result
 
 
-def _replay_segment(payload):
-    """Worker: replay one stream segment into a fresh instrumented L2.
-
-    Returns the raw counters — cache stats, per-label accumulators,
-    and the distance histogram — plus an observability record (the
-    worker's metric snapshot and shard wall time) for order-preserving
-    merge in the parent. Each segment starts at a cold-start boundary,
-    so a fresh cache reproduces exactly the state the serial replay
-    would have.
-    """
-    l2, associativity, segment, plan_args, writeback_optimization = payload
-    shard_metrics = MetricsRegistry()
-    start = time.perf_counter()
-    cache = SetAssociativeCache(
-        l2.capacity_bytes, l2.block_size, associativity
-    )
-    accumulators, distance = _instrument(
-        cache, _scheme_plan(associativity, *plan_args),
-        writeback_optimization,
-    )
-    replay_miss_stream(segment, cache)
-    cache.engine.finalize()
-    cache.engine.publish_metrics(shard_metrics)
-    obs = {
-        "metrics": shard_metrics.snapshot(),
-        "seconds": time.perf_counter() - start,
-    }
-    return cache.stats, accumulators, distance, obs
-
-
-#: Progress queue inherited by forked sweep workers.
-#: :meth:`ParallelSweepRunner.run_points` sets it immediately before
-#: creating the worker pool and clears it after; ``None`` disables
-#: worker-side reporting (serial runs and spawn platforms).
-_PROGRESS_QUEUE = None
-
-#: Seconds to wait for the progress drainer thread after enqueueing
-#: its sentinel, before logging ``sweep.progress_drainer_stuck`` and
-#: abandoning it (it is a daemon thread, so it can never block
-#: interpreter exit). Module-level so tests can shrink it.
-_DRAINER_JOIN_TIMEOUT = 5.0
-
-
-def _run_sweep_shard(payload):
-    """Worker: run a batch of sweep points sharing one L1 geometry.
-
-    Emits started/finished events through the inherited progress queue
-    (when one is set), wraps any per-point failure in
-    :class:`~repro.errors.SweepPointError` naming the failing
-    configuration, and returns ``(indexed_results, metric_snapshot)``
-    for order-preserving merge in the parent.
-    """
-    shard_index, workload, points = payload
-    queue = _PROGRESS_QUEUE
-    detail = f"l1={points[0][1].l1}, {len(points)} points"
-    if queue is not None:
-        queue.put(("started", shard_index, detail))
-    runner = ExperimentRunner(
-        workload, metrics=MetricsRegistry(), tracer=Tracer()
-    )
-    results = []
-    for index, point in points:
-        try:
-            results.append((index, runner.run(
-                point.l1,
-                point.l2,
-                point.associativity,
-                tag_bits=point.tag_bits,
-                transforms=point.transforms,
-                mru_list_lengths=point.mru_list_lengths,
-                extra_tag_bits=point.extra_tag_bits,
-                writeback_optimization=point.writeback_optimization,
-            )))
-        except SweepPointError:
-            raise
-        except Exception as exc:
-            failure = PointFailure(
-                key=index,
-                kind="raise",
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback=traceback.format_exc(),
-                attempts=1,
-                worker_pid=os.getpid(),
-                point=asdict(point),
-                signature=point_signature(point),
-            )
-            raise SweepPointError(
-                f"sweep point {point!r} failed: {type(exc).__name__}: {exc}",
-                failure=failure,
-            ) from exc
-    if queue is not None:
-        queue.put(("finished", shard_index, detail))
-    return results, runner.metrics.snapshot()
-
-
 def _run_sweep_point(payload):
     """Worker: run one sweep point in an isolated runner.
 
@@ -351,7 +243,7 @@ def _run_sweep_point(payload):
 
     Spans go to the *process-global* tracer — inside a pool worker
     that is the per-task tracer the executor guard installs, so the
-    point's ``l2_replay``/``split_stream`` spans ship back to the
+    point's ``l1_capture``/``l2_replay`` spans ship back to the
     parent under the submitting request's trace. Metrics stay
     per-point (the snapshot is part of the return value).
     """
@@ -386,14 +278,6 @@ def _validate_point_result(key, value) -> None:
             f"worker returned a malformed result for point {key!r}: "
             f"{type(result).__name__}"
         )
-
-
-def _pool_context():
-    """Best multiprocessing context: fork shares memoized miss streams."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
 
 
 class ExperimentRunner:
@@ -513,96 +397,7 @@ class ExperimentRunner:
         )
         self._results[cache_key] = result
         self._record_run(
-            "run", l1, l2, associativity, tag_bits, transforms,
-            mru_list_lengths, extra_tag_bits, writeback_optimization,
-        )
-        if self.obs_dir is not None:
-            self.write_obs()
-        return result
-
-    def run_segmented(
-        self,
-        l1: "CacheGeometry | str",
-        l2: "CacheGeometry | str",
-        associativity: int,
-        processes: Optional[int] = None,
-        tag_bits: int = DEFAULT_TAG_BITS,
-        transforms: Sequence[str] = ("xor",),
-        mru_list_lengths: Sequence[int] = (),
-        extra_tag_bits: Sequence[int] = (),
-        writeback_optimization: bool = True,
-    ) -> ConfigResult:
-        """Like :meth:`run`, but sharding the replay across processes.
-
-        The captured stream is split at its cold-start (flush)
-        boundaries; each segment replays into a fresh instrumented L2
-        in a worker process, and the per-segment cache stats,
-        :class:`~repro.core.probes.ProbeAccumulator`\\ s, and distance
-        histograms are merged in segment order. Because every segment
-        starts cold and the default replacement is deterministic (true
-        LRU), the merged counters — and hence the result — are
-        bit-identical to the serial :meth:`run`.
-
-        Args:
-            processes: Worker count; defaults to the CPU count, capped
-                at the number of segments. ``1`` replays inline.
-        """
-        if isinstance(l1, str):
-            l1 = parse_geometry(l1)
-        if isinstance(l2, str):
-            l2 = parse_geometry(l2)
-        stream = self.miss_stream(l1)
-        with self.tracer.span("split_stream", l1=l1.label):
-            segments = split_stream_at_flushes(stream)
-        plan_args = (
-            tag_bits, tuple(transforms), tuple(mru_list_lengths),
-            tuple(extra_tag_bits),
-        )
-        payloads = [
-            (l2, associativity, segment, plan_args, writeback_optimization)
-            for segment in segments
-        ]
-        if processes is None:
-            processes = os.cpu_count() or 1
-        processes = max(1, min(processes, len(payloads) or 1))
-        self.metrics.counter("runner.segmented_runs").inc()
-        log.debug(
-            "runner.segmented", l1=l1.label, l2=l2.label,
-            segments=len(payloads), processes=processes,
-        )
-        with self.tracer.span(
-            "replay_shards",
-            l1=l1.label, l2=l2.label, associativity=associativity,
-            shards=len(payloads), processes=processes,
-        ):
-            if processes == 1:
-                shards = [_replay_segment(payload) for payload in payloads]
-            else:
-                with _pool_context().Pool(processes) as pool:
-                    shards = pool.map(_replay_segment, payloads)
-
-        stats = CacheStats()
-        accumulators: Dict[str, ProbeAccumulator] = {}
-        distance = MruDistanceStats(associativity)
-        shard_seconds = self.metrics.histogram("runner.shard_seconds")
-        for shard_stats, shard_accs, shard_distance, shard_obs in shards:
-            stats.merge(shard_stats)
-            for label, acc in shard_accs.items():
-                merged = accumulators.get(label)
-                if merged is None:
-                    accumulators[label] = acc
-                else:
-                    merged.merge(acc)
-            _merge_distance(distance, shard_distance)
-            self.metrics.merge_snapshot(shard_obs["metrics"])
-            shard_seconds.observe(shard_obs["seconds"])
-
-        result = _assemble_result(
-            l1, l2, associativity, stats, stream.processor_references,
-            self.l1_miss_ratio(l1), accumulators, distance,
-        )
-        self._record_run(
-            "run_segmented", l1, l2, associativity, tag_bits, transforms,
+            l1, l2, associativity, tag_bits, transforms,
             mru_list_lengths, extra_tag_bits, writeback_optimization,
         )
         if self.obs_dir is not None:
@@ -610,12 +405,12 @@ class ExperimentRunner:
         return result
 
     def _record_run(
-        self, method, l1, l2, associativity, tag_bits, transforms,
+        self, l1, l2, associativity, tag_bits, transforms,
         mru_list_lengths, extra_tag_bits, writeback_optimization,
     ) -> None:
         """Append one run's configuration to the manifest run log."""
         self._run_log.append({
-            "method": method,
+            "method": "run",
             "l1": l1.label,
             "l2": l2.label,
             "associativity": associativity,
@@ -656,15 +451,6 @@ class ExperimentRunner:
         return manifest
 
 
-def _merge_distance(target, other) -> None:
-    """Merge two MRU-distance histograms."""
-    target.hits += other.hits
-    target.accesses += other.accesses
-    target.updates += other.updates
-    for dist, count in other.counts.items():
-        target.counts[dist] = target.counts.get(dist, 0) + count
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One (L1, L2, associativity) sweep point with its run options."""
@@ -680,27 +466,24 @@ class SweepPoint:
 
 
 class ParallelSweepRunner:
-    """Shards independent sweep points across worker processes.
+    """Runs independent sweep points across worker processes.
 
-    Every worker derives its trace deterministically from the shared
-    workload seed, and results come back in input order, so a parallel
-    sweep is byte-identical to running the points serially through an
-    :class:`ExperimentRunner` — only wall-clock changes. Points are
-    grouped by L1 geometry per shard so each worker captures any given
-    L1 miss stream at most once (and, on fork platforms, inherits
-    streams already memoized in the parent).
+    Each point is one task on a
+    :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
+    retries with deterministic backoff, per-point wall-clock timeouts,
+    worker-death recovery, and crash-safe checkpoint/resume — see
+    ``docs/resilience.md``. Every worker derives its trace
+    deterministically from the shared workload seed (on fork platforms
+    it inherits streams already memoized in the parent), and results
+    come back in input order, so a parallel sweep is byte-identical to
+    running the points serially through an :class:`ExperimentRunner` —
+    only wall-clock changes.
 
-    Failures inside workers surface as
-    :class:`~repro.errors.SweepPointError` naming the failing sweep
-    point (not a bare pool traceback), and are recorded in the run
-    manifest when one is being emitted. Live per-shard progress (with
-    ETA) can be watched on stderr via ``REPRO_PROGRESS=1``.
-
-    Passing ``failure_policy``, ``retry``, or ``checkpoint`` to
-    :meth:`run_points` switches to the fault-tolerant executor from
-    :mod:`repro.resilience`: bounded retries with deterministic
-    backoff, per-point wall-clock timeouts, worker-death recovery,
-    and crash-safe checkpoint/resume — see ``docs/resilience.md``.
+    A failed point becomes a structured
+    :class:`~repro.resilience.policy.PointFailure` naming the sweep
+    point (not a bare pool traceback), recorded in the run manifest
+    when one is being emitted. Live per-point progress (with ETA) can
+    be watched on stderr via ``REPRO_PROGRESS=1``.
 
     Args:
         workload: Shared workload; defaults to
@@ -714,9 +497,6 @@ class ParallelSweepRunner:
         obs_dir: When set, each :meth:`run_points` call writes a
             provenance ``manifest.json`` and span ``trace.jsonl``
             there — see :meth:`write_obs`.
-        progress: Force per-shard progress reporting on/off; defaults
-            to the ``REPRO_PROGRESS``/TTY heuristic of
-            :func:`~repro.obs.progress.progress_enabled`.
     """
 
     def __init__(
@@ -726,48 +506,33 @@ class ParallelSweepRunner:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         obs_dir=None,
-        progress: Optional[bool] = None,
     ) -> None:
         self.workload = workload if workload is not None else default_workload()
         self.processes = processes
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self.progress = progress
         self.failures: List[Dict[str, Any]] = []
         self._points_log: List[Dict[str, Any]] = []
 
     def run_points(
         self,
         points: Sequence[SweepPoint],
-        failure_policy: "FailurePolicy | str | None" = None,
+        failure_policy: "FailurePolicy | str" = "retry_then_collect",
         retry: Optional[RetryPolicy] = None,
         checkpoint: "SweepCheckpoint | str | None" = None,
-    ) -> "List[ConfigResult] | SweepOutcome":
-        """Run every point, in parallel, preserving input order.
+    ) -> SweepOutcome:
+        """Run every point, one task per point, preserving input order.
 
-        With no resilience options (the default), this is the legacy
-        fast path: points are batched by L1 geometry into shards and
-        the first worker failure raises — now with the structured
-        :class:`~repro.resilience.policy.PointFailure` attached to the
-        :class:`~repro.errors.SweepPointError`.
-
-        Passing any of ``failure_policy``, ``retry``, or
-        ``checkpoint`` selects the fault-tolerant path instead: each
-        point becomes one task on a
-        :class:`~repro.resilience.executor.ResilientPoolExecutor`
-        (worker-death recovery, per-point timeouts, bounded retries
-        with deterministic backoff), and the call returns a
-        :class:`~repro.resilience.policy.SweepOutcome` carrying every
-        completed :class:`ConfigResult` plus structured failure
-        records — results stay bit-identical to the serial runner.
+        Returns a :class:`~repro.resilience.policy.SweepOutcome`
+        carrying every completed :class:`ConfigResult` plus structured
+        failure records; results stay bit-identical to the serial
+        runner.
 
         Args:
             points: The sweep points, in output order.
             failure_policy: ``"fail_fast"`` | ``"collect"`` |
-                ``"retry_then_collect"`` (or the enum). Defaults to
-                ``retry_then_collect`` when another resilience option
-                is given.
+                ``"retry_then_collect"`` (or the enum).
             retry: Backoff/timeout parameters; defaults to
                 :class:`~repro.resilience.policy.RetryPolicy`'s.
             checkpoint: A
@@ -779,106 +544,14 @@ class ParallelSweepRunner:
                 only the remainder.
 
         Raises:
-            SweepPointError: When a point fails under ``fail_fast``
-                (or on the legacy path); the failure is recorded (and,
-                with ``obs_dir`` set, the manifest written) before
-                re-raising.
+            SweepPointError: When a point fails under ``fail_fast``;
+                the failure is recorded (and, with ``obs_dir`` set, the
+                manifest written) before re-raising.
             CheckpointError: When ``checkpoint`` exists but was
                 written by a different sweep configuration.
         """
-        resilient = (
-            failure_policy is not None
-            or retry is not None
-            or checkpoint is not None
-        )
-        if resilient:
-            policy = FailurePolicy.coerce(
-                failure_policy
-                if failure_policy is not None
-                else FailurePolicy.RETRY_THEN_COLLECT
-            )
-            return self._run_points_resilient(
-                points, policy, retry or RetryPolicy(), checkpoint
-            )
-        if not points:
-            return []
-        by_l1: Dict[str, List[Tuple[int, SweepPoint]]] = {}
-        for index, point in enumerate(points):
-            by_l1.setdefault(point.l1, []).append((index, point))
-        shards = [
-            (shard_index, self.workload, group)
-            for shard_index, group in enumerate(by_l1.values())
-        ]
-        processes = self.processes
-        if processes is None:
-            processes = os.cpu_count() or 1
-        processes = max(1, min(processes, len(shards)))
-        self._points_log.extend(asdict(point) for point in points)
-        reporter = ProgressReporter(
-            total=len(shards), label="sweep", enabled=self.progress
-        )
-        log.debug(
-            "sweep.start", points=len(points), shards=len(shards),
-            processes=processes,
-        )
-        try:
-            with self.tracer.span(
-                "sweep",
-                points=len(points), shards=len(shards), processes=processes,
-            ):
-                if processes == 1:
-                    outputs = []
-                    for shard in shards:
-                        shard_index, _, group = shard
-                        detail = f"l1={group[0][1].l1}, {len(group)} points"
-                        reporter.started(shard_index, detail)
-                        outputs.append(_run_sweep_shard(shard))
-                        reporter.finished(shard_index, detail)
-                else:
-                    outputs = self._run_pool(shards, processes, reporter)
-        except SweepPointError as exc:
-            if exc.failure is not None:
-                self.failures.append(exc.failure.to_dict())
-            else:
-                self.failures.append({"error": str(exc)})
-            log.error(str(exc))
-            if self.obs_dir is not None:
-                self.write_obs()
-            raise
-        results: List[Optional[ConfigResult]] = [None] * len(points)
-        for shard_results, shard_snapshot in outputs:
-            self.metrics.merge_snapshot(shard_snapshot)
-            for index, result in shard_results:
-                results[index] = result
-        log.debug("sweep.done", points=len(points))
-        if self.obs_dir is not None:
-            self.write_obs()
-        return results
-
-    def sweep_config_hash(self) -> str:
-        """Content address of this sweep's identity (checkpoint key).
-
-        Covers the workload identity — everything that must match for
-        checkpointed results to be interchangeable with fresh ones. The
-        point list is *not* included: points are keyed individually by
-        :func:`~repro.resilience.checkpoint.point_signature`, so a
-        resumed sweep may reorder or extend them.
-        """
-        return config_hash({
-            "workload": describe_workload(self.workload),
-            # Constant, so checkpoints written before the observer path
-            # was removed keep their hash and still resume.
-            "use_engine": True,
-        })
-
-    def _run_points_resilient(
-        self,
-        points: Sequence[SweepPoint],
-        policy: FailurePolicy,
-        retry: RetryPolicy,
-        checkpoint: "SweepCheckpoint | str | None",
-    ) -> SweepOutcome:
-        """The fault-tolerant :meth:`run_points` path (one task/point)."""
+        policy = FailurePolicy.coerce(failure_policy)
+        retry = retry if retry is not None else RetryPolicy()
         outcome = SweepOutcome(results=[None] * len(points))
         if not points:
             return outcome
@@ -911,9 +584,10 @@ class ParallelSweepRunner:
             if outcome.results[index] is None
         ]
         self._points_log.extend(asdict(point) for point in points)
-        reporter = ProgressReporter(
-            total=len(points), label="sweep", enabled=self.progress
-        )
+        # Progress counts only the submitted tasks, so a resumed sweep
+        # still ends on a "done" line.
+        reporter = ProgressReporter(total=len(tasks), label="sweep")
+        shard = {index: n for n, (index, _) in enumerate(tasks)}
 
         def on_result(index, value):
             result, snapshot = value
@@ -923,7 +597,7 @@ class ParallelSweepRunner:
                 checkpoint.record(
                     signatures[index], config_result_to_dict(result)
                 )
-            reporter.finished(index, f"point {points[index].l2}")
+            reporter.finished(shard[index], f"point {points[index].l2}")
 
         def on_failure(failure):
             failure.point = asdict(points[failure.key])
@@ -935,10 +609,9 @@ class ParallelSweepRunner:
             processes=self.processes,
             retry=retry,
             failure_policy=policy,
-            mp_context=_pool_context(),
             metrics=self.metrics,
             on_submit=lambda index, attempt: reporter.started(
-                index, f"point {points[index].l2}, attempt {attempt}"
+                shard[index], f"point {points[index].l2}, attempt {attempt}"
             ),
             on_result=on_result,
             on_failure=on_failure,
@@ -946,7 +619,7 @@ class ParallelSweepRunner:
             tracer=self.tracer,
         )
         log.debug(
-            "sweep.start_resilient", points=len(points), tasks=len(tasks),
+            "sweep.start", points=len(points), tasks=len(tasks),
             policy=policy.value, timeout=retry.timeout,
         )
         try:
@@ -976,46 +649,21 @@ class ParallelSweepRunner:
             self.write_obs()
         return outcome
 
-    def _run_pool(self, shards, processes: int, reporter: ProgressReporter):
-        """Map the shards over a worker pool with live progress.
+    def sweep_config_hash(self) -> str:
+        """Content address of this sweep's identity (checkpoint key).
 
-        When progress is enabled on a fork platform, a
-        ``SimpleQueue`` is installed in the module-global
-        :data:`_PROGRESS_QUEUE` immediately before the pool forks (so
-        workers inherit it) and drained by a daemon thread into
-        ``reporter``; the sentinel is enqueued and the drainer joined
-        even when a worker raises. If the drainer is still alive after
-        the join timeout, a structured warning is logged and the queue
-        is closed anyway so the wedged daemon thread cannot hold its
-        pipe open for the rest of the process.
+        Covers the workload identity — everything that must match for
+        checkpointed results to be interchangeable with fresh ones. The
+        point list is *not* included: points are keyed individually by
+        :func:`~repro.resilience.checkpoint.point_signature`, so a
+        resumed sweep may reorder or extend them.
         """
-        global _PROGRESS_QUEUE
-        context = _pool_context()
-        queue = None
-        drainer = None
-        if reporter.enabled and context.get_start_method() == "fork":
-            queue = context.SimpleQueue()
-            drainer = reporter.drain(queue)
-        _PROGRESS_QUEUE = queue
-        try:
-            with context.Pool(processes) as pool:
-                return pool.map(_run_sweep_shard, shards)
-        finally:
-            _PROGRESS_QUEUE = None
-            if queue is not None:
-                queue.put(None)
-                drainer.join(timeout=_DRAINER_JOIN_TIMEOUT)
-                if drainer.is_alive():
-                    # The daemon drainer is wedged (a slow stream or a
-                    # worker that died mid-put): it must not keep the
-                    # queue's pipe alive for the rest of the process.
-                    log.warning(
-                        "sweep.progress_drainer_stuck",
-                        joined_timeout_s=_DRAINER_JOIN_TIMEOUT,
-                        finished=reporter.finished_count,
-                        total=reporter.total,
-                    )
-                queue.close()
+        return config_hash({
+            "workload": describe_workload(self.workload),
+            # Constant, so checkpoints written before the observer path
+            # was removed keep their hash and still resume.
+            "use_engine": True,
+        })
 
     def checkpoint_for(self, path) -> SweepCheckpoint:
         """A :class:`SweepCheckpoint` at ``path`` pinned to this sweep.
@@ -1057,51 +705,3 @@ class ParallelSweepRunner:
         self.tracer.write_jsonl(obs_dir / "trace.jsonl")
         return manifest
 
-
-def run_sweep_job(
-    points: Sequence[SweepPoint],
-    workload: Optional[AtumWorkload] = None,
-    processes: Optional[int] = None,
-    failure_policy: "FailurePolicy | str" = FailurePolicy.RETRY_THEN_COLLECT,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: "SweepCheckpoint | str | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> SweepOutcome:
-    """Run one sweep *job* end to end through the resilient path.
-
-    The job-granular entry point shared by ``repro-sweep``, the
-    ``repro-serve`` daemon, and the chaos harness: build a
-    :class:`ParallelSweepRunner` for ``workload``, execute ``points``
-    under the given failure policy (bounded retries, per-point
-    timeouts, worker-death recovery), optionally checkpointing each
-    completed point, and return the structured
-    :class:`~repro.resilience.policy.SweepOutcome`. Results are
-    bit-identical to a serial run of the same points.
-
-    Args:
-        points: Sweep points, in output order.
-        workload: Shared workload; defaults to
-            :func:`~repro.experiments.configs.default_workload`.
-        processes: Worker-pool size; defaults to the CPU count.
-        failure_policy: ``fail_fast`` / ``collect`` /
-            ``retry_then_collect`` (enum or string).
-        retry: Backoff and per-point timeout parameters.
-        checkpoint: A :class:`~repro.resilience.checkpoint.SweepCheckpoint`
-            or path; completed points found in it are restored instead
-            of re-run, new completions are durably appended.
-        metrics: Target registry for the merged worker metrics.
-        tracer: Target tracer for the sweep span.
-    """
-    runner = ParallelSweepRunner(
-        workload,
-        processes=processes,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    return runner.run_points(
-        points,
-        failure_policy=failure_policy,
-        retry=retry if retry is not None else RetryPolicy(),
-        checkpoint=checkpoint,
-    )

@@ -2,11 +2,10 @@
 
 The publishing discipline mirrors the fused engine's accounting: hot
 loops touch nothing here; components accumulate privately and publish
-*once per phase* (the engine at finalize, a worker at shard end). A
+*once per phase* (the engine at finalize, a worker at task end). A
 registry snapshot is a plain nested dict — picklable, JSON-able — so
-worker processes return snapshots alongside their
-:class:`~repro.core.probes.ProbeAccumulator`\\ s and the parent merges
-them with :meth:`MetricsRegistry.merge_snapshot`:
+worker processes return snapshots alongside their results and the
+parent merges them with :meth:`MetricsRegistry.merge_snapshot`:
 
 - counters add,
 - gauges keep the last written value,
@@ -16,7 +15,7 @@ them with :meth:`MetricsRegistry.merge_snapshot`:
 Deterministic counters (e.g. ``engine.accesses``) therefore merge to
 *bit-identical* totals regardless of sharding — the same discipline the
 probe differential tests enforce — while timing histograms (e.g.
-``runner.shard_seconds``) merge to a faithful distribution.
+``miss_stream.capture_seconds``) merge to a faithful distribution.
 
 Metric namespaces, by producing layer:
 
@@ -297,7 +296,7 @@ class MetricsRegistry:
     Instruments are created on first use (``registry.counter("x")``),
     so publishers never pre-register. Names are conventionally
     dotted component paths: ``engine.accesses``,
-    ``miss_stream.cache_hits``, ``runner.shard_seconds``.
+    ``miss_stream.cache_hits``, ``miss_stream.capture_seconds``.
     """
 
     def __init__(self) -> None:

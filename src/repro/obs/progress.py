@@ -1,16 +1,16 @@
-"""Live progress for parallel sweeps: shard events with ETA on stderr.
+"""Live progress for parallel sweeps: per-task events with ETA on stderr.
 
-:class:`ProgressReporter` turns per-shard *started*/*finished* events
-into human lines on stderr::
+:class:`ProgressReporter` turns *started*/*finished* events into human
+lines on stderr::
 
-    [sweep] shard 2/8 started   (l1=4K-16, 6 points)
-    [sweep] shard 2/8 finished  3/8 done, elapsed 4.1s, ETA 6.9s
+    [sweep] shard 2/8 started   (point 64K-32, attempt 1)
+    [sweep] shard 2/8 finished   (point 64K-32)  3/8 complete, elapsed 4.1s, ETA 6.9s
 
-Workers report through a ``multiprocessing`` queue they inherit on
-fork (see :class:`~repro.experiments.runner.ParallelSweepRunner`); a
-daemon thread in the parent drains it into a reporter. The reporter
-itself is transport-agnostic — call :meth:`~ProgressReporter.started`
-and :meth:`~ProgressReporter.finished` from anywhere.
+:class:`~repro.experiments.runner.ParallelSweepRunner` reports from the
+resilient executor's submit and result callbacks, which run in the
+parent process; workers never report. The reporter itself is
+transport-agnostic — call :meth:`~ProgressReporter.started` and
+:meth:`~ProgressReporter.finished` from anywhere.
 
 Progress is **off by default** (tests and pipelines stay quiet):
 enabled when the ``REPRO_PROGRESS`` environment variable is truthy or
@@ -23,7 +23,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Optional, TextIO
+from typing import Optional, TextIO
 
 #: Environment variable forcing progress on ("1") or off ("0").
 ENV_VAR = "REPRO_PROGRESS"
@@ -45,9 +45,9 @@ def progress_enabled(stream: Optional[TextIO] = None) -> bool:
 class ProgressReporter:
     """Formats shard lifecycle events, with a completion-rate ETA.
 
-    Thread-safe: the queue-draining thread and the parent may both
-    report. All output goes to one stream (stderr by default), never
-    stdout, so machine-readable CLI output stays clean.
+    Thread-safe, so several threads may report. All output goes to
+    one stream (stderr by default), never stdout, so machine-readable
+    CLI output stays clean.
 
     Args:
         total: Number of shards expected.
@@ -116,42 +116,6 @@ class ProgressReporter:
                 f"{suffix}  {done}/{self.total} complete, "
                 f"elapsed {elapsed:.1f}s{tail}"
             )
-
-    def handle(self, event: Any) -> None:
-        """Dispatch one queue event: ``(kind, shard, detail)`` tuples.
-
-        Unknown kinds are ignored (forward compatibility with newer
-        workers reporting through an older parent).
-        """
-        try:
-            kind, shard, detail = event
-        except (TypeError, ValueError):
-            return
-        if kind == "started":
-            self.started(shard, detail)
-        elif kind == "finished":
-            self.finished(shard, detail)
-
-    def drain(self, queue: Any) -> threading.Thread:
-        """Start a daemon thread draining ``queue`` into :meth:`handle`.
-
-        The thread exits when it reads ``None`` (the sentinel the
-        owner must enqueue after the workers are done). Returns the
-        thread so the owner can ``join`` it.
-        """
-
-        def _loop() -> None:
-            while True:
-                event = queue.get()
-                if event is None:
-                    return
-                self.handle(event)
-
-        thread = threading.Thread(
-            target=_loop, name="repro-progress", daemon=True
-        )
-        thread.start()
-        return thread
 
     def __repr__(self) -> str:
         return (

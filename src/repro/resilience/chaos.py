@@ -111,13 +111,12 @@ class ChaosHarness:
             )
             self._baseline = [
                 config_result_to_dict(result)
-                for result in runner.run_points(list(POINTS))
+                for result in runner.run_points(list(POINTS)).results
             ]
         return self._baseline
 
     def sweep(self, plan, obs_dir=None, **kwargs):
         """One resilient sweep under ``plan`` (None = no faults)."""
-        kwargs.setdefault("failure_policy", "retry_then_collect")
         kwargs.setdefault(
             "retry", RetryPolicy(max_attempts=3, base_delay=0.05)
         )

@@ -28,6 +28,7 @@ real pool.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 import traceback
@@ -185,9 +186,6 @@ class ResilientPoolExecutor:
         failure_policy: ``fail_fast`` raises on the first exhausted
             task, ``collect`` records and continues,
             ``retry_then_collect`` retries first.
-        mp_context: ``multiprocessing`` context; defaults to ``fork``
-            where available (workers inherit memoized streams and any
-            activated fault plan).
         metrics: Registry for ``resilience.*`` counters; defaults to
             the process-global registry.
         on_submit: Callback ``(key, attempt)`` when a task starts.
@@ -214,7 +212,6 @@ class ResilientPoolExecutor:
         processes: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         failure_policy: "FailurePolicy | str" = FailurePolicy.FAIL_FAST,
-        mp_context=None,
         metrics: Optional[MetricsRegistry] = None,
         on_submit: Optional[Callable[[Any, int], None]] = None,
         on_result: Optional[Callable[[Any, Any], None]] = None,
@@ -232,14 +229,12 @@ class ResilientPoolExecutor:
         self.on_result = on_result
         self.on_failure = on_failure
         self.validator = validator
-        if mp_context is None:
-            import multiprocessing
-
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                mp_context = multiprocessing.get_context("spawn")
-        self._context = mp_context
+        # Fork where available: workers inherit memoized miss streams
+        # and any activated fault plan.
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            self._context = multiprocessing.get_context("spawn")
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 1
 

@@ -15,7 +15,7 @@ separate from the *mechanism* (:mod:`repro.resilience.executor`):
   flows into :class:`SweepOutcome`, the run manifest, and
   :class:`~repro.errors.SweepPointError`;
 - :class:`SweepOutcome` — completed results plus failure records, the
-  return value of a resilient
+  return value of
   :meth:`~repro.experiments.runner.ParallelSweepRunner.run_points`.
 """
 
@@ -33,8 +33,8 @@ class FailurePolicy(str, enum.Enum):
     """What a sweep does when a point fails in a worker.
 
     - ``FAIL_FAST`` — raise :class:`~repro.errors.SweepPointError` on
-      the first failure (the legacy behavior); completed points are
-      discarded unless a checkpoint is recording them.
+      the first failure; completed points are discarded unless a
+      checkpoint is recording them.
     - ``COLLECT`` — record a :class:`PointFailure` and keep going; the
       sweep returns every completed result plus the failure records.
     - ``RETRY_THEN_COLLECT`` — retry each failed point per the

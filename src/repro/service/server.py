@@ -63,7 +63,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.experiments.configs import default_workload
-from repro.experiments.runner import run_sweep_job
+from repro.experiments.runner import ParallelSweepRunner
 from repro.obs.context import activate, new_trace
 from repro.obs.log import log
 from repro.obs.manifest import RunManifest, describe_workload
@@ -170,10 +170,11 @@ class SimulationService:
         job_deadline: Watchdog budget for one job, in seconds
             (``None`` disables the watchdog).
         job_runner: Callable executing one job —
-            ``(points, workload, processes, retry, checkpoint,
-            metrics, tracer) -> SweepOutcome``; defaults to
-            :func:`~repro.experiments.runner.run_sweep_job`. Tests
-            inject stubs to drive the control plane without pools.
+            ``(job) -> SweepOutcome``; defaults to running the job's
+            points on a
+            :class:`~repro.experiments.runner.ParallelSweepRunner`
+            with the job's checkpoint. Tests inject stubs to drive the
+            control plane without pools.
         metrics: Registry for every ``service.*`` instrument;
             defaults to the process-global registry.
         tracer: Tracer receiving one ``service_job`` span per job.
@@ -579,14 +580,14 @@ class SimulationService:
 
     def _default_runner(self, job: Job):
         """Execute ``job`` on the resilient pool with its checkpoint."""
-        return run_sweep_job(
-            job.points,
-            workload=self.workload,
+        runner = ParallelSweepRunner(
+            self.workload,
             processes=self.processes,
-            retry=self.retry,
-            checkpoint=job.checkpoint_path,
             metrics=self.metrics,
             tracer=self.tracer,
+        )
+        return runner.run_points(
+            job.points, retry=self.retry, checkpoint=job.checkpoint_path
         )
 
     def _worker_loop(self, worker_id: str) -> None:

@@ -107,16 +107,3 @@ class TestProbeAccumulator:
         acc.record_hit(2)
         acc.record_miss(4)
         assert acc.probes_per_readin == 3.0
-
-    def test_merge(self):
-        a = ProbeAccumulator()
-        a.record_hit(2)
-        b = ProbeAccumulator()
-        b.record_hit(4)
-        b.record_miss(8)
-        b.record_writeback(1)
-        a.merge(b)
-        assert a.hit_accesses == 2
-        assert a.probes_per_hit == 3.0
-        assert a.miss_probes == 8
-        assert a.writeback_probes == 1

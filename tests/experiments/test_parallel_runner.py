@@ -1,12 +1,10 @@
-"""Parallel execution paths are bit-identical to the serial runner.
+"""The parallel sweep path is bit-identical to the serial runner.
 
-Both parallel layers — segment-sharded replay
-(:meth:`~repro.experiments.runner.ExperimentRunner.run_segmented`) and
-point-sharded sweeps
-(:class:`~repro.experiments.runner.ParallelSweepRunner`) — must
+Point-sharded sweeps
+(:class:`~repro.experiments.runner.ParallelSweepRunner`) must
 reproduce the serial :meth:`~repro.experiments.runner.ExperimentRunner.run`
 results exactly for a fixed workload seed: every worker derives its
-trace deterministically and the merged counters are integer sums.
+trace deterministically from the shared seed.
 
 The runner replays through the fused engine only; the per-scheme
 :class:`~repro.cache.observers.ProbeObserver` path survives here as an
@@ -19,7 +17,6 @@ from repro.cache.hierarchy import (
     cached_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
-    split_stream_at_flushes,
 )
 from repro.cache.observers import MruDistanceObserver, ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
@@ -32,6 +29,7 @@ from repro.experiments.runner import (
     _scheme_plan,
     config_result_to_dict,
 )
+from repro.resilience.policy import SweepOutcome
 from repro.trace.synthetic import AtumWorkload
 
 
@@ -54,16 +52,6 @@ def assert_results_identical(actual, expected):
         assert got.misses == scheme.misses, label
         assert got.total == scheme.total, label
         assert got.readin_hits == scheme.readin_hits, label
-
-
-@pytest.mark.parametrize("processes", [1, 2])
-def test_run_segmented_matches_serial(processes):
-    workload = small_workload()
-    serial = ExperimentRunner(workload).run("4K-16", "64K-32", 4)
-    segmented = ExperimentRunner(workload).run_segmented(
-        "4K-16", "64K-32", 4, processes=processes
-    )
-    assert_results_identical(segmented, serial)
 
 
 def observer_reference(
@@ -119,29 +107,16 @@ def test_run_matches_observer_oracle():
     assert config_result_to_dict(result) == config_result_to_dict(expected)
 
 
-def test_run_segmented_matches_observer_oracle():
+def test_parallel_sweep_matches_observer_oracle():
     workload = small_workload()
     expected = observer_reference(
         workload, "4K-16", "64K-32", 4, **ORACLE_OPTIONS
     )
-    result = ExperimentRunner(workload).run_segmented(
-        "4K-16", "64K-32", 4, processes=2, **ORACLE_OPTIONS
-    )
+    point = SweepPoint("4K-16", "64K-32", 4, **ORACLE_OPTIONS)
+    (result,) = ParallelSweepRunner(workload, processes=2).run_points(
+        [point]
+    ).results
     assert config_result_to_dict(result) == config_result_to_dict(expected)
-
-
-def test_run_segmented_with_options():
-    workload = small_workload()
-    kwargs = dict(
-        mru_list_lengths=(1, 2),
-        transforms=("xor", "swap"),
-        writeback_optimization=False,
-    )
-    serial = ExperimentRunner(workload).run("4K-16", "64K-32", 4, **kwargs)
-    segmented = ExperimentRunner(workload).run_segmented(
-        "4K-16", "64K-32", 4, processes=2, **kwargs
-    )
-    assert_results_identical(segmented, serial)
 
 
 @pytest.mark.parametrize("processes", [1, 2])
@@ -166,14 +141,15 @@ def test_parallel_sweep_matches_serial(processes):
         for p in points
     ]
     parallel = ParallelSweepRunner(workload, processes=processes)
-    results = parallel.run_points(points)
+    results = parallel.run_points(points).results
     assert len(results) == len(points)
     for got, want in zip(results, expected):
         assert_results_identical(got, want)
 
 
 def test_parallel_sweep_empty():
-    assert ParallelSweepRunner(small_workload()).run_points([]) == []
+    outcome = ParallelSweepRunner(small_workload()).run_points([])
+    assert outcome == SweepOutcome()
 
 
 def test_sweep_config_hash_is_pinned():
@@ -197,105 +173,3 @@ def test_cached_miss_stream_is_shared():
     other, _ = cached_miss_stream(workload, 8192, 16)
     assert other is not first
     clear_miss_stream_cache()
-
-
-def test_split_stream_at_flushes_partitions_events():
-    from repro.cache.hierarchy import FLUSH_MARKER
-
-    workload = small_workload()
-    stream, _ = cached_miss_stream(workload, 4096, 16)
-    segments = split_stream_at_flushes(stream)
-    assert len(segments) == workload.segments
-    flushes = sum(1 for event in stream.events if event == FLUSH_MARKER)
-    total = sum(len(segment.events) for segment in segments)
-    assert total == len(stream.events) - flushes
-    recombined = [event for segment in segments for event in segment.events]
-    assert recombined == [e for e in stream.events if e != FLUSH_MARKER]
-    assert segments[0].processor_references == stream.processor_references
-    assert all(s.processor_references == 0 for s in segments[1:])
-
-
-class TestStuckProgressDrainer:
-    """Regression guard: a wedged drainer warns and never blocks exit."""
-
-    def test_stuck_drainer_warns_and_pool_results_survive(self, monkeypatch):
-        import threading
-
-        from repro.experiments import runner as runner_module
-
-        workload = AtumWorkload(
-            segments=2, references_per_segment=2_000, seed=19
-        )
-        sweep = ParallelSweepRunner(workload, processes=2)
-        points = [
-            SweepPoint("4K-16", "64K-32", 2),
-            SweepPoint("8K-16", "64K-32", 2),
-        ]
-        by_l1 = {}
-        for index, point in enumerate(points):
-            by_l1.setdefault(point.l1, []).append((index, point))
-        shards = [
-            (shard_index, workload, group)
-            for shard_index, group in enumerate(by_l1.values())
-        ]
-
-        class StuckReporter:
-            """Enabled reporter whose drain thread never consumes."""
-
-            enabled = True
-            finished_count = 0
-            total = len(shards)
-
-            def drain(self, queue):
-                release = threading.Event()
-                thread = threading.Thread(
-                    target=release.wait, daemon=True
-                )
-                thread.start()
-                self.release = release
-                return thread
-
-        warnings = []
-        monkeypatch.setattr(
-            runner_module.log,
-            "warning",
-            lambda message, **fields: warnings.append((message, fields)),
-        )
-        monkeypatch.setattr(runner_module, "_DRAINER_JOIN_TIMEOUT", 0.1)
-        reporter = StuckReporter()
-        outputs = sweep._run_pool(shards, 2, reporter)
-        reporter.release.set()  # unblock the stub thread
-        # The sweep's results are intact despite the wedged drainer...
-        assert len(outputs) == len(shards)
-        # ...the structured warning names the condition...
-        assert [message for message, _ in warnings] == [
-            "sweep.progress_drainer_stuck"
-        ]
-        assert warnings[0][1]["joined_timeout_s"] == 0.1
-        # ...and the progress queue was detached for the next sweep.
-        assert runner_module._PROGRESS_QUEUE is None
-
-    def test_healthy_drainer_does_not_warn(self, monkeypatch):
-        from repro.experiments import runner as runner_module
-        from repro.obs.progress import ProgressReporter
-
-        import io as io_module
-
-        workload = AtumWorkload(
-            segments=2, references_per_segment=2_000, seed=19
-        )
-        sweep = ParallelSweepRunner(workload, processes=2)
-        point = SweepPoint("4K-16", "64K-32", 2)
-        shards = [(0, workload, [(0, point)])]
-        warnings = []
-        monkeypatch.setattr(
-            runner_module.log,
-            "warning",
-            lambda message, **fields: warnings.append(message),
-        )
-        reporter = ProgressReporter(
-            total=1, enabled=True, stream=io_module.StringIO()
-        )
-        outputs = sweep._run_pool(shards, 2, reporter)
-        assert len(outputs) == 1
-        assert warnings == []

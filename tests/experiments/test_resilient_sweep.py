@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CheckpointError, SweepPointError
 from repro.experiments.runner import (
+    ExperimentRunner,
     ParallelSweepRunner,
     SweepPoint,
     config_result_from_dict,
@@ -11,6 +12,7 @@ from repro.experiments.runner import (
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Tracer
 from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -50,8 +52,15 @@ def make_runner(**kwargs):
 
 @pytest.fixture(scope="module")
 def baseline():
-    results = make_runner().run_points(POINTS)
-    return [config_result_to_dict(result) for result in results]
+    runner = ExperimentRunner(
+        tiny_workload(), metrics=MetricsRegistry(), tracer=Tracer()
+    )
+    return [
+        config_result_to_dict(
+            runner.run(point.l1, point.l2, point.associativity)
+        )
+        for point in POINTS
+    ]
 
 
 def assert_matches_baseline(outcome, baseline, skip=()):
@@ -186,3 +195,19 @@ class TestCheckpointResume:
             make_runner().sweep_config_hash()
             == make_runner().sweep_config_hash()
         )
+
+
+class TestProgress:
+    def test_resumed_sweep_reports_done(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "sweep.ckpt"
+        make_runner().run_points(POINTS[:2], checkpoint=path)
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        capsys.readouterr()
+        resumed = make_runner().run_points(POINTS, checkpoint=path)
+        assert resumed.ok and resumed.resumed == 2
+        lines = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("[sweep]")
+        ]
+        assert lines and lines[-1].endswith("done"), lines

@@ -3,9 +3,9 @@ wrapping, and provenance emission.
 
 The headline invariant (mirroring the probe-counter discipline of
 ``test_parallel_runner.py``): the ``engine.*`` counters merged from
-:meth:`~repro.experiments.runner.ExperimentRunner.run_segmented`
-workers must equal the serial run's counters bit-identically for a
-fixed workload seed.
+:class:`~repro.experiments.runner.ParallelSweepRunner` workers must
+equal the serial run's counters bit-identically for a fixed workload
+seed.
 """
 
 import json
@@ -38,21 +38,6 @@ def engine_counters(registry):
 
 
 class TestBitIdenticalMetrics:
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_segmented_engine_counters_match_serial(self, processes):
-        workload = small_workload()
-        serial_metrics = MetricsRegistry()
-        ExperimentRunner(
-            workload, metrics=serial_metrics, tracer=Tracer()
-        ).run("4K-16", "64K-32", 4)
-        segmented_metrics = MetricsRegistry()
-        ExperimentRunner(
-            workload, metrics=segmented_metrics, tracer=Tracer()
-        ).run_segmented("4K-16", "64K-32", 4, processes=processes)
-        serial = engine_counters(serial_metrics)
-        assert serial["engine.accesses"] > 0
-        assert engine_counters(segmented_metrics) == serial
-
     def test_parallel_sweep_engine_counters_match_serial(self):
         workload = small_workload()
         points = [
@@ -71,9 +56,9 @@ class TestBitIdenticalMetrics:
             workload, processes=2,
             metrics=sweep_metrics, tracer=Tracer(),
         ).run_points(points)
-        assert engine_counters(sweep_metrics) == engine_counters(
-            serial_metrics
-        )
+        serial = engine_counters(serial_metrics)
+        assert serial["engine.accesses"] > 0
+        assert engine_counters(sweep_metrics) == serial
 
     def test_runner_counters_track_replays_and_cache_hits(self):
         metrics = MetricsRegistry()
@@ -95,10 +80,10 @@ class TestFailureWrapping:
         runner = ParallelSweepRunner(
             small_workload(), processes=processes,
             metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path, progress=False,
+            obs_dir=tmp_path,
         )
         with pytest.raises(SweepPointError) as excinfo:
-            runner.run_points([good, bad])
+            runner.run_points([good, bad], failure_policy="fail_fast")
         message = str(excinfo.value)
         assert "not-a-geometry" in message
         # The failure record is structured: kind, exception class,
@@ -134,7 +119,7 @@ class TestProvenanceEmission:
         runner = ParallelSweepRunner(
             small_workload(), processes=1,
             metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path, progress=False,
+            obs_dir=tmp_path,
         )
         runner.run_points([SweepPoint("4K-16", "64K-32", 4)])
         assert validate_manifest_file(tmp_path / "manifest.json") == []

@@ -228,12 +228,12 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("engine.accesses").inc(10)
         registry.gauge("engine.channels").set(3)
-        registry.histogram("runner.shard_seconds").observe(0.5)
+        registry.histogram("miss_stream.capture_seconds").observe(0.5)
         snapshot = registry.snapshot()
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
         assert snapshot["counters"] == {"engine.accesses": 10}
         assert snapshot["gauges"] == {"engine.channels": 3}
-        assert snapshot["histograms"]["runner.shard_seconds"]["count"] == 1
+        assert snapshot["histograms"]["miss_stream.capture_seconds"]["count"] == 1
 
     def test_merge_counters_is_exact_addition(self):
         shards = []

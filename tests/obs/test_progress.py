@@ -1,7 +1,6 @@
-"""Progress reporter: shard events, ETA lines, queue draining."""
+"""Progress reporter: shard events and ETA lines."""
 
 import io
-import multiprocessing
 
 from repro.obs.progress import ProgressReporter, progress_enabled
 
@@ -52,56 +51,3 @@ class TestEvents:
         reporter.finished(0)
         reporter.finished(1)
         assert "done" in stream.getvalue().splitlines()[-1]
-
-    def test_handle_dispatches_and_ignores_unknown(self):
-        reporter, stream = make_reporter(total=2)
-        reporter.handle(("started", 0, "detail"))
-        reporter.handle(("finished", 0, "detail"))
-        reporter.handle(("unknown", 0, ""))
-        reporter.handle("garbage")
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 2
-        assert reporter.finished_count == 1
-
-
-class TestQueueDraining:
-    def test_drain_consumes_until_sentinel(self):
-        reporter, stream = make_reporter(total=2)
-        queue = multiprocessing.get_context().SimpleQueue()
-        thread = reporter.drain(queue)
-        queue.put(("started", 0, ""))
-        queue.put(("finished", 0, ""))
-        queue.put(None)
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert reporter.finished_count == 1
-        assert "shard 1/2 finished" in stream.getvalue()
-
-
-class TestDrainerLifecycle:
-    def test_drain_thread_is_daemon(self):
-        """A wedged drainer can never block interpreter exit."""
-        import queue as queue_module
-
-        reporter = ProgressReporter(total=2, enabled=True, stream=io.StringIO())
-        queue = queue_module.SimpleQueue()  # no sentinel: thread stays alive
-        thread = reporter.drain(queue)
-        try:
-            assert thread.daemon is True
-            assert thread.is_alive()
-        finally:
-            queue.put(None)
-            thread.join(timeout=5.0)
-        assert not thread.is_alive()
-
-    def test_drain_exits_promptly_on_sentinel(self):
-        import queue as queue_module
-
-        reporter = ProgressReporter(total=1, enabled=True, stream=io.StringIO())
-        queue = queue_module.SimpleQueue()
-        thread = reporter.drain(queue)
-        queue.put(("finished", 0, "shard"))
-        queue.put(None)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert reporter.finished_count == 1
