@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Observability-overhead smoke gate for the flight recorder.
+"""Observability-overhead smoke gate for the sweep instrumentation.
 
-The PR-8 contract is that the tracing layer is effectively free: a
-job wrapped in the full flight-recorder instrumentation — ambient
-:class:`~repro.obs.context.TraceContext`, the span tree the service
-records around it (``job`` / ``service_job`` / ``pool_task``), and
-the ``latency.*`` quantile histograms — must replay the benchmark
-workload at no less than ``(1 - max_regression)`` of the bare
-throughput.
+The contract is that the tracing layer is effectively free: a replay
+wrapped in the sweep path's instrumentation — an ambient
+:class:`~repro.obs.context.TraceContext`, the span nest a sweep records
+around each point (``sweep`` / ``pool_task`` / ``l2_replay``), and
+three histogram observations — must replay the benchmark workload at
+no less than ``(1 - max_regression)`` of the bare throughput.
 
 Both configurations replay the same L1-filtered miss stream through
 an uninstrumented L2 (the *cheapest* replay, so the overhead fraction
@@ -54,23 +53,22 @@ def bare_replay(stream):
 
 
 def instrumented_replay(stream, tracer, metrics):
-    """The same replay under the full per-job flight-recorder wrap.
+    """The same replay under the sweep path's per-point instrumentation.
 
-    Mirrors what one service job costs: a fresh trace context
-    activated for the duration, the ``job``/``service_job``/
-    ``pool_task`` span nest, and the queue/execute quantile
-    observations.
+    A fresh trace context activated for the duration, the
+    ``sweep``/``pool_task``/``l2_replay`` span nest, and three
+    histogram observations of the point's wait and elapsed time.
     """
     started = time.perf_counter()
     with activate(new_trace()):
-        with tracer.span("job"):
-            with tracer.span("service_job"):
-                with tracer.span("pool_task", attempt=1):
+        with tracer.span("sweep"):
+            with tracer.span("pool_task", attempt=1):
+                with tracer.span("l2_replay"):
                     cache = bare_replay(stream)
     elapsed = time.perf_counter() - started
-    metrics.quantile_histogram("latency.queue_wait_seconds").observe(0.0)
-    metrics.quantile_histogram("latency.execute_seconds").observe(elapsed)
-    metrics.quantile_histogram("latency.job_seconds").observe(elapsed)
+    metrics.histogram("sweep.queue_wait_seconds").observe(0.0)
+    metrics.histogram("sweep.execute_seconds").observe(elapsed)
+    metrics.histogram("sweep.point_seconds").observe(elapsed)
     return cache
 
 

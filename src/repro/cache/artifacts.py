@@ -9,7 +9,7 @@ persisted once as a columnar ``RPM2`` file named by the content
 address of its inputs — the workload identity plus the L1 geometry,
 hashed with the same canonicalization as run manifests
 (:func:`repro.obs.manifest.config_hash`) — and every later consumer
-(sweep worker pools, ``repro-serve`` jobs, fresh sessions) loads it
+(sweep worker pools, later ``repro-sweep`` runs, fresh sessions) loads it
 instead of re-simulating the L1.
 
 Layout of a store directory::

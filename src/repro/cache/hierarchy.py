@@ -307,7 +307,7 @@ def cached_miss_stream(
     :func:`repro.cache.artifacts.set_artifact_store`), an in-process
     miss is looked up there before capturing, and a fresh capture is
     persisted as a content-addressed ``RPM2`` artifact, so later
-    processes (sweep workers, ``repro-serve`` jobs, new sessions) load
+    processes (sweep workers, later sweeps, new sessions) load
     it instead of re-simulating the L1.
 
     Cache behavior is published to the process metrics registry

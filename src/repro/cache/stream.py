@@ -32,7 +32,7 @@ so :meth:`PackedMissStream.load` can map the file and hand out
 zero-copy ``memoryview.cast("Q")`` windows directly over the page
 cache — the content-addressed stream-artifact store
 (:mod:`repro.cache.artifacts`) relies on this for cheap reuse across
-worker processes and service jobs. Legacy ``RPMS`` record files, which
+worker processes and runs. Legacy ``RPMS`` record files, which
 nothing writes any more, load through the same entry point
 (materialized, not mapped).
 """

@@ -73,10 +73,9 @@ class StorageError(ReproError):
     threaded through it — checkpoints, artifact stores, spool writers,
     bench histories) when the operating system refuses a write:
     ``ENOSPC``, ``EIO``, a failed ``fsync``. Unlike a transient worker
-    fault, retrying without operator action will not help, so the
-    service maps it onto the execute breaker and a ``/healthz``
-    storage detail instead of letting a bare ``OSError`` escape a
-    worker thread.
+    fault, retrying without operator action will not help, so it
+    surfaces as this typed error (``repro-sweep`` exits 2 on it)
+    instead of a bare ``OSError``.
     """
 
 
@@ -100,49 +99,3 @@ class CheckpointError(ReproError):
     the one being resumed, or a second writer holding the checkpoint's
     advisory lock.
     """
-
-
-class ServiceError(ReproError):
-    """Base class for errors raised by the ``repro.service`` daemon.
-
-    Every service-side rejection derives from this, so the HTTP layer
-    can map the library failure modes onto status codes in one place.
-    """
-
-
-class AdmissionError(ServiceError):
-    """A job was rejected before it reached the queue.
-
-    Raised by :class:`~repro.service.admission.AdmissionController`
-    when a submitted job is malformed (unparseable geometry, empty
-    point list) or when its estimated probe count exceeds the
-    configured budget. Maps to HTTP 400/413 in ``repro-serve``.
-    """
-
-
-class QueueFullError(ServiceError):
-    """The bounded job queue refused a submission (backpressure).
-
-    Raised when the queue is at capacity or still shedding load above
-    its low watermark. ``retry_after`` is the server's hint, in
-    seconds, for when to retry — surfaced as the HTTP 429
-    ``Retry-After`` header by ``repro-serve``.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class CircuitOpenError(ServiceError):
-    """A circuit breaker is open: the protected call was not attempted.
-
-    Raised by :class:`~repro.service.breaker.CircuitBreaker` while it
-    is in the ``open`` state (and for non-probe calls in
-    ``half_open``). ``retry_after`` estimates when the breaker will
-    admit a half-open probe. Maps to HTTP 503 in ``repro-serve``.
-    """
-
-    def __init__(self, message: str, retry_after: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after

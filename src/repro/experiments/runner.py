@@ -665,15 +665,6 @@ class ParallelSweepRunner:
             "use_engine": True,
         })
 
-    def checkpoint_for(self, path) -> SweepCheckpoint:
-        """A :class:`SweepCheckpoint` at ``path`` pinned to this sweep.
-
-        The checkpoint's identity is :meth:`sweep_config_hash`, so it
-        interoperates with :meth:`run_points`'s ``checkpoint=`` and a
-        later ``repro-sweep --resume`` against the same workload.
-        """
-        return SweepCheckpoint(path, config_hash=self.sweep_config_hash())
-
     def write_obs(self, obs_dir=None) -> Optional[RunManifest]:
         """Write the sweep's provenance manifest and span trace.
 

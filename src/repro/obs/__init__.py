@@ -80,7 +80,6 @@ from repro.obs.spans import (
 )
 from repro.obs.trace_report import (
     aggregate_trace,
-    build_job_report,
     build_report,
     build_span_tree,
     merge_aggregates,
@@ -115,7 +114,6 @@ __all__ = [
     "activate",
     "aggregate_trace",
     "bootstrap_ci",
-    "build_job_report",
     "build_report",
     "build_span_tree",
     "compare_entries",

@@ -2,12 +2,11 @@
 
 A :class:`TraceContext` names *where in a request's causal tree the
 current code is running*: the ``trace_id`` shared by every span of one
-request (a ``repro-serve`` job, a sweep, a benchmark run), the
-``span_id`` of the innermost active span, and that span's
-``parent_span_id``. The ambient context lives in a
-:mod:`contextvars` variable, so it is isolated per thread *and* per
-``asyncio``-style logical context — concurrent ``repro-serve`` handler
-threads each see only their own request.
+request (a sweep, a table build, a benchmark run), the ``span_id``
+of the innermost active span, and that span's ``parent_span_id``. The
+ambient context lives in a :mod:`contextvars` variable, so it is
+isolated per thread *and* per ``asyncio``-style logical context —
+concurrent threads each see only their own request.
 
 Identity generation is pluggable through :class:`IdSource`. A seeded
 source is **deterministic**: the N-th id drawn from ``IdSource(seed)``
@@ -28,7 +27,7 @@ Usage::
     from repro.obs.context import current_context, new_trace, activate
 
     with activate(new_trace()):          # open a request root
-        with span("admission"):          # parented under the root
+        with span("sweep"):              # parented under the root
             ...
 
 Like the rest of :mod:`repro.obs`, nothing here runs on the simulator
@@ -198,9 +197,8 @@ def new_id() -> str:
 def new_trace(id_source: Optional[IdSource] = None) -> TraceContext:
     """A fresh root context: new trace id, new root span id.
 
-    The returned context *is* the request's root span identity — the
-    service records the end-to-end ``job`` span under this
-    ``span_id`` when the request finishes.
+    Spans opened under ``activate(new_trace())`` parent under this
+    root ``span_id`` and share its ``trace_id``.
     """
     source = id_source if id_source is not None else _ID_SOURCE
     return TraceContext(

@@ -18,7 +18,7 @@ Output contract, chosen to keep existing CLI output *byte-stable*:
   JSON.
 - In JSON mode each record also carries the ambient causal identity
   (``trace_id``/``span_id`` from :mod:`repro.obs.context`) when one is
-  active, so log lines join the same flight record as the spans. The
+  active, so log lines join the same trace as the spans. The
   text formats are untouched — byte-stability holds.
 """
 

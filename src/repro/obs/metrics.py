@@ -21,22 +21,11 @@ Metric namespaces, by producing layer:
 
 - ``engine.*`` / ``runner.*`` — simulation and sweep execution;
 - ``resilience.*`` — the fault-tolerant executor (retries, pool
-  restarts, timeouts) and the service's circuit breakers
-  (``resilience.breaker.<name>.{state,opened,failures,successes,
-  rejected}``, where the ``state`` gauge encodes closed=0,
-  half_open=1, open=2);
-- ``service.*`` — the ``repro-serve`` daemon: ``service.queue.{depth,
-  accepted,rejected,shed_transitions}``, ``service.admission.
-  {accepted,rejected}``, ``service.jobs.{done,partial,failed}``, and
-  ``service.watchdog.{busy_workers,stalls}``;
-- ``latency.*`` — the daemon's per-job latency quantile histograms:
-  ``latency.{admission,queue_wait,execute,job}_seconds``, each a
-  :class:`QuantileHistogram` surfaced as p50/p95/p99/p999 in
-  ``/metrics`` and the dashboards.
+  restarts, timeouts).
 
-The daemon also traces one ``service_job`` span per executed job, so
-its drain manifest carries a per-job phase breakdown exactly like a
-batch run's.
+:class:`QuantileHistogram` is the mergeable quantile sketch: exact
+integer bucket counts, so sharded observations merge to the same
+quantile estimates as one unsharded stream.
 """
 
 from __future__ import annotations
@@ -143,7 +132,7 @@ class Histogram:
         return f"Histogram(count={self.count}, total={self.total})"
 
 
-#: Quantiles the service and dashboards report, in render order.
+#: Quantiles :meth:`QuantileHistogram.summary` reports, in order.
 SUMMARY_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999),
 )

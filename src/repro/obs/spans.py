@@ -235,10 +235,9 @@ class Tracer:
     """Collects completed :class:`SpanRecord`\\ s for one process.
 
     The active-span stack lives in a :mod:`contextvars` variable, so
-    concurrent threads (e.g. ``repro-serve`` handler threads) each
-    nest their own spans without corrupting each other's parent
-    paths; the completed-record list is guarded by a lock. Records
-    accumulate until :meth:`clear`.
+    concurrent threads each nest their own spans without corrupting
+    each other's parent paths; the completed-record list is guarded by
+    a lock. Records accumulate until :meth:`clear`.
     """
 
     def __init__(self) -> None:
@@ -283,11 +282,10 @@ class Tracer:
         """Record an already-measured span with explicit identity.
 
         The synthesis hook for phases that cannot be a ``with`` block
-        because they cross threads: the service's queue-wait interval
-        (enqueued on a handler thread, dequeued on a worker thread)
-        and the end-to-end ``job`` root span are both recorded here
-        from their own stamps. ``span_id`` defaults to a fresh id;
-        ``start`` defaults to ``wall_seconds`` ago.
+        because they cross threads — an interval stamped on one thread
+        and closed on another is recorded here from its own stamps.
+        ``span_id`` defaults to a fresh id; ``start`` defaults to
+        ``wall_seconds`` ago.
         """
         now = time.perf_counter() - self._epoch
         return self._record(

@@ -11,20 +11,13 @@ single-tracer flame uses, so numbers line up with
 :meth:`repro.obs.spans.Tracer.flame` output. All input is the JSONL
 trace format written by :meth:`~repro.obs.spans.Tracer.write_jsonl`
 and schema-checked by :mod:`repro.obs.validate`.
-
-With ``--job``, the same JSONL spool becomes a per-job **flight
-record**: the spans carrying the job's ``trace_id`` (handler-side
-admission and queue wait, the executing worker thread, and the
-pool-worker spans shipped back across the process boundary) are
-assembled into a causal tree and reduced to a critical path — queue
-wait vs. admission vs. worker compute vs. result merge — whose
-components sum exactly to the job's recorded end-to-end latency.
+:func:`build_span_tree` assembles records into a causal tree by their
+span ids instead of by path.
 
 Usage::
 
     repro-trace-report run_a/trace.jsonl run_b/trace.jsonl
     repro-trace-report obs/*.trace.jsonl --top 10 --json report.json
-    repro-trace-report --job 0001 spool/trace.jsonl
 """
 
 from __future__ import annotations
@@ -199,120 +192,6 @@ def build_span_tree(
     return roots
 
 
-#: Span names charged to each critical-path component of a job.
-_JOB_COMPONENT_SPANS = (
-    ("queue_wait", ("queue_wait",)),
-    ("admission", ("admission",)),
-    ("execute", ("service_job",)),
-)
-
-
-def build_job_report(
-    records: Iterable[Dict[str, Any]], job_id: str
-) -> Dict[str, Any]:
-    """Reduce a job's flight record to its critical path.
-
-    Finds the job's end-to-end ``job`` root span (``attrs.job ==
-    job_id``), then attributes its wall time to the service phases
-    recorded under the same trace: queue wait, admission, and worker
-    execute, with the remainder reported as ``unattributed`` so the
-    components **sum exactly** to the recorded end-to-end latency.
-    Pool-worker spans (``pool_task`` and their children, shipped back
-    across the process boundary) are summarized separately as worker
-    compute vs. result merge — they overlap the ``execute`` wall, so
-    they inform the breakdown without double-charging the sum.
-
-    Raises :class:`ValueError` when the job has no ``job`` span in
-    ``records``.
-    """
-    records = list(records)
-    root = None
-    for record in records:
-        attrs = record.get("attrs") or {}
-        if record.get("name") == "job" and attrs.get("job") == job_id:
-            root = record
-    if root is None:
-        raise ValueError(f"no end-to-end 'job' span for job {job_id!r}")
-    trace_id = root.get("trace_id")
-    trace = [r for r in records if r.get("trace_id") == trace_id]
-    e2e = root["wall_seconds"]
-    by_name: Dict[str, List[Dict[str, Any]]] = {}
-    for record in trace:
-        by_name.setdefault(record["name"], []).append(record)
-
-    critical_path: List[Dict[str, Any]] = []
-    attributed = 0.0
-    for component, span_names in _JOB_COMPONENT_SPANS:
-        wall = sum(
-            r["wall_seconds"]
-            for name in span_names
-            for r in by_name.get(name, ())
-        )
-        attributed += wall
-        critical_path.append({
-            "component": component,
-            "wall_seconds": wall,
-            "share": (wall / e2e) if e2e > 0 else 0.0,
-        })
-    residual = e2e - attributed
-    critical_path.append({
-        "component": "unattributed",
-        "wall_seconds": residual,
-        "share": (residual / e2e) if e2e > 0 else 0.0,
-    })
-
-    tasks = by_name.get("pool_task", [])
-    worker_wall = sum(r["wall_seconds"] for r in tasks)
-    worker_cpu = sum(r["cpu_seconds"] for r in tasks)
-    execute_wall = sum(r["wall_seconds"] for r in by_name.get("service_job", ()))
-    attempts = [int((r.get("attrs") or {}).get("attempt", 1)) for r in tasks]
-    errors = sum(1 for r in tasks if (r.get("attrs") or {}).get("error"))
-    return {
-        "job": job_id,
-        "trace_id": trace_id,
-        "e2e_seconds": e2e,
-        "spans": len(trace),
-        "critical_path": critical_path,
-        "worker": {
-            "tasks": len(tasks),
-            "wall_seconds": worker_wall,
-            "cpu_seconds": worker_cpu,
-            "max_attempt": max(attempts) if attempts else 0,
-            "errors": errors,
-            # Parent-side execute wall not covered by worker compute:
-            # result validation, merge, and pool scheduling overhead.
-            "merge_seconds": max(0.0, execute_wall - worker_wall),
-        },
-        "tree": build_span_tree(trace),
-    }
-
-
-def render_job_report(report: Dict[str, Any], width: int = 40) -> str:
-    """Terminal rendering of a :func:`build_job_report` document."""
-    lines = [
-        f"== job {report['job']}  trace {report['trace_id']}  "
-        f"e2e {report['e2e_seconds']:.3f}s  ({report['spans']} spans)",
-        "critical path (components sum to e2e):",
-    ]
-    e2e = report["e2e_seconds"] or 1.0
-    for row in report["critical_path"]:
-        bar = "#" * max(0, int(round(width * row["wall_seconds"] / e2e)))
-        lines.append(
-            f"  {row['component']:<14} {row['wall_seconds']:8.3f}s "
-            f"{row['share']*100:5.1f}%  {bar}"
-        )
-    worker = report["worker"]
-    lines.append(
-        f"worker: {worker['tasks']} task(s), "
-        f"compute {worker['wall_seconds']:.3f}s "
-        f"(cpu {worker['cpu_seconds']:.3f}s), "
-        f"merge {worker['merge_seconds']:.3f}s, "
-        f"max attempt {worker['max_attempt']}, "
-        f"errors {worker['errors']}"
-    )
-    return "\n".join(lines)
-
-
 def build_report(
     paths: List[str], top: int = 5
 ) -> Dict[str, Any]:
@@ -411,22 +290,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write the machine-readable report JSON to PATH "
         "('-' for stdout)",
     )
-    parser.add_argument(
-        "--job", default=None, metavar="JOB_ID",
-        help="render the flight record of one service job instead: "
-        "assemble its cross-process span tree from the given traces "
-        "and print the critical path (queue wait / admission / "
-        "execute / unattributed, summing to the end-to-end latency)",
-    )
     args = parser.parse_args(argv)
     try:
-        if args.job is not None:
-            records: List[Dict[str, Any]] = []
-            for path in args.traces:
-                records.extend(load_trace(path))
-            report = build_job_report(records, args.job)
-        else:
-            report = build_report(args.traces, top=args.top)
+        report = build_report(args.traces, top=args.top)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -434,10 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json == "-":
         print(report_json)
     else:
-        if args.job is not None:
-            print(render_job_report(report, width=args.width))
-        else:
-            print(render_report(report, width=args.width))
+        print(render_report(report, width=args.width))
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(report_json + "\n")

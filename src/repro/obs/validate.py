@@ -7,7 +7,6 @@ run produced schema-valid artifacts before archiving them::
     python -m repro.obs.validate out/manifest.json --trace out/trace.jsonl
     python -m repro.obs.validate --history BENCH_simulator.json
     python -m repro.obs.validate --report results/trajectory.json
-    python -m repro.obs.validate --dashboard dashboard.json
     python -m repro.obs.validate --fsck-report fsck.json
 
 Exit status 0 when everything validates; 1 with one error per line on
@@ -20,7 +19,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.bench import BENCH_HISTORY_SCHEMA_VERSION
 from repro.obs.jsonl import read_jsonl
@@ -81,6 +80,34 @@ def _check_fields(
     return errors
 
 
+def _check_version(
+    data: Dict[str, Any], supported: int, where: str
+) -> List[str]:
+    """Reject payloads newer than this validator understands."""
+    version = data.get("schema_version")
+    if isinstance(version, int) and version > supported:
+        return [
+            f"{where}: schema_version {version} is newer than the "
+            f"supported {supported}"
+        ]
+    return []
+
+
+def _validate_json_file(
+    path, validator: Callable[[Any], List[str]]
+) -> List[str]:
+    """Load ``path`` as JSON and return ``validator``'s errors for it.
+
+    An unreadable or unparseable file is one error naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"{path}: {exc}"]
+    return validator(data)
+
+
 def validate_manifest(data: Dict[str, Any]) -> List[str]:
     """Structural errors in a manifest dict (empty list = valid)."""
     if not isinstance(data, dict):
@@ -88,12 +115,7 @@ def validate_manifest(data: Dict[str, Any]) -> List[str]:
     errors = _check_fields(data, _MANIFEST_FIELDS, "manifest")
     if "config" not in data:
         errors.append("manifest: missing required key 'config'")
-    version = data.get("schema_version")
-    if isinstance(version, int) and version > MANIFEST_SCHEMA_VERSION:
-        errors.append(
-            f"manifest: schema_version {version} is newer than the "
-            f"supported {MANIFEST_SCHEMA_VERSION}"
-        )
+    errors.extend(_check_version(data, MANIFEST_SCHEMA_VERSION, "manifest"))
     for block in ("counters", "gauges", "histograms"):
         metrics = data.get("metrics")
         if isinstance(metrics, dict) and metrics and block not in metrics:
@@ -115,6 +137,11 @@ def validate_manifest(data: Dict[str, Any]) -> List[str]:
                 f"manifest: failures[{index}] must be an object with 'error'"
             )
     return errors
+
+
+def validate_manifest_file(path) -> List[str]:
+    """Structural errors in a manifest JSON file."""
+    return _validate_json_file(path, validate_manifest)
 
 
 def validate_span(record: Dict[str, Any], where: str = "span") -> List[str]:
@@ -197,14 +224,11 @@ def validate_history(data: Dict[str, Any]) -> List[str]:
     if not isinstance(data, dict):
         return ["history: not a JSON object"]
     errors = []
-    version = data.get("schema_version")
-    if not isinstance(version, int):
+    if not isinstance(data.get("schema_version"), int):
         errors.append("history: missing or non-integer 'schema_version'")
-    elif version > BENCH_HISTORY_SCHEMA_VERSION:
-        errors.append(
-            f"history: schema_version {version} is newer than the "
-            f"supported {BENCH_HISTORY_SCHEMA_VERSION}"
-        )
+    errors.extend(
+        _check_version(data, BENCH_HISTORY_SCHEMA_VERSION, "history")
+    )
     if not isinstance(data.get("benchmark"), str):
         errors.append("history: missing or non-string 'benchmark'")
     entries = data.get("entries")
@@ -244,22 +268,7 @@ def validate_history(data: Dict[str, Any]) -> List[str]:
 
 def validate_history_file(path) -> List[str]:
     """Structural errors in a benchmark-history JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_history(data)
-
-
-def validate_manifest_file(path) -> List[str]:
-    """Structural errors in a manifest JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_manifest(data)
+    return _validate_json_file(path, validate_history)
 
 
 #: Highest trajectory-report (``trajectory.json``) schema version this
@@ -268,13 +277,6 @@ def validate_manifest_file(path) -> List[str]:
 #: imported, because :mod:`repro.obs` must not depend on the rest of
 #: the package; a cross-check test keeps them in lockstep.
 SUPPORTED_REPORT_SCHEMA_VERSION = 1
-
-#: Highest ``/dashboard.json`` schema version this validator
-#: understands. Mirrors
-#: ``repro.report.dashboard.DASHBOARD_SCHEMA_VERSION`` (same
-#: duplication rationale as above). v2 added ``status.latency``; v3
-#: adds nothing this validator checks.
-SUPPORTED_DASHBOARD_SCHEMA_VERSION = 3
 
 #: Required trajectory-report keys and their accepted types.
 _REPORT_FIELDS = {
@@ -296,40 +298,6 @@ _SERIES_POINT_FIELDS = {
     "median_seconds": (int, float, type(None)),
     "requests_per_second": (int, float, type(None)),
 }
-
-#: Required ``/dashboard.json`` keys and their accepted types.
-_DASHBOARD_FIELDS = {
-    "schema_version": (int,),
-    "kind": (str,),
-    "status": (dict,),
-    "jobs": (list,),
-    "trajectory": (dict, type(None)),
-}
-
-#: Required keys inside the dashboard's ``status`` block.
-_DASHBOARD_STATUS_FIELDS = {
-    "ready": (bool,),
-    "reason": (str,),
-    "draining": (bool,),
-    "queue": (dict,),
-    "breakers": (dict,),
-    "jobs": (dict,),
-    "replay": (dict,),
-    "metrics": (dict,),
-}
-
-
-def _check_version(
-    data: Dict[str, Any], supported: int, where: str
-) -> List[str]:
-    """Reject payloads newer than this validator understands."""
-    version = data.get("schema_version")
-    if isinstance(version, int) and version > supported:
-        return [
-            f"{where}: schema_version {version} is newer than the "
-            f"supported {supported}"
-        ]
-    return []
 
 
 def validate_report(data: Dict[str, Any]) -> List[str]:
@@ -375,137 +343,9 @@ def validate_report(data: Dict[str, Any]) -> List[str]:
     return errors
 
 
-def validate_dashboard(data: Dict[str, Any]) -> List[str]:
-    """Structural errors in a ``/dashboard.json`` dict (empty = valid)."""
-    if not isinstance(data, dict):
-        return ["dashboard: not a JSON object"]
-    errors = _check_fields(data, _DASHBOARD_FIELDS, "dashboard")
-    errors.extend(
-        _check_version(data, SUPPORTED_DASHBOARD_SCHEMA_VERSION, "dashboard")
-    )
-    kind = data.get("kind")
-    if isinstance(kind, str) and kind != "service-dashboard":
-        errors.append(f"dashboard: kind {kind!r} != 'service-dashboard'")
-    status = data.get("status")
-    if isinstance(status, dict):
-        errors.extend(
-            _check_fields(status, _DASHBOARD_STATUS_FIELDS, "dashboard status")
-        )
-        # The latency quantile block arrived with schema v2; v1
-        # payloads without it stay valid.
-        version = data.get("schema_version")
-        if isinstance(version, int) and version >= 2:
-            if not isinstance(status.get("latency"), dict):
-                errors.append(
-                    "dashboard status: missing or non-object 'latency' "
-                    "(required from schema v2)"
-                )
-    for index, record in enumerate(data.get("jobs") or []):
-        where = f"dashboard jobs[{index}]"
-        if not isinstance(record, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        for key in ("id", "status"):
-            if key not in record:
-                errors.append(f"{where}: missing required key {key!r}")
-    trajectory = data.get("trajectory")
-    if isinstance(trajectory, dict):
-        errors.extend(validate_report(trajectory))
-    return errors
-
-
-#: Required ``/jobs/<id>/trace`` keys and their accepted types.
-_JOB_TRACE_FIELDS = {
-    "job": (str,),
-    "trace_id": (str, type(None)),
-    "status": (str,),
-    "spans": (int,),
-    "tree": (list,),
-}
-
-
-def _validate_tree_node(
-    node: Any, where: str, errors: List[str]
-) -> int:
-    """Recursively check one span-tree node; returns spans counted."""
-    if not isinstance(node, dict):
-        errors.append(f"{where}: not a JSON object")
-        return 0
-    record = {k: v for k, v in node.items() if k != "children"}
-    errors.extend(validate_span(record, where=where))
-    children = node.get("children")
-    if not isinstance(children, list):
-        errors.append(f"{where}: missing or non-list 'children'")
-        return 1
-    count = 1
-    for index, child in enumerate(children):
-        child_where = f"{where}.children[{index}]"
-        if isinstance(child, dict):
-            parent = node.get("span_id")
-            if parent is not None and child.get("parent_span_id") != parent:
-                errors.append(
-                    f"{child_where}: parent_span_id does not match the "
-                    "enclosing node's span_id"
-                )
-        count += _validate_tree_node(child, child_where, errors)
-    return count
-
-
-def validate_job_trace(data: Dict[str, Any]) -> List[str]:
-    """Structural errors in a ``/jobs/<id>/trace`` dict (empty = valid).
-
-    Checks the envelope, then every node of the span tree as a span
-    record (with the optional causal-identity fields), that children
-    really nest under their parent's ``span_id``, and that the
-    ``spans`` count matches the tree.
-    """
-    if not isinstance(data, dict):
-        return ["job-trace: not a JSON object"]
-    errors = _check_fields(data, _JOB_TRACE_FIELDS, "job-trace")
-    tree = data.get("tree")
-    if not isinstance(tree, list):
-        return errors
-    total = 0
-    for index, node in enumerate(tree):
-        total += _validate_tree_node(
-            node, f"job-trace tree[{index}]", errors
-        )
-    declared = data.get("spans")
-    if isinstance(declared, int) and declared != total:
-        errors.append(
-            f"job-trace: 'spans' is {declared} but the tree holds {total}"
-        )
-    return errors
-
-
-def validate_job_trace_file(path) -> List[str]:
-    """Structural errors in a ``/jobs/<id>/trace`` JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_job_trace(data)
-
-
 def validate_report_file(path) -> List[str]:
     """Structural errors in a trajectory-report JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_report(data)
-
-
-def validate_dashboard_file(path) -> List[str]:
-    """Structural errors in a dashboard-payload JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_dashboard(data)
+    return _validate_json_file(path, validate_report)
 
 
 #: Highest ``repro-fsck --report`` schema version this validator
@@ -600,12 +440,7 @@ def validate_fsck_report(data: Dict[str, Any]) -> List[str]:
 
 def validate_fsck_report_file(path) -> List[str]:
     """Structural errors in a ``repro-fsck --report`` JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validate_fsck_report(data)
+    return _validate_json_file(path, validate_fsck_report)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -631,56 +466,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="path to a trajectory-report JSON (trajectory.json) to validate",
     )
     parser.add_argument(
-        "--dashboard", default=None,
-        help="path to a dashboard-payload JSON (/dashboard.json) to validate",
-    )
-    parser.add_argument(
-        "--job-trace", default=None, dest="job_trace",
-        help="path to a flight-record JSON (/jobs/<id>/trace) to validate",
-    )
-    parser.add_argument(
         "--fsck-report", default=None, dest="fsck_report",
         help="path to a repro-fsck report JSON (--report FILE) to validate",
     )
     args = parser.parse_args(argv)
-    inputs = (
-        args.manifest, args.trace, args.history, args.report,
-        args.dashboard, args.job_trace, args.fsck_report,
-    )
-    if all(value is None for value in inputs):
+    checks = [
+        (path, validator)
+        for path, validator in (
+            (args.manifest, validate_manifest_file),
+            (args.trace, validate_trace_file),
+            (args.history, validate_history_file),
+            (args.report, validate_report_file),
+            (args.fsck_report, validate_fsck_report_file),
+        )
+        if path is not None
+    ]
+    if not checks:
         parser.error(
             "nothing to validate: give a manifest, --trace, --history, "
-            "--report, --dashboard, --job-trace, or --fsck-report"
+            "--report, or --fsck-report"
         )
     errors = []
-    checked = []
-    if args.manifest is not None:
-        errors.extend(validate_manifest_file(args.manifest))
-        checked.append(args.manifest)
-    if args.trace is not None:
-        errors.extend(validate_trace_file(args.trace))
-        checked.append(args.trace)
-    if args.history is not None:
-        errors.extend(validate_history_file(args.history))
-        checked.append(args.history)
-    if args.report is not None:
-        errors.extend(validate_report_file(args.report))
-        checked.append(args.report)
-    if args.dashboard is not None:
-        errors.extend(validate_dashboard_file(args.dashboard))
-        checked.append(args.dashboard)
-    if args.job_trace is not None:
-        errors.extend(validate_job_trace_file(args.job_trace))
-        checked.append(args.job_trace)
-    if args.fsck_report is not None:
-        errors.extend(validate_fsck_report_file(args.fsck_report))
-        checked.append(args.fsck_report)
+    for path, validator in checks:
+        errors.extend(validator(path))
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
-        print(f"OK: {' and '.join(checked)} schema-valid")
+        checked = " and ".join(path for path, _ in checks)
+        print(f"OK: {checked} schema-valid")
     return 1 if errors else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,8 +1,8 @@
-"""Declarative reporting: tables, trajectory reports, dashboards.
+"""Declarative reporting: tables, trajectory reports, results summary.
 
 ``repro.report`` is the presentation layer of the reproduction. Every
 other subsystem *produces* structured results — table builders, figure
-series, benchmark histories, service snapshots — and this package
+series, benchmark histories — and this package
 turns them into observable artifacts from one declarative spec:
 
 - :mod:`repro.report.builder` — :class:`TableBuilder`, a
@@ -18,9 +18,6 @@ turns them into observable artifacts from one declarative spec:
 - :mod:`repro.report.summary` — the one-command
   ``results/results_summary.md`` generator (paper Tables 1–3, figure
   series, provenance stamp);
-- :mod:`repro.report.dashboard` — composes the live ``repro-serve``
-  snapshot with the bench trajectory into the ``/dashboard`` (HTML)
-  and ``/dashboard.txt`` (byte-stable ASCII) operator views;
 - :mod:`repro.report.cli` — the ``repro-report`` entry point.
 
 Import layering: this package depends only on the standard library and

@@ -60,7 +60,7 @@ PRESETS: Dict[str, Dict[str, Any]] = {
     # fixed-decimal formats and right alignment in their column specs;
     # the preset pins the shared cosmetics.
     "paper": {"separator": "  ", "title_underline": "="},
-    # Markdown pipe tables for results_summary.md and dashboards.
+    # Markdown pipe tables for results_summary.md.
     "github": {"fmt": "github"},
 }
 
@@ -78,7 +78,7 @@ def register_preset(name: str, spec: Mapping[str, Any]) -> None:
     """Register (or replace) a named preset in :data:`PRESETS`.
 
     Unknown option keys are rejected eagerly — a silently ignored
-    preset key is a misconfigured dashboard nobody notices.
+    preset key is a misconfigured table nobody notices.
     """
     unknown = set(spec) - set(DEFAULTS) - {"columns"}
     if unknown:
@@ -347,7 +347,7 @@ class TableBuilder:
         return "\n".join(lines)
 
 
-#: Ten brightness levels, pure ASCII — ``/dashboard.txt`` must stay
+#: Ten brightness levels, pure ASCII — rendered reports must stay
 #: byte-stable across terminals, so no unicode block elements.
 SPARK_CHARS = " .:-=+*#%@"
 

@@ -1,4 +1,4 @@
-"""``repro-report``: regenerate the results summary and dashboards.
+"""``repro-report``: regenerate the results summary and trajectory.
 
 One command produces the repository's observable reporting artifacts::
 

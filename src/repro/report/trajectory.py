@@ -3,7 +3,7 @@
 :class:`TrajectoryReport` turns a :class:`~repro.obs.bench.BenchHistory`
 (the append-only ``BENCH_simulator.json`` trajectory) into one
 observable surface: per-configuration **throughput** (requests per
-second) and **service latency** (median wall seconds) across commits,
+second) and **latency** (median wall seconds) across commits,
 each with its bootstrap confidence band, plus the regression verdict
 for the newest entry.
 
@@ -11,12 +11,11 @@ The verdict is not a reimplementation: it calls
 :func:`repro.obs.compare.compare_entries` on exactly the pair
 ``repro-bench-compare`` would pick by default (newest entry vs the
 newest earlier entry sharing its ``config_hash``, self-comparison when
-the lineage has no history), so the dashboard and the CI gate can
-never disagree about the same file.
+the lineage has no history), so the report and the CI gate can never
+disagree about the same file.
 
 Renderings: :meth:`~TrajectoryReport.render_ascii` (pure-ASCII
-sparklines — byte-stable, suitable for ``/dashboard.txt`` and golden
-tests) and :meth:`~TrajectoryReport.render_html` (a static page with
+sparklines — byte-stable, suitable for terminals and golden tests) and :meth:`~TrajectoryReport.render_html` (a static page with
 inline-SVG trend lines, no external assets).
 """
 
@@ -30,7 +29,7 @@ from repro.obs.bench import BenchHistory
 from repro.obs.compare import DEFAULT_THRESHOLD, compare_entries
 from repro.report.builder import TableBuilder, sparkline
 
-#: Version of the report/dashboard JSON payload layout. Mirrored (not
+#: Version of the report JSON payload layout. Mirrored (not
 #: imported — ``repro.obs`` must stay import-free of the rest of the
 #: package) by ``repro.obs.validate.SUPPORTED_REPORT_SCHEMA_VERSION``;
 #: a cross-check test keeps the two in lockstep.
@@ -69,9 +68,8 @@ class TrajectoryReport:
     """Structured trajectory payload plus its renderings.
 
     Build from a history with :meth:`build`; the payload dict
-    (``.data``) is the machine-readable form served as
-    ``/dashboard.json``'s ``trajectory`` block, written by
-    ``repro-report`` as ``trajectory.json``, and schema-checked by
+    (``.data``) is the machine-readable form written by
+    ``repro-report`` as ``trajectory.json`` and schema-checked by
     ``repro-obs-validate --report``.
     """
 
@@ -87,7 +85,7 @@ class TrajectoryReport:
         """Assemble the trajectory payload from ``history``.
 
         An empty history builds an honest empty report (zero entries,
-        no verdict) rather than failing — the dashboard must render
+        no verdict) rather than failing — the report must render
         before the first benchmark ever runs.
         """
         entries = history.entries
@@ -291,7 +289,7 @@ def _fmt_ms(value: Optional[float]) -> str:
     return "-" if value is None else f"{value * 1e3:.3f}"
 
 
-#: Shared stylesheet for every generated page (trajectory + dashboard).
+#: Stylesheet for the generated trajectory page.
 PAGE_CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
        margin: 2rem auto; max-width: 60rem; color: #1a1a2e; }

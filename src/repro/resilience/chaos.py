@@ -19,14 +19,6 @@ the resilience layer makes about it:
 - ``resume``  — a sweep interrupted after N points finishes from its
   checkpoint running only the remainder, with merged results
   bit-identical to an uninterrupted run;
-- ``service`` — worker deaths inside the simulation daemon open its
-  execution circuit breaker (readiness flips to not-ready) without
-  dropping queued work; after the fault clears, a half-open probe
-  closes the breaker and a resubmission resumes from the spooled
-  checkpoint bit-identically — and its flight record ties the
-  pool-worker spans (including a retried attempt) to the job's
-  ``trace_id`` with a critical path summing to the end-to-end
-  latency;
 - ``torn-disk`` — the machine "loses power" mid-write at *every*
   injected write point of a checkpointed sweep (a torn, partially
   durable append each time, enumerated by a recording dry run); after
@@ -56,7 +48,6 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -244,151 +235,6 @@ def scenario_resume(harness: ChaosHarness) -> bool:
             and resumed.resumed == len(POINTS) - 1
             and harness.matches_baseline(resumed)
         )
-
-
-def scenario_service(harness: ChaosHarness) -> bool:
-    """Worker deaths inside the service open the breaker; it recovers.
-
-    Runs the real daemon core (no HTTP) against the harness workload
-    with a persistent worker-exit fault: jobs complete *partial*, the
-    execution breaker opens after the failure threshold, readiness
-    flips to not-ready, and the queue still drains (accepted work is
-    never dropped). After the fault clears, a half-open probe closes
-    the breaker and a resubmission of the same points resumes from
-    the spooled checkpoint — with results bit-identical to a
-    fault-free sweep.
-
-    The probe job runs under a *transient* raise fault on its one
-    remaining point, so it also proves the flight recorder: its
-    ``/jobs/<id>/trace`` span tree must contain the pool-worker spans
-    shipped back across the process boundary — the failed attempt 1
-    (stamped ``error``) and the successful attempt 2 — all carrying
-    the submitting job's ``trace_id``, with the critical path summing
-    exactly to the recorded end-to-end latency.
-    """
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import Tracer
-    from repro.obs.trace_report import build_job_report
-    from repro.service import OPEN, SimulationService
-
-    def walk(nodes):
-        for node in nodes:
-            yield node
-            yield from walk(node["children"])
-
-    def wait_for(job_id, service, timeout=120.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            record = service.job(job_id)
-            if record["status"] in ("done", "partial", "failed"):
-                return record
-            time.sleep(0.1)
-        return service.job(job_id)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        service = SimulationService(
-            workload=harness.workload,
-            spool_dir=tmp,
-            queue_size=4,
-            # One pool process keeps the kill deterministic: the exit
-            # fault takes out exactly its own point, never an innocent
-            # in-flight neighbor (that behavior is scenario_exit's).
-            processes=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.05),
-            breaker_threshold=2,
-            breaker_reset=1.0,
-            metrics=MetricsRegistry(),
-            tracer=Tracer(),
-        )
-        outcomes = []
-        default_runner = service.job_runner
-
-        def capturing_runner(job):
-            outcome = default_runner(job)
-            outcomes.append(outcome)
-            return outcome
-
-        service.job_runner = capturing_runner
-        service.start()
-        payload = {
-            "points": [
-                {"l1": p.l1, "l2": p.l2, "associativity": p.associativity}
-                for p in POINTS
-            ]
-        }
-        faults.activate(FaultPlan([FaultSpec("exit", at=1)]))
-        try:
-            first = wait_for(service.submit(payload)["id"], service)
-            second = wait_for(service.submit(payload)["id"], service)
-        finally:
-            faults.deactivate()
-        # Both jobs lost workers on point 1 and finished partial; two
-        # consecutive job failures must open the execution breaker and
-        # flip readiness, while the queue still drained everything.
-        if first["status"] != "partial" or second["status"] != "partial":
-            return False
-        if outcomes[0].pool_restarts < 1:
-            return False
-        if service.execute_breaker.state != OPEN or service.ready()[0]:
-            return False
-        if service.queue.depth != 0:
-            return False
-        # The second job must have resumed the first job's completed
-        # points from the shared (config-hash-keyed) checkpoint.
-        if second["summary"]["resumed"] != len(POINTS) - 1:
-            return False
-        # Fault cleared to *transient*: after the reset timeout a
-        # half-open probe runs the resubmitted job, which resumes the
-        # checkpoint, retries the one missing point past the raise
-        # fault, and closes the breaker.
-        time.sleep(1.1)
-        faults.activate(
-            FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
-        )
-        try:
-            third = wait_for(service.submit(payload)["id"], service)
-        finally:
-            faults.deactivate()
-        if third["status"] != "done":
-            return False
-        if third["summary"]["resumed"] != len(POINTS) - 1:
-            return False
-        if service.execute_breaker.state != "closed" or not service.ready()[0]:
-            return False
-        if not harness.matches_baseline(outcomes[-1]):
-            return False
-        # Flight record: the probe job's trace must tie the worker
-        # spans (shipped back from the pool process) to the job's own
-        # trace_id, across the injected retry — attempt 1 stamped as
-        # the error it was, attempt 2 the recovery.
-        trace = service.job_trace(third["id"])
-        if trace is None or trace["trace_id"] != third["trace_id"]:
-            return False
-        tasks = [n for n in walk(trace["tree"]) if n["name"] == "pool_task"]
-        if any(n["trace_id"] != third["trace_id"] for n in tasks):
-            return False
-        attempts = {n["attrs"].get("attempt") for n in tasks}
-        if not {1, 2} <= attempts:
-            return False
-        if not any(
-            n["attrs"].get("attempt") == 1 and n["attrs"].get("error")
-            for n in tasks
-        ):
-            return False
-        # And the critical path over the same spool must sum exactly
-        # to the recorded end-to-end latency.
-        report = build_job_report(
-            [r.to_dict() for r in service.tracer.snapshot_records()],
-            third["id"],
-        )
-        attributed = sum(
-            row["wall_seconds"] for row in report["critical_path"]
-        )
-        if abs(attributed - report["e2e_seconds"]) > 1e-9:
-            return False
-        if report["worker"]["max_attempt"] < 2 or report["worker"]["errors"] < 1:
-            return False
-        return service.drain(grace=30.0)
 
 
 def scenario_torn_disk(harness: ChaosHarness) -> bool:
@@ -590,7 +436,6 @@ SCENARIOS: Dict[str, Callable[[ChaosHarness], bool]] = {
     "hang": scenario_hang,
     "corrupt": scenario_corrupt,
     "resume": scenario_resume,
-    "service": scenario_service,
     "torn-disk": scenario_torn_disk,
     "bitrot": scenario_bitrot,
 }

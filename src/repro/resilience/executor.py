@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -56,6 +57,18 @@ def _attr_value(key: Any) -> Any:
     if isinstance(key, (str, int, float, bool)) or key is None:
         return key
     return str(key)
+
+
+def _reset_worker_signals() -> None:
+    """Pool initializer: restore the default SIGTERM disposition.
+
+    Forked workers inherit the parent's signal handlers — under
+    ``repro-sweep``, one that raises an interrupt exception — so the
+    SIGTERM :meth:`ResilientPoolExecutor._kill_pool` sends an idle
+    worker would print that exception's traceback instead of ending
+    the worker quietly.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _guarded_call(task: tuple) -> tuple:
@@ -533,7 +546,9 @@ class ResilientPoolExecutor:
         """The live pool, creating one if needed."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_size, mp_context=self._context
+                max_workers=self._pool_size,
+                mp_context=self._context,
+                initializer=_reset_worker_signals,
             )
         return self._pool
 

@@ -164,30 +164,6 @@ class PointFailure:
     point: Optional[Dict[str, Any]] = None
     signature: Optional[str] = None
 
-    @classmethod
-    def from_exception(
-        cls, exc: BaseException, key: Any = None, kind: str = "raise"
-    ) -> "PointFailure":
-        """Wrap any exception as a breaker-compatible failure record.
-
-        The service's circuit breakers consume the same structured
-        records the sweep executor emits; this builds one from an
-        exception raised outside a worker pool (e.g. trace ingestion
-        in the daemon process), capturing the active traceback when
-        the exception is being handled.
-        """
-        import traceback as _traceback
-
-        return cls(
-            key=key,
-            kind=kind,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback="".join(
-                _traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for manifests and JSON output.
 

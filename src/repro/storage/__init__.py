@@ -17,9 +17,9 @@ makes that trust earned instead of assumed:
   envelopes for JSONL stores and checksum envelopes for JSON
   documents, with transparent reads of legacy unframed files;
 - :mod:`repro.storage.fsck` — the ``repro-fsck`` scanner/repairer for
-  spool and artifact directories;
-- :mod:`repro.storage.scrub` — the background scrubber ``repro-serve``
-  runs over its spool, surfacing ``storage.scrub.*`` metrics.
+  checkpoint, obs and artifact directories;
+- :mod:`repro.storage.scrub` — a background thread that runs fsck's
+  scan-only pass periodically, surfacing ``storage.scrub.*`` metrics.
 
 Layering: :mod:`~repro.storage.io`, :mod:`~repro.storage.faultio`,
 and :mod:`~repro.storage.framing` depend only on the standard library

@@ -1,15 +1,14 @@
 """``repro-fsck``: scan, verify, repair, and quarantine a storage dir.
 
-The storage integrity layer's offline half. Given a spool or artifact
-directory — anything ``repro-serve``, ``repro-sweep``, or the stream
-artifact store writes — it walks every file it recognizes and checks
-each one end to end:
+The storage integrity layer's offline half. Given a checkpoint, obs
+or artifact directory — anything ``repro-sweep``, the run manifests,
+or the stream artifact store writes — it walks every file it
+recognizes and checks each one end to end:
 
 - **Checkpoints** (``*.ckpt``): every CRC32 frame verifies, the JSON
   parses, the header is well-formed, and (when the filename is a
-  content address, as in the service spool) the header's
-  ``config_hash`` matches it. A torn trailing line is *repairable*
-  (dropped by atomic rewrite, exactly like
+  content address) the header's ``config_hash`` matches it. A torn
+  trailing line is *repairable* (dropped by atomic rewrite, exactly like
   :meth:`~repro.resilience.checkpoint.SweepCheckpoint.load`
   compaction); corruption anywhere else quarantines the file.
 - **Stream artifacts** (``*.rpm2`` + ``*.meta.json``): the RPM2
@@ -42,7 +41,7 @@ the directory is clean or fully repaired, 1 when unrepairable
 corruption was found.
 
 The scan-only core (:func:`scan_directory`) is shared with the
-background scrubber in ``repro-serve`` (:mod:`repro.storage.scrub`).
+background scrubber (:mod:`repro.storage.scrub`).
 """
 
 from __future__ import annotations
@@ -212,8 +211,8 @@ def _check_checkpoint(scan: _Scan, path: Path) -> None:
         and recorded is not None
         and recorded != stem
     ):
-        # Service spool checkpoints are named by their config hash;
-        # a mismatch means the file was renamed or cross-wired.
+        # A checkpoint named by its config hash (a content address)
+        # must match it; a mismatch means it was renamed or cross-wired.
         scan.note(
             path,
             "checkpoint",
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "root",
-        help="spool or artifact directory to scan",
+        help="checkpoint, obs or artifact directory to scan",
     )
     parser.add_argument(
         "--repair",

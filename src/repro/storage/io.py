@@ -23,7 +23,7 @@ writer spells them identically:
 
 ``OSError`` from the disk is translated into the typed
 :class:`~repro.errors.StorageError` by :func:`wrap_os_error`-using
-callers, so service layers can distinguish "the disk is full" from a
+callers, so ``repro-sweep`` can tell "the disk is full" apart from a
 programming error.
 
 This module depends only on the standard library and
@@ -127,8 +127,8 @@ def wrap_os_error(exc: OSError, action: str) -> StorageError:
 
     The message names the failed ``action`` (e.g. ``"append to
     checkpoint x.ckpt"``) and preserves the errno text, so an
-    operator reading a breaker trip or ``/healthz`` detail sees
-    "No space left on device", not a bare traceback.
+    operator reading the CLI's error sees "No space left on device",
+    not a bare traceback.
     """
     error = StorageError(f"cannot {action}: {exc}")
     error.__cause__ = exc

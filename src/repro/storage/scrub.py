@@ -1,9 +1,9 @@
-"""Background storage scrubber for ``repro-serve``.
+"""Background storage scrubber: periodic scan-only ``repro-fsck``.
 
 A :class:`Scrubber` is a daemon thread that periodically runs the
 scan-only half of ``repro-fsck`` (:func:`repro.storage.fsck.scan_directory`
-with ``repair=False``) over the service's spool directory and
-publishes what it finds:
+with ``repair=False``) over one directory and publishes what it
+finds:
 
 - ``storage.scrub.scans`` — completed scrub passes;
 - ``storage.scrub.verified`` — files that verified clean, cumulative;
@@ -11,14 +11,13 @@ publishes what it finds:
 - ``storage.scrub.unrepairable`` — of those, the ones ``repro-fsck
   --repair`` could only quarantine, cumulative.
 
-The scrubber never modifies the spool — live writers own it, and a
-"torn tail" is routinely just a record mid-append. What it *does* do
-is flip readiness: when a pass finds unrepairable corruption
-(checksum mismatches, frame corruption away from the tail), the
-service's ``/readyz`` goes unready with the finding as the reason,
-so an operator runs ``repro-fsck --repair`` offline instead of
-letting a load balancer route sweeps onto a disk that lies. A later
-clean pass clears the condition automatically.
+The scrubber never modifies the directory — live writers own it, and
+a "torn tail" is routinely just a record mid-append. What it *does*
+do is flip :meth:`Scrubber.healthy`: when a pass finds unrepairable
+corruption (checksum mismatches, frame corruption away from the
+tail), the owner can stop trusting the directory until an operator
+runs ``repro-fsck --repair`` offline. A later clean pass clears the
+condition automatically.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class Scrubber:
     """Periodic scan-only integrity checks over one directory.
 
     Args:
-        root: Directory to scrub (the service spool).
+        root: Directory to scrub.
         interval: Seconds between passes.
         metrics: A :class:`~repro.obs.metrics.MetricsRegistry` (or
             anything with a compatible ``counter(name).inc()``);
@@ -72,7 +71,7 @@ class Scrubber:
         while not self._stop.is_set():
             try:
                 self.scrub_once()
-            except Exception:  # pragma: no cover - never kill the service
+            except Exception:  # pragma: no cover - never kill the thread
                 pass
             self._stop.wait(self.interval)
 
@@ -98,7 +97,7 @@ class Scrubber:
             )
         return report
 
-    # -- state for /readyz and /healthz ----------------------------------
+    # -- state -----------------------------------------------------------
 
     @property
     def last_report(self) -> Optional[Dict[str, Any]]:
@@ -124,7 +123,7 @@ class Scrubber:
         return not self.unrepairable_findings()
 
     def status(self) -> Dict[str, Any]:
-        """A compact block for the service ``status()`` payload."""
+        """A compact, JSON-able summary of the scrubber's state."""
         report = self.last_report
         return {
             "passes": self.passes,

@@ -18,9 +18,13 @@ from repro.experiments.runner import (
     ParallelSweepRunner,
     SweepPoint,
 )
+from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.obs.validate import validate_manifest_file, validate_trace_file
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.policy import RetryPolicy
 from repro.trace.synthetic import AtumWorkload
 
 
@@ -129,3 +133,42 @@ class TestProvenanceEmission:
         assert manifest["config"]["points"][0]["l1"] == "4K-16"
         assert manifest["failures"] == []
         assert "sweep" in manifest["phases"]
+
+    def test_sweep_trace_is_one_tree_across_the_pool(self, tmp_path):
+        """Worker spans, a retried attempt included, nest under one sweep."""
+        runner = ParallelSweepRunner(
+            small_workload(), processes=2,
+            metrics=MetricsRegistry(), tracer=Tracer(),
+            obs_dir=tmp_path,
+        )
+        points = [
+            SweepPoint("4K-16", "64K-32", 2),
+            SweepPoint("4K-16", "64K-32", 4),
+        ]
+        faults.activate(
+            FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
+        )
+        try:
+            outcome = runner.run_points(
+                points, retry=RetryPolicy(max_attempts=2, base_delay=0.01)
+            )
+        finally:
+            faults.deactivate()
+        assert outcome.ok
+        records = list(read_jsonl(tmp_path / "trace.jsonl"))
+        by_id = {record["span_id"]: record for record in records}
+        (sweep,) = [r for r in records if r["name"] == "sweep"]
+        tasks = [r for r in records if r["name"] == "pool_task"]
+        assert tasks
+        for task in tasks:
+            assert task["trace_id"] == sweep["trace_id"]
+            assert task["parent_span_id"] == sweep["span_id"]
+        point_1 = {
+            t["attrs"]["attempt"]: t for t in tasks if t["attrs"]["key"] == 1
+        }
+        assert point_1[1]["attrs"].get("error") is True
+        assert 2 in point_1
+        replays = [r for r in records if r["name"] == "l2_replay"]
+        assert replays
+        for replay in replays:
+            assert by_id[replay["parent_span_id"]]["name"] == "pool_task"

@@ -1,6 +1,10 @@
 """repro-sweep CLI: exit codes, JSON output, checkpoint/resume flags."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,33 @@ class TestHappyPath:
         )
         payload = read_out(tmp_path)
         assert payload["resumed"] == 2
+
+
+class TestWorkerTeardown:
+    def test_two_point_sweep_prints_no_traceback(self, tmp_path):
+        """Idle pool workers end quietly when the pool is torn down.
+
+        The workers fork with ``repro-sweep``'s SIGTERM handler; unless
+        the pool resets it, the SIGTERM that stops each idle worker at
+        teardown prints a traceback on stderr.
+        """
+        env = dict(os.environ)
+        env.pop(ENV_VAR, None)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments.sweepcli",
+                "--l1", "4K-16", "--l2", "64K-32", "--assoc", "2,4",
+                "--scale", "0.002", "--processes", "2",
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestUsageErrors:

@@ -1,6 +1,5 @@
 """Cross-run trace analytics: aggregation, deltas, flame, CLI."""
 
-import json
 import time
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.obs.spans import Tracer
 from repro.obs.trace_report import (
     aggregate_trace,
-    build_job_report,
     build_report,
     build_span_tree,
     flame,
@@ -137,14 +135,12 @@ class TestBuildReport:
 
 
 def write_flight_record(path, job_id="job-1"):
-    """Spool a synthetic but causally-complete flight record.
+    """Spool a synthetic but causally-complete trace of one job.
 
-    Mirrors what the service records for one retried job: an
-    end-to-end ``job`` root, handler-side ``admission`` and
-    ``queue_wait``, the executing ``service_job``, and two
+    One retried job: an end-to-end ``job`` root, ``admission`` and
+    ``queue_wait`` phases, the executing ``service_job``, and two
     ``pool_task`` attempts shipped back from the pool — the first
-    stamped as an error. Plus one span from an unrelated trace, which
-    must never leak into the job's report.
+    stamped as an error. Plus one span from an unrelated trace.
     """
     tracer = Tracer()
     trace, other = "a" * 16, "b" * 16
@@ -210,69 +206,6 @@ class TestSpanTree:
              "parent_span_id": "s" * 16, "start": 0.0, "index": 0},
         ])
         assert root["name"] == "loop" and root["children"] == []
-
-
-class TestJobReport:
-    def test_critical_path_sums_exactly_to_e2e(self, tmp_path):
-        records = load_trace(write_flight_record(tmp_path / "t.jsonl"))
-        report = build_job_report(records, "job-1")
-        assert report["trace_id"] == "a" * 16
-        assert report["e2e_seconds"] == 1.0
-        assert report["spans"] == 6  # the other-trace span is excluded
-        by_component = {
-            row["component"]: row for row in report["critical_path"]
-        }
-        assert by_component["queue_wait"]["wall_seconds"] == 0.2
-        assert by_component["admission"]["wall_seconds"] == 0.1
-        assert by_component["execute"]["wall_seconds"] == 0.6
-        attributed = sum(
-            row["wall_seconds"] for row in report["critical_path"]
-        )
-        assert attributed == report["e2e_seconds"]  # exact, not approx
-        assert by_component["execute"]["share"] == pytest.approx(0.6)
-
-    def test_worker_summary_counts_attempts_and_errors(self, tmp_path):
-        records = load_trace(write_flight_record(tmp_path / "t.jsonl"))
-        worker = build_job_report(records, "job-1")["worker"]
-        assert worker["tasks"] == 2
-        assert worker["max_attempt"] == 2
-        assert worker["errors"] == 1
-        assert worker["wall_seconds"] == pytest.approx(0.55)
-        assert worker["cpu_seconds"] == pytest.approx(0.48)
-        assert worker["merge_seconds"] == pytest.approx(0.05)
-
-    def test_unknown_job_raises(self, tmp_path):
-        records = load_trace(write_flight_record(tmp_path / "t.jsonl"))
-        with pytest.raises(ValueError, match="no end-to-end 'job' span"):
-            build_job_report(records, "job-ghost")
-
-
-class TestJobCli:
-    def test_job_flag_renders_critical_path(self, tmp_path, capsys):
-        trace = write_flight_record(tmp_path / "t.jsonl")
-        assert main(["--job", "job-1", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "== job job-1" in out
-        assert "critical path" in out
-        for component in ("queue_wait", "admission", "execute",
-                          "unattributed"):
-            assert component in out
-        assert "max attempt 2" in out
-
-    def test_job_flag_with_json_report(self, tmp_path, capsys):
-        trace = write_flight_record(tmp_path / "t.jsonl")
-        report_path = tmp_path / "flight.json"
-        assert main(
-            ["--job", "job-1", str(trace), "--json", str(report_path)]
-        ) == 0
-        report = json.loads(report_path.read_text())
-        assert report["job"] == "job-1"
-        assert report["tree"][0]["name"] == "job"
-
-    def test_unknown_job_exits_one(self, tmp_path, capsys):
-        trace = write_flight_record(tmp_path / "t.jsonl")
-        assert main(["--job", "nope", str(trace)]) == 1
-        assert "no end-to-end 'job' span" in capsys.readouterr().err
 
 
 class TestCli:

@@ -8,13 +8,10 @@ from repro.obs.bench import BENCH_HISTORY_SCHEMA_VERSION, BenchHistory
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
 from repro.obs.spans import Tracer
 from repro.obs.validate import (
-    SUPPORTED_DASHBOARD_SCHEMA_VERSION,
     SUPPORTED_REPORT_SCHEMA_VERSION,
     main,
-    validate_dashboard,
     validate_history,
     validate_history_file,
-    validate_job_trace,
     validate_manifest,
     validate_manifest_file,
     validate_report,
@@ -223,106 +220,6 @@ class TestSpanIdentity:
         assert any("key 'span_id' has type int" in e for e in errors)
 
 
-def make_job_trace(**overrides):
-    """A minimal schema-valid ``/jobs/<id>/trace`` payload."""
-    trace, root_id = "a" * 16, "c" * 16
-    child = make_span(
-        name="service_job", path="service_job",
-        trace_id=trace, span_id="d" * 16, parent_span_id=root_id,
-    )
-    child["children"] = []
-    root = make_span(
-        name="job", path="job", wall_seconds=1.0, index=1,
-        attrs={"job": "job-1", "status": "done"},
-        trace_id=trace, span_id=root_id, parent_span_id=None,
-    )
-    root["children"] = [child]
-    document = {
-        "job": "job-1", "trace_id": trace, "status": "done",
-        "spans": 2, "tree": [root],
-    }
-    document.update(overrides)
-    return document
-
-
-class TestJobTraceValidation:
-    def test_valid_flight_record_passes(self):
-        assert validate_job_trace(make_job_trace()) == []
-
-    def test_not_an_object(self):
-        assert validate_job_trace([]) == ["job-trace: not a JSON object"]
-
-    def test_missing_envelope_key_pointed(self):
-        document = make_job_trace()
-        del document["status"]
-        errors = validate_job_trace(document)
-        assert any("missing required key 'status'" in e for e in errors)
-
-    def test_span_count_must_match_tree(self):
-        errors = validate_job_trace(make_job_trace(spans=5))
-        assert errors == ["job-trace: 'spans' is 5 but the tree holds 2"]
-
-    def test_child_must_nest_under_parent_span_id(self):
-        document = make_job_trace()
-        document["tree"][0]["children"][0]["parent_span_id"] = "e" * 16
-        errors = validate_job_trace(document)
-        assert any(
-            "tree[0].children[0]" in e and "does not match" in e
-            for e in errors
-        )
-
-    def test_malformed_nested_node_located(self):
-        document = make_job_trace()
-        del document["tree"][0]["children"][0]["wall_seconds"]
-        errors = validate_job_trace(document)
-        assert any(
-            "tree[0].children[0]" in e and "'wall_seconds'" in e
-            for e in errors
-        )
-
-    def test_bad_id_inside_tree_located(self):
-        document = make_job_trace()
-        document["tree"][0]["trace_id"] = "NOT-HEX"
-        errors = validate_job_trace(document)
-        assert any(
-            "tree[0]" in e and "not a 16-hex-char id" in e for e in errors
-        )
-
-    def test_node_missing_children_list(self):
-        document = make_job_trace()
-        del document["tree"][0]["children"][0]["children"]
-        errors = validate_job_trace(document)
-        assert any("non-list 'children'" in e for e in errors)
-
-
-class TestJobTraceCliFlag:
-    def test_valid_file_passes(self, tmp_path, capsys):
-        path = tmp_path / "job-trace.json"
-        path.write_text(json.dumps(make_job_trace()))
-        assert main(["--job-trace", str(path)]) == 0
-        assert "schema-valid" in capsys.readouterr().out
-
-    def test_invalid_file_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "job-trace.json"
-        path.write_text(json.dumps(make_job_trace(spans=99)))
-        assert main(["--job-trace", str(path)]) == 1
-        assert "tree holds" in capsys.readouterr().err
-
-    def test_combines_with_manifest_and_trace(
-        self, valid_manifest_path, valid_trace_path, tmp_path, capsys
-    ):
-        path = tmp_path / "job-trace.json"
-        path.write_text(json.dumps(make_job_trace()))
-        assert main(
-            [
-                str(valid_manifest_path),
-                "--trace", str(valid_trace_path),
-                "--job-trace", str(path),
-            ]
-        ) == 0
-        assert "schema-valid" in capsys.readouterr().out
-
-
 def make_report(**overrides):
     """A minimal schema-valid trajectory-report payload."""
     report = {
@@ -359,28 +256,6 @@ def make_report(**overrides):
     }
     report.update(overrides)
     return report
-
-
-def make_dashboard(**overrides):
-    """A minimal schema-valid dashboard payload."""
-    document = {
-        "schema_version": 1,
-        "kind": "service-dashboard",
-        "status": {
-            "ready": True,
-            "reason": "ok",
-            "draining": False,
-            "queue": {"depth": 0, "capacity": 16},
-            "breakers": {},
-            "jobs": {},
-            "replay": {"counters": {}},
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        },
-        "jobs": [{"id": "job-1", "status": "done"}],
-        "trajectory": None,
-    }
-    document.update(overrides)
-    return document
 
 
 class TestReportValidation:
@@ -428,73 +303,11 @@ class TestReportValidation:
         assert validate_report([]) == ["report: not a JSON object"]
 
 
-class TestDashboardValidation:
-    def test_valid_dashboard_passes(self):
-        assert validate_dashboard(make_dashboard()) == []
-
-    def test_nested_trajectory_is_validated_too(self):
-        bad_report = make_report(kind="wrong")
-        errors = validate_dashboard(make_dashboard(trajectory=bad_report))
-        assert any("bench-trajectory" in e for e in errors)
-
-    def test_missing_status_block_fields(self):
-        document = make_dashboard()
-        del document["status"]["replay"]
-        errors = validate_dashboard(document)
-        assert any(
-            "dashboard status" in e and "'replay'" in e for e in errors
-        )
-
-    def test_job_rows_need_identity(self):
-        errors = validate_dashboard(make_dashboard(jobs=[{"points": 1}]))
-        assert any("jobs[0]" in e and "'id'" in e for e in errors)
-
-    def test_newer_schema_version_rejected(self):
-        errors = validate_dashboard(
-            make_dashboard(
-                schema_version=SUPPORTED_DASHBOARD_SCHEMA_VERSION + 1
-            )
-        )
-        assert any("newer than the supported" in e for e in errors)
-
-    def test_v2_requires_latency_block(self):
-        errors = validate_dashboard(make_dashboard(schema_version=2))
-        assert any(
-            "'latency'" in e and "schema v2" in e for e in errors
-        )
-
-    def test_v2_with_latency_block_passes(self):
-        document = make_dashboard(schema_version=2)
-        document["status"]["latency"] = {
-            "latency.job_seconds": {
-                "count": 1, "p50": 0.1, "p95": 0.1, "p99": 0.1,
-                "p999": 0.1,
-            }
-        }
-        assert validate_dashboard(document) == []
-
-    def test_v1_without_latency_stays_valid(self):
-        # Pre-quantile dashboards never carried the block.
-        assert validate_dashboard(make_dashboard(schema_version=1)) == []
-
-    def test_v3_dashboard_is_valid(self):
-        document = make_dashboard(schema_version=3)
-        document["status"]["latency"] = {}
-        assert validate_dashboard(document) == []
-
-
 class TestReportCliFlags:
     def test_report_and_dashboard_flags(self, tmp_path, capsys):
         report_path = tmp_path / "trajectory.json"
         report_path.write_text(json.dumps(make_report()))
-        dashboard_path = tmp_path / "dashboard.json"
-        dashboard_path.write_text(json.dumps(make_dashboard()))
-        assert main(
-            [
-                "--report", str(report_path),
-                "--dashboard", str(dashboard_path),
-            ]
-        ) == 0
+        assert main(["--report", str(report_path)]) == 0
         assert "schema-valid" in capsys.readouterr().out
 
     def test_invalid_report_exits_1(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import json
 from repro.obs import validate as obs_validate
 from repro.obs.bench import BenchHistory, TimingResult, build_entry
 from repro.obs.compare import compare_entries
-from repro.report.dashboard import DASHBOARD_SCHEMA_VERSION
 from repro.report.trajectory import REPORT_SCHEMA_VERSION, TrajectoryReport
 
 
@@ -58,15 +57,11 @@ class TestBuild:
         assert point["rps_low"] < 4000.0 < point["rps_high"]
 
     def test_schema_version_matches_validator_constant(self):
-        # The validator duplicates (not imports) the constants; this is
+        # The validator duplicates (not imports) the constant; this is
         # the lockstep check the duplication relies on.
         assert (
             REPORT_SCHEMA_VERSION
             == obs_validate.SUPPORTED_REPORT_SCHEMA_VERSION
-        )
-        assert (
-            DASHBOARD_SCHEMA_VERSION
-            == obs_validate.SUPPORTED_DASHBOARD_SCHEMA_VERSION
         )
 
     def test_payload_passes_the_schema_validator(self):
@@ -80,7 +75,7 @@ class TestBuild:
 
 
 class TestVerdictParity:
-    """/dashboard verdicts must match repro-bench-compare exactly."""
+    """Trajectory verdicts must match repro-bench-compare exactly."""
 
     def test_same_pair_same_verdict(self):
         baseline = entry(median=1.0)
