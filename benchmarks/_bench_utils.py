@@ -37,8 +37,8 @@ def once(benchmark, fn, *args, **kwargs):
     statistical timing; one round still gives a useful wall-clock
     number and pytest-benchmark bookkeeping. The environment
     fingerprint is stamped into ``extra_info`` so saved
-    pytest-benchmark JSON stays attributable, same as the trajectory
-    entries in ``BENCH_simulator.json``.
+    pytest-benchmark JSON stays attributable to the machine that ran
+    it.
     """
     from repro.obs.bench import environment_fingerprint
 
@@ -54,9 +54,9 @@ def timed(benchmark, fn, *args, repeats=5, warmup=1, **kwargs):
     timed repeats, median/MAD and a bootstrap confidence interval of
     the median — and records the full statistics (plus the environment
     fingerprint) in pytest-benchmark's ``extra_info``, so saved
-    benchmark JSON carries the same noise-aware stats the regression
-    gate consumes. One extra pedantic round keeps pytest-benchmark's
-    own reporting populated.
+    benchmark JSON carries noise-aware stats, not one best-of-N
+    number. One extra pedantic round keeps pytest-benchmark's own
+    reporting populated.
 
     Returns the :class:`repro.obs.bench.TimingResult`, whose
     ``last_result`` is ``fn``'s final return value.

@@ -10,8 +10,9 @@ probes through the fused engine (the default instrumentation path; see
 keeps the per-observer reference path on the same stream for
 comparison. The two replay benchmarks go through ``timed()`` — the
 statistical harness of ``repro.obs.bench`` — so their saved
-``extra_info`` carries the same median/MAD/CI statistics as the
-``BENCH_simulator.json`` trajectory entries.
+``extra_info`` carries median/MAD and a bootstrap CI of the median.
+The end-to-end benchmark of paper-artifact builds is
+``benchmarks/pipeline/``.
 """
 
 import pytest

@@ -33,11 +33,14 @@ import threading
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ReproError
-from repro.experiments.configs import default_workload
+from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.set_associative import SetAssociativeCache
+from repro.errors import ConfigurationError, ReproError
+from repro.experiments.configs import default_workload, parse_geometry
 from repro.experiments.runner import (
     ParallelSweepRunner,
     SweepPoint,
+    _scheme_plan,
     config_result_to_dict,
 )
 from repro.obs.log import log
@@ -83,18 +86,50 @@ def _restore_signal_handlers(previous) -> None:
 
 
 def _build_points(args) -> List[SweepPoint]:
-    """The cartesian product of the requested sweep axes."""
+    """The cartesian product of the requested sweep axes.
+
+    Runs the checks a worker runs on its point first — geometry labels,
+    cache shapes, the scheme plan — so a bad axis raises
+    :class:`~repro.errors.ConfigurationError` here, before the pool
+    starts, instead of failing every point through the retry policy.
+    """
+    try:
+        associativities = [int(a) for a in args.assoc.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--assoc {args.assoc}: associativities must be integers"
+        ) from None
+    transforms = tuple(args.transforms.split(","))
+    l1_labels = args.l1.split(",")
+    l2_labels = args.l2.split(",")
+    for label in l1_labels:
+        try:
+            l1 = parse_geometry(label)
+            DirectMappedCache(l1.capacity_bytes, l1.block_size)
+        except (ConfigurationError, ValueError) as exc:
+            raise ConfigurationError(f"--l1 {label}: {exc}") from None
+    for label in l2_labels:
+        for assoc in associativities:
+            try:
+                l2 = parse_geometry(label)
+                _scheme_plan(assoc, args.tag_bits, transforms, (), ())
+                SetAssociativeCache(l2.capacity_bytes, l2.block_size, assoc)
+            except (ConfigurationError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"--l2 {label} --assoc {assoc} --tag-bits {args.tag_bits} "
+                    f"--transforms {args.transforms}: {exc}"
+                ) from None
     return [
         SweepPoint(
             l1=l1,
             l2=l2,
             associativity=assoc,
             tag_bits=args.tag_bits,
-            transforms=tuple(args.transforms.split(",")),
+            transforms=transforms,
         )
-        for l1 in args.l1.split(",")
-        for l2 in args.l2.split(",")
-        for assoc in (int(a) for a in args.assoc.split(","))
+        for l1 in l1_labels
+        for l2 in l2_labels
+        for assoc in associativities
     ]
 
 
@@ -180,7 +215,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "finish that sweep or delete the file to start over"
         )
 
-    points = _build_points(args)
+    try:
+        points = _build_points(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     runner = ParallelSweepRunner(
         default_workload(scale=args.scale, seed=args.seed),
         processes=args.processes,

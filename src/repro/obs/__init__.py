@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the simulation stack.
 
-The package answers three questions about every run:
+The package answers four questions about every run:
 
 - **Where did the time go?** — :mod:`repro.obs.spans`: nestable
   wall+CPU tracing spans with a JSONL trace writer and an ASCII flame
@@ -13,11 +13,9 @@ The package answers three questions about every run:
   provenance manifests (config hash, workload seed, code identity,
   per-phase timings, metric snapshot) validated by
   :mod:`repro.obs.validate`.
-
-- **Did it get slower?** — :mod:`repro.obs.bench`: a statistical
-  timing harness (warmup, repeats, median/MAD, bootstrap CIs) plus the
-  append-only benchmark-trajectory store, gated by
-  :mod:`repro.obs.compare` (``repro-bench-compare``) and attributed by
+- **How long did it take?** — :mod:`repro.obs.bench`: a statistical
+  timing harness (warmup, repeats, median/MAD, bootstrap CIs), with
+  per-phase attribution across traces by
   :mod:`repro.obs.trace_report` (``repro-trace-report``).
 
 Plus the shared plumbing: :mod:`repro.obs.jsonl` (the line-delimited
@@ -33,14 +31,11 @@ the rest of the package, so any module can depend on it.
 """
 
 from repro.obs.bench import (
-    BENCH_HISTORY_SCHEMA_VERSION,
-    BenchHistory,
     TimingResult,
     bootstrap_ci,
     environment_fingerprint,
     measure,
 )
-from repro.obs.compare import compare_entries
 from repro.obs.context import (
     IdSource,
     TraceContext,
@@ -66,7 +61,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QuantileHistogram,
     get_metrics,
     set_metrics,
 )
@@ -81,12 +75,9 @@ from repro.obs.spans import (
 from repro.obs.trace_report import (
     aggregate_trace,
     build_report,
-    build_span_tree,
     merge_aggregates,
 )
 from repro.obs.validate import (
-    validate_history,
-    validate_history_file,
     validate_manifest,
     validate_manifest_file,
     validate_span,
@@ -94,8 +85,6 @@ from repro.obs.validate import (
 )
 
 __all__ = [
-    "BENCH_HISTORY_SCHEMA_VERSION",
-    "BenchHistory",
     "Counter",
     "Gauge",
     "Histogram",
@@ -104,7 +93,6 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "MetricsRegistry",
     "ProgressReporter",
-    "QuantileHistogram",
     "RunManifest",
     "SpanRecord",
     "StructuredLogger",
@@ -115,8 +103,6 @@ __all__ = [
     "aggregate_trace",
     "bootstrap_ci",
     "build_report",
-    "build_span_tree",
-    "compare_entries",
     "config_hash",
     "current_context",
     "describe_workload",
@@ -137,8 +123,6 @@ __all__ = [
     "set_metrics",
     "set_tracer",
     "span",
-    "validate_history",
-    "validate_history_file",
     "validate_manifest",
     "validate_manifest_file",
     "validate_span",

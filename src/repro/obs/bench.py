@@ -1,50 +1,29 @@
-"""Statistical timing harness and the benchmark-trajectory store.
+"""Statistical timing harness: warmup, repeats, robust statistics.
 
-Two halves, one discipline — benchmark numbers must be *statistically
-honest* and *attributable*:
+:func:`measure` replaces best-of-N wall clock with a proper timing
+protocol: warmup rounds (JIT-free Python still warms allocator and
+branch caches), N timed repeats, then robust statistics — median, MAD
+(median absolute deviation), and a bootstrap confidence interval of the
+median. The result carries the raw samples, so downstream comparisons
+can re-derive anything. :func:`environment_fingerprint` names the
+measuring machine, so a reader can tell a same-host number from a
+cross-host one.
 
-- :func:`measure` replaces best-of-N wall clock with a proper timing
-  protocol: warmup rounds (JIT-free Python still warms allocator and
-  branch caches), N timed repeats, then robust statistics — median,
-  MAD (median absolute deviation), and a bootstrap confidence interval
-  of the median. The result carries the raw samples, so downstream
-  comparisons can re-derive anything.
-- :class:`BenchHistory` turns ``BENCH_simulator.json`` from a
-  write-once snapshot into an append-only *trajectory*: a
-  schema-versioned history of entries keyed by ``config_hash`` + git
-  SHA, deduplicated on re-runs, each entry self-describing (config,
-  environment fingerprint, workload identity, timing stats, and the
-  deterministic probe-count totals the regression gate checks
-  bit-identically).
-
-The consumers live next door: :mod:`repro.obs.compare` gates
-regressions against the history, :mod:`repro.obs.validate` checks the
-schema, and ``scripts/run_benchmarks.py`` produces the entries.
-Everything here depends only on the standard library plus the
-stdlib-only durability primitives in :mod:`repro.storage.io` /
-:mod:`repro.storage.framing`, per the ``repro.obs`` import rule.
+The pytest-benchmark suites time through it
+(``benchmarks/_bench_utils.timed``), and ``repro-report`` stamps the
+fingerprint into ``results_summary.md``. Standard library only, per
+the ``repro.obs`` import rule.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 import os
 import platform
 import random
 import statistics
 import time
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.obs.manifest import git_sha
-
-_LOG = logging.getLogger("repro.obs.bench")
-
-#: Version of the ``BENCH_*.json`` history layout (bump on breaking
-#: changes; :mod:`repro.obs.validate` rejects newer-than-supported).
-BENCH_HISTORY_SCHEMA_VERSION = 1
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Default bootstrap resample count for confidence intervals.
 DEFAULT_RESAMPLES = 500
@@ -57,8 +36,8 @@ def environment_fingerprint() -> Dict[str, Any]:
     """Identity of the measuring machine, for apples-to-apples checks.
 
     Timing comparisons across different hosts are noise by
-    construction; the fingerprint lets :mod:`repro.obs.compare` tell
-    a same-machine regression from a cross-machine artifact.
+    construction; the fingerprint tells a same-machine regression
+    from a cross-machine artifact.
     """
     return {
         "python": platform.python_version(),
@@ -160,7 +139,7 @@ class TimingResult:
         self.last_result = last_result
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form stored in history entries (JSON-able)."""
+        """Plain-dict form of the statistics (JSON-able, samples included)."""
         return {
             "samples": self.samples,
             "repeats": self.repeats,
@@ -222,293 +201,3 @@ def measure(
         confidence=confidence,
         last_result=outcome,
     )
-
-
-def build_entry(
-    config: Dict[str, Any],
-    config_hash: str,
-    results: Dict[str, Dict[str, Any]],
-    probe_counts: Optional[Dict[str, Dict[str, int]]] = None,
-    workload: Optional[Dict[str, Any]] = None,
-    summary: Optional[Dict[str, Any]] = None,
-    sha: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Assemble one self-describing history entry.
-
-    Args:
-        config: The canonical run configuration (what was hashed).
-        config_hash: Its content address
-            (:func:`repro.obs.manifest.config_hash`).
-        results: Per-configuration results; each value should carry a
-            ``"timing"`` block (:meth:`TimingResult.to_dict`).
-        probe_counts: Deterministic per-scheme probe totals — the
-            bit-identical invariant :mod:`repro.obs.compare` enforces.
-        workload: Workload identity
-            (:func:`repro.obs.manifest.describe_workload`).
-        summary: Free-form derived numbers (speedups, etc.).
-        sha: Git SHA override; defaults to the current checkout's.
-    """
-    return {
-        "created_unix": time.time(),
-        "git_sha": sha if sha is not None else git_sha(),
-        "config_hash": config_hash,
-        "config": config,
-        "environment": environment_fingerprint(),
-        "workload": workload,
-        "results": results,
-        "probe_counts": probe_counts or {},
-        "summary": summary or {},
-    }
-
-
-def _migrate_legacy_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a pre-history single-run payload into one entry.
-
-    The PR-1 format was ``{"workload", "config_hash", "phases",
-    "results": {name: {"best_seconds", ...}}, "summary"}`` — one run,
-    clobbered on every rewrite. Its single best-of-N number becomes a
-    one-sample timing block so the trajectory keeps the data point.
-    """
-    results = {}
-    for name, legacy in payload.get("results", {}).items():
-        best = legacy.get("best_seconds")
-        timing = (
-            TimingResult([best], warmup=0).to_dict()
-            if isinstance(best, (int, float))
-            else None
-        )
-        entry = {k: v for k, v in legacy.items() if k != "config_hash"}
-        entry["timing"] = timing
-        results[name] = entry
-    return {
-        "created_unix": 0.0,
-        "git_sha": None,
-        "config_hash": payload.get("config_hash", ""),
-        "config": payload.get("config", {}),
-        "environment": {},
-        "workload": payload.get("workload"),
-        "results": results,
-        "probe_counts": {},
-        "summary": payload.get("summary", {}),
-        "migrated_from": "legacy-single-run",
-    }
-
-
-class BenchHistory:
-    """Append-only benchmark trajectory backed by one JSON file.
-
-    The on-disk shape is self-describing::
-
-        {"schema_version": 1,
-         "benchmark": "simulator_throughput",
-         "entries": [ {...}, {...} ]}
-
-    Entries are ordered oldest-first. :meth:`append` deduplicates
-    re-runs of an identical configuration at an identical commit
-    (same ``config_hash`` *and* ``git_sha``) by replacing the stale
-    entry in place, so repeated local runs refine rather than pad the
-    trajectory. Loading a legacy single-run payload transparently
-    migrates it into the first entry — fixing the old behavior where
-    ``run_benchmarks.py -o`` clobbered all prior results.
-
-    Durability: :meth:`save` writes via write-temp + fsync + atomic
-    rename and stamps an ``integrity`` CRC32 over the entries, so a
-    crash mid-save leaves the previous file intact and bitrot is
-    detected (:class:`~repro.errors.IntegrityError`) instead of
-    silently skewing a regression baseline. A file torn by a legacy
-    non-atomic writer loads with the torn tail *skipped and
-    reported* (:attr:`torn_tail_dropped`, plus a logged warning) —
-    the intact prefix of the trajectory survives.
-    """
-
-    def __init__(self, data: Optional[Dict[str, Any]] = None) -> None:
-        if data is None:
-            data = {
-                "schema_version": BENCH_HISTORY_SCHEMA_VERSION,
-                "benchmark": "simulator_throughput",
-                "entries": [],
-            }
-        self.data = data
-        #: Whether :meth:`load` had to drop a torn trailing entry.
-        self.torn_tail_dropped = False
-
-    @classmethod
-    def load(cls, path) -> "BenchHistory":
-        """Read a history file; legacy single-run payloads migrate.
-
-        A file carrying an ``integrity`` checksum is verified against
-        its entries — :class:`~repro.errors.IntegrityError` on
-        mismatch. A file with a torn tail (truncated mid-write by a
-        legacy writer or a crash) is recovered entry by entry: the
-        complete prefix loads, the torn entry is dropped, and the loss
-        is reported via :attr:`torn_tail_dropped` and a warning.
-        """
-        from repro.storage.framing import verify_document_checksum
-
-        path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return cls._recover_torn(text, path)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: benchmark history is not a JSON object")
-        if "integrity" in payload:
-            verify_document_checksum(
-                payload.get("entries", []),
-                payload["integrity"],
-                context=f"benchmark history {path}",
-            )
-        if "entries" not in payload:
-            history = cls()
-            history.data["entries"].append(_migrate_legacy_payload(payload))
-            return history
-        return cls(payload)
-
-    @classmethod
-    def _recover_torn(cls, text: str, path) -> "BenchHistory":
-        """Salvage the intact entry prefix of a torn history file."""
-        marker = text.find('"entries"')
-        start = text.find("[", marker) if marker >= 0 else -1
-        if start < 0:
-            raise ValueError(
-                f"{path}: benchmark history is torn beyond recovery "
-                "(no entries array found)"
-            )
-        decoder = json.JSONDecoder()
-        entries: List[Dict[str, Any]] = []
-        position = start + 1
-        while True:
-            while position < len(text) and text[position] in " \t\r\n,":
-                position += 1
-            if position >= len(text) or text[position] == "]":
-                break
-            try:
-                entry, position = decoder.raw_decode(text, position)
-            except json.JSONDecodeError:
-                break  # the torn tail: drop it, keep the prefix
-            entries.append(entry)
-        history = cls()
-        history.data["entries"] = entries
-        history.torn_tail_dropped = True
-        _LOG.warning(
-            "benchmark history %s is torn: recovered %d intact "
-            "entries, dropped the truncated tail",
-            path,
-            len(entries),
-        )
-        return history
-
-    @classmethod
-    def load_or_create(cls, path) -> "BenchHistory":
-        """Load ``path`` if it exists, else start an empty history."""
-        path = Path(path)
-        if path.exists():
-            return cls.load(path)
-        return cls()
-
-    @property
-    def entries(self) -> List[Dict[str, Any]]:
-        """The history entries, oldest first."""
-        return self.data["entries"]
-
-    @property
-    def schema_version(self) -> int:
-        """The loaded file's schema version."""
-        return self.data.get("schema_version", BENCH_HISTORY_SCHEMA_VERSION)
-
-    def append(self, entry: Dict[str, Any], dedupe: bool = True) -> bool:
-        """Add ``entry``; returns ``True`` if it replaced a duplicate.
-
-        A duplicate is an existing entry with the same ``config_hash``
-        and the same non-``None`` ``git_sha`` — i.e. a re-run of the
-        identical experiment at the identical commit. The newest data
-        wins in place (trajectory order preserved).
-        """
-        if dedupe and entry.get("git_sha") is not None:
-            key = (entry.get("config_hash"), entry.get("git_sha"))
-            for index, existing in enumerate(self.entries):
-                if (existing.get("config_hash"), existing.get("git_sha")) == key:
-                    self.entries[index] = entry
-                    return True
-        self.entries.append(entry)
-        return False
-
-    def latest(self) -> Optional[Dict[str, Any]]:
-        """The newest entry, or ``None`` if the trajectory is empty."""
-        return self.entries[-1] if self.entries else None
-
-    def baseline_for(self, index: int = -1) -> Optional[Tuple[int, Dict[str, Any]]]:
-        """The newest *earlier* entry sharing ``entries[index]``'s config.
-
-        Returns ``(absolute_index, entry)`` or ``None`` when no earlier
-        same-``config_hash`` entry exists (first run of a config).
-        Timing comparisons across different configs are meaningless, so
-        the regression gate only ever baselines within a config lineage.
-        """
-        if not self.entries:
-            return None
-        candidate_index = index % len(self.entries)
-        target = self.entries[candidate_index].get("config_hash")
-        for earlier in range(candidate_index - 1, -1, -1):
-            if self.entries[earlier].get("config_hash") == target:
-                return (earlier, self.entries[earlier])
-        return None
-
-    def find(self, selector: str) -> Optional[Tuple[int, Dict[str, Any]]]:
-        """Locate an entry by index string, git SHA prefix, or config hash.
-
-        Tries, in order: integer index (negative allowed), ``git_sha``
-        prefix match (newest first), ``config_hash`` prefix match
-        (newest first). An all-digit selector out of index range falls
-        through to prefix matching (it may be a numeric SHA prefix).
-        Returns ``(absolute_index, entry)`` or ``None``.
-        """
-        try:
-            index = int(selector)
-        except ValueError:
-            pass
-        else:
-            if -len(self.entries) <= index < len(self.entries):
-                return (index % len(self.entries), self.entries[index])
-        for position in range(len(self.entries) - 1, -1, -1):
-            sha = self.entries[position].get("git_sha") or ""
-            if sha.startswith(selector):
-                return (position, self.entries[position])
-        for position in range(len(self.entries) - 1, -1, -1):
-            if (self.entries[position].get("config_hash") or "").startswith(
-                selector
-            ):
-                return (position, self.entries[position])
-        return None
-
-    def to_json(self) -> str:
-        """The history as pretty-printed JSON (entry order preserved)."""
-        return json.dumps(self.data, indent=2, sort_keys=False, default=repr)
-
-    def save(self, path) -> Path:
-        """Durably write the history to ``path``; returns it.
-
-        The write is temp + fsync + atomic rename + directory fsync
-        (:func:`repro.storage.io.atomic_write_text`), and the
-        ``integrity`` CRC32 over the entries is refreshed first —
-        a crash mid-save can cost at most the *new* entry, never the
-        trajectory.
-        """
-        from repro.storage.framing import document_checksum
-        from repro.storage.io import atomic_write_text
-
-        self.data["integrity"] = document_checksum(self.entries)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, self.to_json() + "\n")
-        return path
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"BenchHistory(entries={len(self.entries)}, "
-            f"schema_version={self.schema_version})"
-        )

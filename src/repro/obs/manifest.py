@@ -117,7 +117,6 @@ class RunManifest:
         tracer: Any = None,
         metrics: Any = None,
         failures: Sequence[Dict[str, Any]] = (),
-        extra: Optional[Dict[str, Any]] = None,
     ) -> "RunManifest":
         """Assemble a manifest for ``tool`` run with ``config``.
 
@@ -136,10 +135,8 @@ class RunManifest:
                 snapshot becomes the ``metrics`` block.
             failures: Recorded failures (dicts with at least
                 ``"error"``).
-            extra: Additional top-level keys (must not collide with
-                the schema's).
         """
-        data: Dict[str, Any] = {
+        return cls({
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool": tool,
             "created_unix": time.time(),
@@ -151,15 +148,7 @@ class RunManifest:
             "phases": tracer.phase_timings() if tracer is not None else {},
             "metrics": metrics.snapshot() if metrics is not None else {},
             "failures": list(failures),
-        }
-        if extra:
-            for key in extra:
-                if key in data:
-                    raise ValueError(
-                        f"extra manifest key {key!r} collides with the schema"
-                    )
-            data.update(extra)
-        return cls(data)
+        })
 
     @classmethod
     def load(cls, path) -> "RunManifest":

@@ -9,8 +9,7 @@ parent merges them with :meth:`MetricsRegistry.merge_snapshot`:
 
 - counters add,
 - gauges keep the last written value,
-- histograms combine count/total/min/max,
-- quantile histograms add their integer bucket counts.
+- histograms combine count/total/min/max.
 
 Deterministic counters (e.g. ``engine.accesses``) therefore merge to
 *bit-identical* totals regardless of sharding — the same discipline the
@@ -22,16 +21,11 @@ Metric namespaces, by producing layer:
 - ``engine.*`` / ``runner.*`` — simulation and sweep execution;
 - ``resilience.*`` — the fault-tolerant executor (retries, pool
   restarts, timeouts).
-
-:class:`QuantileHistogram` is the mergeable quantile sketch: exact
-integer bucket counts, so sharded observations merge to the same
-quantile estimates as one unsharded stream.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 Number = Union[int, float]
 
@@ -132,153 +126,6 @@ class Histogram:
         return f"Histogram(count={self.count}, total={self.total})"
 
 
-#: Quantiles :meth:`QuantileHistogram.summary` reports, in order.
-SUMMARY_QUANTILES: Tuple[Tuple[str, float], ...] = (
-    ("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999),
-)
-
-
-class QuantileHistogram:
-    """A mergeable quantile sketch over fixed log-spaced buckets.
-
-    Values land in bucket ``floor(log2(value) * RESOLUTION)`` — with
-    ``RESOLUTION`` buckets per power of two, bucket boundaries grow by
-    ``2 ** (1/RESOLUTION)`` (~19%), so any quantile estimate is off by
-    at most one bucket's relative width. Bucket *counts* are exact
-    integers, so merging worker snapshots is bit-identical addition in
-    any order — the same discipline as the rest of the registry —
-    unlike sampling sketches whose merges depend on ordering.
-
-    :meth:`quantile` returns the **upper bound** of the bucket holding
-    the requested rank (a conservative, tail-honest estimate), clipped
-    to the exact observed ``[min, max]``. Non-positive observations
-    (no log bucket) are counted separately and sort below every
-    bucket.
-    """
-
-    #: Buckets per power of two; boundaries grow by ``2 ** (1/4)``.
-    RESOLUTION = 4
-
-    __slots__ = ("count", "total", "min", "max", "zero_count", "buckets")
-
-    def __init__(self) -> None:
-        self.count: int = 0
-        self.total: float = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.zero_count: int = 0
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, value: Number) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value <= 0:
-            self.zero_count += 1
-            return
-        index = math.floor(math.log2(value) * self.RESOLUTION)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        """Average of the observations so far (0.0 when empty)."""
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-    @staticmethod
-    def bucket_upper_bound(index: int) -> float:
-        """The exclusive upper value boundary of bucket ``index``."""
-        return 2.0 ** ((index + 1) / QuantileHistogram.RESOLUTION)
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0 < q <= 1``) of the stream.
-
-        Walks the buckets to the observation of rank ``ceil(q*count)``
-        and returns that bucket's upper bound, clipped to the observed
-        ``[min, max]`` — exact at the extremes, within one bucket's
-        relative width everywhere else. Returns 0.0 when empty.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        cumulative = self.zero_count
-        if rank <= cumulative:
-            # Non-positive observations sort first; min covers them.
-            return self.min if self.min is not None else 0.0
-        estimate = None
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative >= rank:
-                estimate = self.bucket_upper_bound(index)
-                break
-        if estimate is None:  # rank beyond recorded counts (merge skew)
-            estimate = self.max if self.max is not None else 0.0
-        if self.min is not None:
-            estimate = max(estimate, self.min)
-        if self.max is not None:
-            estimate = min(estimate, self.max)
-        return estimate
-
-    def summary(self) -> Dict[str, Any]:
-        """``{"count", "mean", "p50", "p95", "p99", "p999"}`` for display."""
-        result: Dict[str, Any] = {"count": self.count, "mean": self.mean}
-        for label, q in SUMMARY_QUANTILES:
-            result[label] = self.quantile(q) if self.count else 0.0
-        return result
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form used in snapshots.
-
-        Bucket keys are stringified indices so the dict survives JSON
-        round-trips unchanged.
-        """
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "zero_count": self.zero_count,
-            "buckets": {
-                str(index): self.buckets[index]
-                for index in sorted(self.buckets)
-            },
-        }
-
-    def merge_dict(self, data: Dict[str, Any]) -> None:
-        """Fold a snapshot dict of another quantile histogram in.
-
-        Integer bucket counts add, so merging N worker snapshots in
-        any order yields bit-identical buckets (and therefore
-        identical quantile estimates) to one unsharded stream.
-        Tolerates sparse dicts the same way :class:`Histogram` does.
-        """
-        self.count += data.get("count", 0)
-        self.total += data.get("total", 0.0)
-        for key, better in (("min", min), ("max", max)):
-            other = data.get(key)
-            if other is None:
-                continue
-            mine = getattr(self, key)
-            setattr(self, key, other if mine is None else better(mine, other))
-        self.zero_count += data.get("zero_count", 0)
-        for raw_index, bucket_count in (data.get("buckets") or {}).items():
-            index = int(raw_index)
-            self.buckets[index] = self.buckets.get(index, 0) + bucket_count
-
-    def __repr__(self) -> str:
-        return (
-            f"QuantileHistogram(count={self.count}, "
-            f"buckets={len(self.buckets)})"
-        )
-
-
 class MetricsRegistry:
     """Named counters, gauges, and histograms for one process/phase.
 
@@ -292,7 +139,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._quantile_histograms: Dict[str, QuantileHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name`` (created on first use)."""
@@ -315,13 +161,6 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram()
         return instrument
 
-    def quantile_histogram(self, name: str) -> QuantileHistogram:
-        """The quantile histogram under ``name`` (created on first use)."""
-        instrument = self._quantile_histograms.get(name)
-        if instrument is None:
-            instrument = self._quantile_histograms[name] = QuantileHistogram()
-        return instrument
-
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict copy of every instrument — picklable and JSON-able.
 
@@ -329,20 +168,13 @@ class MetricsRegistry:
 
             {"counters":   {name: value},
              "gauges":     {name: value},
-             "histograms": {name: {"count", "total", "min", "max"}},
-             "quantile_histograms":
-                 {name: {"count", "total", "min", "max",
-                         "zero_count", "buckets"}}}
+             "histograms": {name: {"count", "total", "min", "max"}}}
         """
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.to_dict() for n, h in sorted(self._histograms.items())
-            },
-            "quantile_histograms": {
-                n: h.to_dict()
-                for n, h in sorted(self._quantile_histograms.items())
             },
         }
 
@@ -359,8 +191,6 @@ class MetricsRegistry:
             self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
             self.histogram(name).merge_dict(data)
-        for name, data in snapshot.get("quantile_histograms", {}).items():
-            self.quantile_histogram(name).merge_dict(data)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (via its snapshot)."""
@@ -371,14 +201,12 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self._quantile_histograms.clear()
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, "
-            f"histograms={len(self._histograms)}, "
-            f"quantile_histograms={len(self._quantile_histograms)})"
+            f"histograms={len(self._histograms)})"
         )
 
 

@@ -268,42 +268,6 @@ class Tracer:
             self.records.append(record)
         return record
 
-    def record_span(
-        self,
-        name: str,
-        wall_seconds: float,
-        cpu_seconds: float = 0.0,
-        attrs: Optional[Dict[str, Any]] = None,
-        trace_id: Optional[str] = None,
-        span_id: Optional[str] = None,
-        parent_span_id: Optional[str] = None,
-        start: Optional[float] = None,
-    ) -> SpanRecord:
-        """Record an already-measured span with explicit identity.
-
-        The synthesis hook for phases that cannot be a ``with`` block
-        because they cross threads — an interval stamped on one thread
-        and closed on another is recorded here from its own stamps.
-        ``span_id`` defaults to a fresh id; ``start`` defaults to
-        ``wall_seconds`` ago.
-        """
-        now = time.perf_counter() - self._epoch
-        return self._record(
-            SpanRecord(
-                name=name,
-                path=name,
-                depth=0,
-                start=now - wall_seconds if start is None else start,
-                wall_seconds=wall_seconds,
-                cpu_seconds=cpu_seconds,
-                attrs=dict(attrs or {}),
-                index=0,
-                trace_id=trace_id,
-                span_id=span_id if span_id is not None else new_id(),
-                parent_span_id=parent_span_id,
-            )
-        )
-
     def adopt(self, records: Iterable[Dict[str, Any]]) -> int:
         """Fold another process's span records into this tracer.
 
@@ -323,14 +287,6 @@ class Tracer:
         """A consistent copy of the completed records (lock-guarded)."""
         with self._lock:
             return list(self.records)
-
-    def records_for_trace(self, trace_id: str) -> List[SpanRecord]:
-        """Completed records belonging to ``trace_id``, in index order."""
-        return [
-            record
-            for record in self.snapshot_records()
-            if record.trace_id == trace_id
-        ]
 
     def phase_timings(self) -> Dict[str, Dict[str, float]]:
         """Aggregate completed spans by name.

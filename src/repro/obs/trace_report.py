@@ -11,8 +11,6 @@ single-tracer flame uses, so numbers line up with
 :meth:`repro.obs.spans.Tracer.flame` output. All input is the JSONL
 trace format written by :meth:`~repro.obs.spans.Tracer.write_jsonl`
 and schema-checked by :mod:`repro.obs.validate`.
-:func:`build_span_tree` assembles records into a causal tree by their
-span ids instead of by path.
 
 Usage::
 
@@ -152,44 +150,6 @@ def flame(aggregate: Dict[str, Dict[str, float]], width: int = 40) -> str:
             f"{entry['wall_seconds']:8.3f}s x{entry['count']}"
         )
     return "\n".join(lines)
-
-
-def build_span_tree(
-    records: Iterable[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Assemble span records into a causal forest by span ids.
-
-    Each node is the record plus a ``children`` list; children nest
-    under the record whose ``span_id`` matches their
-    ``parent_span_id``. A record whose parent is absent from the
-    input (or ``None``) becomes a root — worker spans stay visible
-    even when their submitting span has not landed yet. Siblings and
-    roots are ordered by ``(start, index)``. ``start`` offsets are
-    process-relative, so ordering is only meaningful within one
-    process; causality comes from the ids.
-    """
-    nodes: Dict[str, Dict[str, Any]] = {}
-    ordered: List[Dict[str, Any]] = []
-    for record in records:
-        node = dict(record)
-        node["children"] = []
-        ordered.append(node)
-        span_id = node.get("span_id")
-        if span_id is not None:
-            nodes[span_id] = node
-    roots: List[Dict[str, Any]] = []
-    for node in ordered:
-        parent = nodes.get(node.get("parent_span_id"))
-        if parent is None or parent is node:
-            roots.append(node)
-        else:
-            parent["children"].append(node)
-    def sort_key(node: Dict[str, Any]):
-        return (node.get("start", 0.0), node.get("index", 0))
-    for node in ordered:
-        node["children"].sort(key=sort_key)
-    roots.sort(key=sort_key)
-    return roots
 
 
 def build_report(

@@ -1,12 +1,10 @@
-"""Schema validation for manifests, JSONL traces, and bench histories.
+"""Schema validation for manifests, JSONL traces, and fsck reports.
 
 Hand-rolled structural checks — no ``jsonschema`` dependency — used by
 tests and by CI's instrumented smoke sweep, which asserts that a real
 run produced schema-valid artifacts before archiving them::
 
     python -m repro.obs.validate out/manifest.json --trace out/trace.jsonl
-    python -m repro.obs.validate --history BENCH_simulator.json
-    python -m repro.obs.validate --report results/trajectory.json
     python -m repro.obs.validate --fsck-report fsck.json
 
 Exit status 0 when everything validates; 1 with one error per line on
@@ -21,7 +19,6 @@ import re
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.bench import BENCH_HISTORY_SCHEMA_VERSION
 from repro.obs.jsonl import read_jsonl
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
 
@@ -189,170 +186,11 @@ def validate_trace_file(path) -> List[str]:
     return errors
 
 
-#: Required benchmark-history entry keys and their accepted types.
-_HISTORY_ENTRY_FIELDS = {
-    "created_unix": (int, float),
-    "git_sha": (str, type(None)),
-    "config_hash": (str,),
-    "config": (dict,),
-    "environment": (dict,),
-    "results": (dict,),
-    "probe_counts": (dict,),
-    "summary": (dict,),
-}
-
-#: Required timing-stats keys inside each result's ``timing`` block.
-_TIMING_FIELDS = {
-    "samples": (list,),
-    "repeats": (int,),
-    "warmup": (int,),
-    "median_seconds": (int, float),
-    "mad_seconds": (int, float),
-    "ci_low_seconds": (int, float),
-    "ci_high_seconds": (int, float),
-}
-
-
-def validate_history(data: Dict[str, Any]) -> List[str]:
-    """Structural errors in a benchmark-history dict (empty = valid).
-
-    Checks the trajectory envelope (``schema_version``, ``benchmark``,
-    ``entries``), then every entry's identity keys and each result's
-    ``timing`` statistics block — the fields
-    :mod:`repro.obs.compare` dereferences unconditionally.
-    """
-    if not isinstance(data, dict):
-        return ["history: not a JSON object"]
-    errors = []
-    if not isinstance(data.get("schema_version"), int):
-        errors.append("history: missing or non-integer 'schema_version'")
-    errors.extend(
-        _check_version(data, BENCH_HISTORY_SCHEMA_VERSION, "history")
-    )
-    if not isinstance(data.get("benchmark"), str):
-        errors.append("history: missing or non-string 'benchmark'")
-    entries = data.get("entries")
-    if not isinstance(entries, list):
-        errors.append("history: missing or non-list 'entries'")
-        return errors
-    for index, entry in enumerate(entries):
-        where = f"history entry[{index}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        errors.extend(_check_fields(entry, _HISTORY_ENTRY_FIELDS, where))
-        results = entry.get("results")
-        if not isinstance(results, dict):
-            continue
-        for name, result in results.items():
-            if not isinstance(result, dict):
-                errors.append(f"{where}.results[{name!r}]: not an object")
-                continue
-            timing = result.get("timing")
-            if timing is None:
-                continue  # legacy-migrated entries may lack stats
-            if not isinstance(timing, dict):
-                errors.append(
-                    f"{where}.results[{name!r}].timing: not an object"
-                )
-                continue
-            errors.extend(
-                _check_fields(
-                    timing,
-                    _TIMING_FIELDS,
-                    f"{where}.results[{name!r}].timing",
-                )
-            )
-    return errors
-
-
-def validate_history_file(path) -> List[str]:
-    """Structural errors in a benchmark-history JSON file."""
-    return _validate_json_file(path, validate_history)
-
-
-#: Highest trajectory-report (``trajectory.json``) schema version this
-#: validator understands. Mirrors
-#: ``repro.report.trajectory.REPORT_SCHEMA_VERSION`` — duplicated, not
-#: imported, because :mod:`repro.obs` must not depend on the rest of
-#: the package; a cross-check test keeps them in lockstep.
-SUPPORTED_REPORT_SCHEMA_VERSION = 1
-
-#: Required trajectory-report keys and their accepted types.
-_REPORT_FIELDS = {
-    "schema_version": (int,),
-    "kind": (str,),
-    "benchmark": (str, type(None)),
-    "history_schema_version": (int,),
-    "entry_count": (int,),
-    "entries": (list,),
-    "series": (list,),
-    "verdict": (dict, type(None)),
-}
-
-#: Required per-point keys inside a trajectory series.
-_SERIES_POINT_FIELDS = {
-    "index": (int,),
-    "git_sha": (str, type(None)),
-    "config_hash": (str, type(None)),
-    "median_seconds": (int, float, type(None)),
-    "requests_per_second": (int, float, type(None)),
-}
-
-
-def validate_report(data: Dict[str, Any]) -> List[str]:
-    """Structural errors in a trajectory-report dict (empty = valid)."""
-    if not isinstance(data, dict):
-        return ["report: not a JSON object"]
-    errors = _check_fields(data, _REPORT_FIELDS, "report")
-    errors.extend(
-        _check_version(data, SUPPORTED_REPORT_SCHEMA_VERSION, "report")
-    )
-    kind = data.get("kind")
-    if isinstance(kind, str) and kind != "bench-trajectory":
-        errors.append(f"report: kind {kind!r} != 'bench-trajectory'")
-    for block_index, block in enumerate(data.get("series") or []):
-        where = f"report series[{block_index}]"
-        if not isinstance(block, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        if not isinstance(block.get("name"), str):
-            errors.append(f"{where}: missing or non-string 'name'")
-        points = block.get("points")
-        if not isinstance(points, list):
-            errors.append(f"{where}: missing or non-list 'points'")
-            continue
-        for point_index, point in enumerate(points):
-            if not isinstance(point, dict):
-                errors.append(
-                    f"{where}.points[{point_index}]: not a JSON object"
-                )
-                continue
-            errors.extend(
-                _check_fields(
-                    point,
-                    _SERIES_POINT_FIELDS,
-                    f"{where}.points[{point_index}]",
-                )
-            )
-    verdict = data.get("verdict")
-    if isinstance(verdict, dict):
-        for key in ("verdict", "baseline", "candidate", "timing"):
-            if key not in verdict:
-                errors.append(f"report: verdict missing {key!r}")
-    return errors
-
-
-def validate_report_file(path) -> List[str]:
-    """Structural errors in a trajectory-report JSON file."""
-    return _validate_json_file(path, validate_report)
-
-
 #: Highest ``repro-fsck --report`` schema version this validator
 #: understands. Mirrors
-#: ``repro.storage.fsck.FSCK_REPORT_SCHEMA_VERSION`` (same duplication
-#: rationale as the trajectory-report constant above; a cross-check
-#: test keeps them in lockstep).
+#: ``repro.storage.fsck.FSCK_REPORT_SCHEMA_VERSION`` — duplicated, not
+#: imported, because :mod:`repro.obs` must not depend on the rest of
+#: the package; a cross-check test keeps them in lockstep.
 SUPPORTED_FSCK_REPORT_SCHEMA_VERSION = 1
 
 #: Required fsck-report keys and their accepted types.
@@ -444,11 +282,11 @@ def validate_fsck_report_file(path) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: validate manifests / traces / bench histories; 0 iff valid."""
+    """CLI: validate manifests / traces / fsck reports; 0 iff valid."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
         description="Validate run manifests, JSONL traces, and "
-        "benchmark-history files.",
+        "repro-fsck reports.",
     )
     parser.add_argument(
         "manifest", nargs="?", default=None,
@@ -456,14 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--trace", default=None, help="path to a JSONL trace to validate too"
-    )
-    parser.add_argument(
-        "--history", default=None,
-        help="path to a benchmark-history JSON (BENCH_*.json) to validate",
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="path to a trajectory-report JSON (trajectory.json) to validate",
     )
     parser.add_argument(
         "--fsck-report", default=None, dest="fsck_report",
@@ -475,16 +305,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path, validator in (
             (args.manifest, validate_manifest_file),
             (args.trace, validate_trace_file),
-            (args.history, validate_history_file),
-            (args.report, validate_report_file),
             (args.fsck_report, validate_fsck_report_file),
         )
         if path is not None
     ]
     if not checks:
         parser.error(
-            "nothing to validate: give a manifest, --trace, --history, "
-            "--report, or --fsck-report"
+            "nothing to validate: give a manifest, --trace, or "
+            "--fsck-report"
         )
     errors = []
     for path, validator in checks:

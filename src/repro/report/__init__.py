@@ -1,20 +1,14 @@
-"""Declarative reporting: tables, trajectory reports, results summary.
+"""Declarative reporting: tables and the results summary.
 
 ``repro.report`` is the presentation layer of the reproduction. Every
 other subsystem *produces* structured results — table builders, figure
-series, benchmark histories — and this package
-turns them into observable artifacts from one declarative spec:
+series — and this package turns them into observable artifacts from
+one declarative spec:
 
 - :mod:`repro.report.builder` — :class:`TableBuilder`, a
   zero-dependency table renderer with a defaults → preset → runtime
   override config cascade (the kstlib ``TableBuilder`` idiom), emitting
-  ASCII, GitHub markdown, CSV, or HTML from the same column specs,
-  plus :func:`sparkline` for inline ASCII trend lines;
-- :mod:`repro.report.trajectory` — :class:`TrajectoryReport`, the
-  benchmark-trajectory view over a
-  :class:`~repro.obs.bench.BenchHistory`: throughput and latency per
-  commit with bootstrap CI bands and the same regression verdict
-  ``repro-bench-compare`` computes;
+  ASCII or GitHub markdown from the same column specs;
 - :mod:`repro.report.summary` — the one-command
   ``results/results_summary.md`` generator (paper Tables 1–3, figure
   series, provenance stamp);
@@ -28,21 +22,10 @@ module scope, so they are deliberately **not** imported here —
 :mod:`repro.report.builder` without a cycle.
 """
 
-from repro.report.builder import (
-    DEFAULTS,
-    PRESETS,
-    TableBuilder,
-    register_preset,
-    sparkline,
-)
-from repro.report.trajectory import REPORT_SCHEMA_VERSION, TrajectoryReport
+from repro.report.builder import DEFAULTS, PRESETS, TableBuilder
 
 __all__ = [
     "DEFAULTS",
     "PRESETS",
-    "REPORT_SCHEMA_VERSION",
     "TableBuilder",
-    "TrajectoryReport",
-    "register_preset",
-    "sparkline",
 ]

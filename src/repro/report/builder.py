@@ -1,15 +1,14 @@
-"""Declarative table builder with a config cascade, multi-format.
+"""Declarative table builder with a config cascade, two formats.
 
 One :class:`TableBuilder` renders any structured result — sequences,
-mappings, or attribute objects — as ASCII, GitHub markdown, CSV, or
-HTML from a single declarative spec. Configuration cascades through
-three layers, later layers winning key-by-key:
+mappings, or attribute objects — as ASCII or GitHub markdown from a
+single declarative spec. Configuration cascades through three layers,
+later layers winning key-by-key:
 
 1. :data:`DEFAULTS` — the baseline every table shares;
-2. a named **preset** from :data:`PRESETS` (extendable via
-   :func:`register_preset`) — e.g. ``"legacy"`` reproduces the
-   historical ``render_table`` output byte-for-byte, ``"paper"`` is
-   the fixed-decimal layout the paper tables use;
+2. a named **preset** from :data:`PRESETS` — e.g. ``"legacy"``
+   reproduces the historical ``render_table`` output byte-for-byte,
+   ``"paper"`` is the fixed-decimal layout the paper tables use;
 3. **runtime overrides** — constructor and :meth:`TableBuilder.render`
    keyword arguments.
 
@@ -30,14 +29,11 @@ Zero dependencies; pure standard library.
 
 from __future__ import annotations
 
-import csv
-import html
-import io
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 #: Baseline configuration every table inherits (cascade layer 1).
 DEFAULTS: Dict[str, Any] = {
-    # Output format: "ascii" | "github" | "csv" | "html".
+    # Output format: "ascii" | "github".
     "fmt": "ascii",
     # Column separator for the ASCII format.
     "separator": "  ",
@@ -51,7 +47,7 @@ DEFAULTS: Dict[str, Any] = {
     "float_format": ".4g",
 }
 
-#: Named presets (cascade layer 2). Extend via :func:`register_preset`.
+#: Named presets (cascade layer 2).
 PRESETS: Dict[str, Dict[str, Any]] = {
     # Byte-for-byte the historical repro.experiments.report.render_table
     # output: left-justified everything, :.4g floats, two-space gutter.
@@ -72,20 +68,6 @@ _ALIGNERS: Dict[str, Callable[[str, int], str]] = {
 
 #: Markdown alignment markers per column alignment.
 _GITHUB_RULES = {"left": "---", "right": "---:", "center": ":---:"}
-
-
-def register_preset(name: str, spec: Mapping[str, Any]) -> None:
-    """Register (or replace) a named preset in :data:`PRESETS`.
-
-    Unknown option keys are rejected eagerly — a silently ignored
-    preset key is a misconfigured table nobody notices.
-    """
-    unknown = set(spec) - set(DEFAULTS) - {"columns"}
-    if unknown:
-        raise ValueError(
-            f"preset {name!r} has unknown option(s): {sorted(unknown)}"
-        )
-    PRESETS[name] = dict(spec)
 
 
 def _cascade(
@@ -115,7 +97,7 @@ def _cascade(
 
 
 class TableBuilder:
-    """Render structured rows as ASCII/markdown/CSV/HTML from one spec.
+    """Render structured rows as ASCII or markdown from one spec.
 
     Args:
         preset: Name of a :data:`PRESETS` entry to layer over the
@@ -206,7 +188,7 @@ class TableBuilder:
                 (positional cells, table-level formatting) — the
                 legacy ``render_table`` calling convention.
             title: Optional table title (underlined in ASCII, bold in
-                markdown, a ``<caption>`` in HTML, ignored by CSV).
+                markdown).
             **overrides: Per-call option overrides (``fmt=...`` etc.).
         """
         unknown = set(overrides) - set(DEFAULTS)
@@ -232,10 +214,6 @@ class TableBuilder:
             return self._render_ascii(specs, cells, title, config)
         if fmt == "github":
             return self._render_github(specs, cells, title, config)
-        if fmt == "csv":
-            return self._render_csv(specs, cells)
-        if fmt == "html":
-            return self._render_html(specs, cells, title, config)
         raise ValueError(f"unknown table format {fmt!r}")
 
     def _render_ascii(
@@ -305,71 +283,3 @@ class TableBuilder:
         for row in cells:
             lines.append(md_row(row))
         return "\n".join(lines)
-
-    @staticmethod
-    def _render_csv(
-        specs: Sequence[Mapping[str, Any]], cells: List[List[str]]
-    ) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([str(c["header"]) for c in specs])
-        for row in cells:
-            writer.writerow(row)
-        return buffer.getvalue()
-
-    @staticmethod
-    def _render_html(
-        specs: Sequence[Mapping[str, Any]],
-        cells: List[List[str]],
-        title: str,
-        config: Dict[str, Any],
-    ) -> str:
-        def td(tag: str, column: Mapping[str, Any], text: str) -> str:
-            align = column.get("align", config["align"])
-            style = "" if align == "left" else f' style="text-align:{align}"'
-            return f"<{tag}{style}>{html.escape(text)}</{tag}>"
-
-        lines = ['<table class="report-table">']
-        if title:
-            lines.append(f"<caption>{html.escape(title)}</caption>")
-        lines.append("<thead><tr>")
-        for column in specs:
-            lines.append(td("th", column, str(column["header"])))
-        lines.append("</tr></thead>")
-        lines.append("<tbody>")
-        for row in cells:
-            lines.append("<tr>")
-            for column, text in zip(specs, row):
-                lines.append(td("td", column, text))
-            lines.append("</tr>")
-        lines.append("</tbody>")
-        lines.append("</table>")
-        return "\n".join(lines)
-
-
-#: Ten brightness levels, pure ASCII — rendered reports must stay
-#: byte-stable across terminals, so no unicode block elements.
-SPARK_CHARS = " .:-=+*#%@"
-
-
-def sparkline(values: Sequence[Optional[float]], chars: str = SPARK_CHARS) -> str:
-    """One character per value, min-max scaled over ``chars``.
-
-    ``None`` values (missing points) render as a space. A flat series
-    (or a single point) renders at the middle level — honest about
-    "no observable trend". Deterministic: equal inputs, equal bytes.
-    """
-    present = [v for v in values if v is not None]
-    if not present:
-        return " " * len(values)
-    lo, hi = min(present), max(present)
-    out = []
-    for value in values:
-        if value is None:
-            out.append(" ")
-        elif hi == lo:
-            out.append(chars[len(chars) // 2])
-        else:
-            level = int((value - lo) / (hi - lo) * (len(chars) - 1))
-            out.append(chars[level])
-    return "".join(out)

@@ -1,25 +1,19 @@
-"""``repro-report``: regenerate the results summary and trajectory.
+"""``repro-report``: regenerate the results summary.
 
-One command produces the repository's observable reporting artifacts::
+One command produces the repository's reporting artifact::
 
     repro-report                          # results/ at default scale
     repro-report --out-dir results --scale 0.125 --seed 1989
-    repro-report --history BENCH_simulator.json --no-figures
+    repro-report --no-figures             # tables only, much faster
 
-Writes into ``--out-dir``:
+Writes ``results_summary.md`` into ``--out-dir``: paper Tables 1–3 and
+figure-series summaries as github markdown, stamped with provenance
+(``config_hash``, git SHA, environment fingerprint, workload
+scale/seed) — see :mod:`repro.report.summary`.
 
-- ``results_summary.md`` — paper Tables 1–3 and figure-series
-  summaries as github markdown, stamped with provenance
-  (``config_hash``, git SHA, environment fingerprint, workload
-  scale/seed) — see :mod:`repro.report.summary`;
-- ``trajectory.json`` — the machine-readable bench-trajectory report
-  (schema-checked by ``repro-obs-validate --report``);
-- ``trajectory.html`` — the static trajectory page.
-
-Determinism contract: no artifact contains a timestamp, the workload
-is seeded, and all floats use fixed formats — two consecutive runs at
-the same commit are byte-identical (CI diffs them in the
-``report-smoke`` job).
+Determinism contract: the file contains no timestamp, the workload is
+seeded, and all floats use fixed formats — two consecutive runs at the
+same commit are byte-identical (a tier-1 test diffs them).
 
 Exit codes: 0 — success; 2 — bad usage or unreadable inputs.
 """
@@ -32,29 +26,20 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.obs.compare import DEFAULT_THRESHOLD
 from repro.obs.log import log
-from repro.report.trajectory import TrajectoryReport
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the exit status."""
     parser = argparse.ArgumentParser(
         prog="repro-report",
-        description="Regenerate the results summary and the benchmark "
-        "trajectory report (deterministic, provenance-stamped).",
+        description="Regenerate the results summary (deterministic, "
+        "provenance-stamped).",
     )
     parser.add_argument(
         "--out-dir",
         default="results",
-        help="directory receiving the generated artifacts",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="FILE",
-        default="BENCH_simulator.json",
-        help="benchmark trajectory history (missing file -> empty "
-        "trajectory)",
+        help="directory receiving results_summary.md",
     )
     parser.add_argument(
         "--scale", type=float, default=None,
@@ -62,64 +47,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1989)
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="median-slowdown threshold for the trajectory verdict",
-    )
-    parser.add_argument(
         "--no-figures",
         action="store_true",
         help="skip the figure-series sections (much faster)",
     )
-    parser.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="skip the trajectory section and artifacts",
-    )
-    parser.add_argument(
-        "--no-summary",
-        action="store_true",
-        help="skip results_summary.md (trajectory artifacts only)",
-    )
     args = parser.parse_args(argv)
 
+    # Imported here, not at module scope: the summary pulls in the whole
+    # experiments stack, which --help never needs.
+    from repro.report.summary import build_summary
+
+    text = build_summary(
+        scale=args.scale,
+        seed=args.seed,
+        include_figures=not args.no_figures,
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    if not args.no_trajectory:
-        trajectory = TrajectoryReport.from_file(
-            args.history, threshold=args.threshold
-        )
-        path = out_dir / "trajectory.json"
-        path.write_text(trajectory.to_json() + "\n", encoding="utf-8")
-        written.append(path)
-        path = out_dir / "trajectory.html"
-        path.write_text(trajectory.render_html(), encoding="utf-8")
-        written.append(path)
-        verdict = trajectory.verdict
-        if verdict is not None:
-            log.info(f"trajectory verdict: {verdict}")
-
-    if not args.no_summary:
-        # Imported here, not at module scope: the summary pulls in the
-        # whole experiments stack, which --no-summary runs never need.
-        from repro.report.summary import build_summary
-
-        text = build_summary(
-            scale=args.scale,
-            seed=args.seed,
-            history_path=None if args.no_trajectory else args.history,
-            threshold=args.threshold,
-            include_figures=not args.no_figures,
-        )
-        path = out_dir / "results_summary.md"
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    for path in written:
-        log.info(f"wrote {path}")
+    path = out_dir / "results_summary.md"
+    path.write_text(text, encoding="utf-8")
+    log.info(f"wrote {path}")
     return 0
 
 

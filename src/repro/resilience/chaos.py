@@ -25,10 +25,10 @@ the resilience layer makes about it:
   each crash ``repro-fsck --repair`` heals the torn tail and a resumed
   sweep completes bit-identically — zero silent data loss at any
   crash point;
-- ``bitrot``  — a flipped byte in a checkpoint, a stream artifact,
-  and a benchmark history is *detected* by every reader as a typed
+- ``bitrot``  — a flipped byte in a checkpoint and in a stream
+  artifact is *detected* by every reader as a typed
   :class:`~repro.errors.IntegrityError` (never returned as data),
-  ``repro-fsck`` quarantines all three with an honest unrepairable
+  ``repro-fsck`` quarantines both with an honest unrepairable
   verdict, and a recomputation from the quarantined state is
   bit-identical to the baseline — detection, never wrong answers.
 
@@ -314,15 +314,14 @@ def scenario_torn_disk(harness: ChaosHarness) -> bool:
 def scenario_bitrot(harness: ChaosHarness) -> bool:
     """Flipped bytes are detected and quarantined, never believed.
 
-    Persists the three durable formats — a framed sweep checkpoint, a
-    CRC32-footed RPM2 stream artifact, and a checksummed benchmark
-    history — then rots one byte (or digit) in each and asserts the
-    end-to-end guarantee:
+    Persists the two durable formats — a framed sweep checkpoint and a
+    CRC32-footed RPM2 stream artifact — then rots one byte in each and
+    asserts the end-to-end guarantee:
 
     - every reader raises a *typed*
       :class:`~repro.errors.IntegrityError` (the artifact store treats
       the rot as a cache miss) — corrupt data is never returned;
-    - ``repro-fsck`` detects all three, and ``--repair`` quarantines
+    - ``repro-fsck`` detects both, and ``--repair`` quarantines
       them with an honest ``ok: false`` verdict (bitrot away from a
       tail is never "repaired" by guessing); a rescan is clean;
     - with the rotten checkpoint quarantined, the sweep recomputes
@@ -335,7 +334,6 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
     )
     from repro.cache.stream import PackedMissStream
     from repro.errors import IntegrityError
-    from repro.obs.bench import BenchHistory
     from repro.resilience.checkpoint import SweepCheckpoint
     from repro.storage.fsck import scan_directory
 
@@ -360,22 +358,8 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
         if not artifact.exists():
             return False
 
-        history_path = root / "BENCH_chaos.json"
-        history = BenchHistory()
-        history.append(
-            {
-                "config_hash": "cafe",
-                "git_sha": None,
-                "median_seconds": 123456.789,
-            },
-            dedupe=False,
-        )
-        history.save(history_path)
-
         # Rot each format: a flipped bit mid-checkpoint (a middle
-        # record, not the tail), a flipped bit mid-artifact, and a
-        # silently changed digit inside the history entries (the JSON
-        # stays well-formed — only the checksum can tell).
+        # record, not the tail) and a flipped bit mid-artifact.
         raw = bytearray(checkpoint.read_bytes())
         lines = bytes(raw).split(b"\n")
         offset = len(lines[0]) + 1 + len(lines[1]) // 2
@@ -385,10 +369,6 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
         raw = bytearray(artifact.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         artifact.write_bytes(bytes(raw))
-
-        history_path.write_bytes(
-            history_path.read_bytes().replace(b"123456.789", b"123456.788")
-        )
 
         # Every reader reports a typed integrity failure; none returns
         # the rotten bytes as data.
@@ -402,21 +382,16 @@ def scenario_bitrot(harness: ChaosHarness) -> bool:
             return False
         except IntegrityError:
             pass
-        try:
-            BenchHistory.load(history_path)
-            return False
-        except IntegrityError:
-            pass
         if store.load(harness.workload, 4096, 16) is not None:
             return False
 
-        # fsck sees all three; --repair quarantines them and says so.
+        # fsck sees both; --repair quarantines them and says so.
         report = scan_directory(root, repair=False)
         problems = {f["problem"] for f in report["findings"]}
         if report["ok"] or not {"frame-corrupt", "checksum-mismatch"} <= problems:
             return False
         repaired = scan_directory(root, repair=True)
-        if repaired["ok"] or repaired["counts"]["quarantined"] < 3:
+        if repaired["ok"] or repaired["counts"]["quarantined"] < 2:
             return False
         if scan_directory(root, repair=False)["counts"]["findings"]:
             return False

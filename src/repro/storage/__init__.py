@@ -1,9 +1,9 @@
 """Storage integrity layer: durable I/O, record framing, fault injection.
 
 Every recovery path in the resilience stack ultimately trusts the
-disk: sweep checkpoints, ``RPM2`` stream artifacts, obs spools, and
-bench histories are read back and folded into results. This package
-makes that trust earned instead of assumed:
+disk: sweep checkpoints, ``RPM2`` stream artifacts, and obs traces
+are read back and folded into results. This package makes that trust
+earned instead of assumed:
 
 - :mod:`repro.storage.io` — the durable-write primitives
   (write/fsync/atomic-replace/directory-fsync) every storage writer in
@@ -14,18 +14,16 @@ makes that trust earned instead of assumed:
   point, ``ENOSPC``, ``EIO``), driven by the ``REPRO_IO_FAULTS``
   mini-language in the style of :mod:`repro.resilience.faults`;
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
-  envelopes for JSONL stores and checksum envelopes for JSON
-  documents, with transparent reads of legacy unframed files;
+  envelopes for JSONL stores and CRC32 footers for binary artifacts,
+  with transparent reads of legacy unframed files;
 - :mod:`repro.storage.fsck` — the ``repro-fsck`` scanner/repairer for
-  checkpoint, obs and artifact directories;
-- :mod:`repro.storage.scrub` — a background thread that runs fsck's
-  scan-only pass periodically, surfacing ``storage.scrub.*`` metrics.
+  checkpoint, obs and artifact directories.
 
 Layering: :mod:`~repro.storage.io`, :mod:`~repro.storage.faultio`,
 and :mod:`~repro.storage.framing` depend only on the standard library
 and :mod:`repro.errors`, so :mod:`repro.obs` (which must not depend
 on the rest of the package) may import them. :mod:`~repro.storage.fsck`
-and :mod:`~repro.storage.scrub` are leaves and import freely.
+is a leaf and imports freely.
 """
 
 from repro.storage.faultio import (

@@ -1,8 +1,8 @@
 """CRC32-framed, length-prefixed record envelopes.
 
-Three flavors, one per on-disk shape in this repository:
+Two flavors, one per on-disk shape in this repository:
 
-**JSONL record frames** (checkpoints, spool traces). A framed line is::
+**JSONL record frames** (sweep checkpoints). A framed line is::
 
     F1 <crc32-hex-8> <payload-length-bytes> <payload>
 
@@ -13,11 +13,6 @@ a missing terminator, a short payload, or a checksum mismatch.
 :func:`parse_framed_line` passes lines *without* the ``F1 `` prefix
 through unchanged, which is how every reader stays compatible with
 legacy unframed files.
-
-**JSON document checksums** (bench history, manifests). The document
-carries an ``integrity`` field holding the CRC32 (as 8 hex chars) of
-the canonical serialization of the protected content —
-:func:`document_checksum` computes it, the loader verifies it.
 
 **Binary footers** (RPM2 stream artifacts). :func:`crc32_footer`
 builds an 8-byte trailer — magic ``C32\\0`` plus the little-endian
@@ -32,11 +27,10 @@ wrong*. Depends only on the standard library and :mod:`repro.errors`.
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Union
+from typing import Union
 
 from repro.errors import IntegrityError
 
@@ -114,33 +108,6 @@ def parse_framed_line(line: str, context: str = "record") -> str:
             f"(header {expected_crc:08x}, payload {actual_crc:08x})"
         )
     return payload
-
-
-# -- JSON document checksums ---------------------------------------------
-
-
-def document_checksum(content: Any) -> str:
-    """CRC32 (8 hex chars) of the canonical serialization of ``content``.
-
-    Canonical means sorted keys and minimal separators, so the
-    checksum is stable across dict orderings and pretty-printing.
-    """
-    canonical = json.dumps(
-        content, sort_keys=True, separators=(",", ":"), default=repr
-    )
-    return crc32_hex(canonical.encode("utf-8"))
-
-
-def verify_document_checksum(
-    content: Any, expected: str, context: str = "document"
-) -> None:
-    """Raise :class:`~repro.errors.IntegrityError` unless checksums match."""
-    actual = document_checksum(content)
-    if actual != expected:
-        raise IntegrityError(
-            f"{context}: integrity checksum mismatch "
-            f"(recorded {expected}, content hashes to {actual})"
-        )
 
 
 # -- Binary footers ------------------------------------------------------

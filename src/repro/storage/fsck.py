@@ -23,9 +23,6 @@ recognizes and checks each one end to end:
   ``config`` — the manifest ↔ checkpoint cross-reference.
 - **Traces** (``*.jsonl``): every line parses; a torn tail is
   repairable (dropped), interior corruption quarantines.
-- **Bench histories** (``BENCH_*.json``): the ``integrity`` checksum
-  verifies; a torn tail is repairable via
-  :class:`~repro.obs.bench.BenchHistory`'s entry-by-entry recovery.
 - **Leftovers**: orphaned ``*.tmp`` files from interrupted atomic
   writes are removed; ``*.ckpt.lock`` files whose recorded holder is
   verifiably dead are removed (live locks are left alone).
@@ -39,9 +36,6 @@ post-mortems). The report is machine-readable
 --fsck-report`` checks it) and the exit code is the contract: 0 when
 the directory is clean or fully repaired, 1 when unrepairable
 corruption was found.
-
-The scan-only core (:func:`scan_directory`) is shared with the
-background scrubber (:mod:`repro.storage.scrub`).
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ class Finding:
     """One problem found (and possibly acted on) during a scan."""
 
     path: str
-    kind: str  # checkpoint | artifact | manifest | trace | bench-history | temp | lock
+    kind: str  # checkpoint | artifact | manifest | trace | temp | lock
     problem: str  # torn-tail | frame-corrupt | checksum-mismatch | ...
     action: str  # repaired | quarantined | removed | detected
     repairable: bool
@@ -90,7 +84,6 @@ class _Scan:
             "artifacts": 0,
             "manifests": 0,
             "traces": 0,
-            "histories": 0,
             "temps": 0,
             "locks": 0,
         }
@@ -333,31 +326,6 @@ def _check_trace(scan: _Scan, path: Path) -> None:
     scan.verified += 1
 
 
-def _check_history(scan: _Scan, path: Path) -> None:
-    from repro.obs.bench import BenchHistory
-
-    scan.scanned["histories"] += 1
-    try:
-        history = BenchHistory.load(path)
-    except IntegrityError as exc:
-        scan.note(path, "bench-history", "checksum-mismatch", detail=str(exc))
-        return
-    except (OSError, ValueError) as exc:
-        scan.note(path, "bench-history", "unparseable", detail=str(exc))
-        return
-    if history.torn_tail_dropped:
-        finding = scan.note(
-            path,
-            "bench-history",
-            "torn-tail",
-            detail=f"{len(history.entries)} intact entries recovered",
-        )
-        if finding.action == "repaired":
-            history.save(path)
-        return
-    scan.verified += 1
-
-
 def _check_lock(scan: _Scan, path: Path) -> None:
     from repro.resilience.checkpoint import process_exists, process_start_ticks
 
@@ -394,8 +362,7 @@ def _check_lock(scan: _Scan, path: Path) -> None:
 def scan_directory(root, repair: bool = False) -> Dict[str, Any]:
     """Scan ``root`` recursively; returns the fsck report dict.
 
-    With ``repair=False`` (the scrubber's mode) nothing on disk is
-    modified. With ``repair=True``, torn tails are rewritten, orphaned
+    With ``repair=False`` nothing on disk is modified. With ``repair=True``, torn tails are rewritten, orphaned
     temps and dead locks removed, and unrepairable files moved to
     ``<root>/quarantine/``.
     """
@@ -434,8 +401,6 @@ def scan_directory(root, repair: bool = False) -> Dict[str, Any]:
             _check_manifest(scan, path)
         elif name.endswith(".jsonl"):
             _check_trace(scan, path)
-        elif name.startswith("BENCH_") and name.endswith(".json"):
-            _check_history(scan, path)
     unrepairable = [f for f in scan.findings if not f.repairable]
     repaired = [
         f for f in scan.findings if f.action in ("repaired", "removed")
@@ -468,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fsck",
         description=(
-            "Verify every checkpoint, stream artifact, manifest, trace, "
-            "and bench history under a directory; optionally repair torn "
-            "tails and quarantine unrepairable corruption."
+            "Verify every checkpoint, stream artifact, manifest, and trace "
+            "under a directory; optionally repair torn tails and "
+            "quarantine unrepairable corruption."
         ),
     )
     parser.add_argument(

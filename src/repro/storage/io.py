@@ -1,8 +1,7 @@
 """Durable-write primitives with a process-wide injection point.
 
 Every storage writer in the repository — sweep checkpoints, the
-stream-artifact store, the obs spool writers, the bench history —
-performs its opens, writes, fsyncs, and atomic replaces through the
+stream-artifact store, the obs trace and manifest writers — performs its opens, writes, fsyncs, and atomic replaces through the
 :class:`StorageIO` instance returned by :func:`get_io`. In normal
 operation that instance is a zero-overhead passthrough to the
 operating system; under test or chaos it is a

@@ -101,6 +101,31 @@ class TestUsageErrors:
             main(base_args(tmp_path, "--checkpoint", checkpoint))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--assoc", "2,x"], "2,x"),
+            (["--l1", "bogus"], "bogus"),
+            (["--l1", "3K-16"], "--l1 3K-16"),
+            (["--assoc", "3"], "--assoc 3"),
+            (["--transforms", "bogus"], "bogus"),
+            (["--tag-bits", "0"], "--tag-bits 0"),
+            (["--assoc", "4096"], "--assoc 4096"),
+        ],
+        ids=["assoc-not-int", "l1-label", "l1-sets", "assoc-not-pow2",
+             "transform", "tag-bits", "assoc-too-wide"],
+    )
+    def test_bad_axis_rejected_before_the_pool(
+        self, tmp_path, capsys, extra, named
+    ):
+        # Each of these used to fail inside every worker, retried with
+        # backoff, and exit 3 ("partial, rerun with --resume").
+        with pytest.raises(SystemExit) as excinfo:
+            main(base_args(tmp_path, *extra))
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
 
 class TestFailurePaths:
     def test_injected_failure_yields_partial_exit(

@@ -10,11 +10,13 @@ import pytest
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import (
     TwoLevelHierarchy,
+    cached_miss_stream,
     capture_miss_stream,
     replay_miss_stream,
 )
 from repro.cache.observers import ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
+from repro.core.engine import FusedProbeEngine
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
@@ -145,3 +147,56 @@ class TestHierarchyInvariants:
             replay_miss_stream(stream, l2)
             misses.append(l2.stats.readin_misses)
         assert misses[0] >= misses[1] >= misses[2]
+
+
+class TestProbeCountPin:
+    """Exact per-scheme L2 probe totals of one fixed simulated trace.
+
+    The differential tests compare the fused engine with the observers,
+    so a change to a scheme model moves both sides together; these
+    integers move with it and fail. The trace is one 4,000-reference
+    segment (seed 21) through a 4K-16 L1 into a 64K-32 4-way L2.
+    """
+
+    EXPECTED = {
+        "naive": {
+            "hit_accesses": 182, "hit_probes": 452,
+            "miss_accesses": 233, "miss_probes": 932,
+            "writeback_accesses": 57, "writeback_probes": 0,
+        },
+        "mru": {
+            "hit_accesses": 182, "hit_probes": 400,
+            "miss_accesses": 233, "miss_probes": 1165,
+            "writeback_accesses": 57, "writeback_probes": 0,
+        },
+        "partial": {
+            "hit_accesses": 182, "hit_probes": 377,
+            "miss_accesses": 233, "miss_probes": 248,
+            "writeback_accesses": 57, "writeback_probes": 0,
+        },
+    }
+
+    def test_fused_engine_probe_totals(self):
+        workload = AtumWorkload(
+            segments=1, references_per_segment=4000, seed=21
+        )
+        stream, _ = cached_miss_stream(workload, 4096, 16)
+        cache = SetAssociativeCache(65536, 32, 4)
+        engine = FusedProbeEngine(4)
+        engine.add_scheme(NaiveLookup(4), label="naive")
+        engine.add_scheme(MRULookup(4), label="mru")
+        engine.add_scheme(
+            PartialCompareLookup(4, tag_bits=16), label="partial"
+        )
+        cache.attach_engine(engine)
+        replay_miss_stream(stream, cache)
+        engine.finalize()
+        assert len(stream) == 472
+        totals = {
+            label: {
+                key: getattr(channel.accumulator, key)
+                for key in self.EXPECTED[label]
+            }
+            for label, channel in engine.channels.items()
+        }
+        assert totals == self.EXPECTED

@@ -1,20 +1,15 @@
-"""Statistical timing harness and the benchmark-trajectory store."""
+"""Statistical timing harness: measure, bootstrap CIs, fingerprint."""
 
 import json
 
 import pytest
 
 from repro.obs.bench import (
-    BENCH_HISTORY_SCHEMA_VERSION,
-    BenchHistory,
-    TimingResult,
     bootstrap_ci,
-    build_entry,
     environment_fingerprint,
     measure,
     median_abs_deviation,
 )
-from repro.obs.validate import validate_history
 
 
 class TestMeasure:
@@ -85,166 +80,3 @@ class TestEnvironmentFingerprint:
         assert fingerprint["machine"] is not None
         assert fingerprint["cpu_count"] >= 1
         json.dumps(fingerprint)
-
-
-def make_entry(config_hash="cafe0123", sha="a" * 40, median=1.0, probes=100):
-    """A minimal, schema-valid history entry for store tests."""
-    timing = TimingResult(
-        [median * 0.98, median, median * 1.02], warmup=1
-    ).to_dict()
-    return build_entry(
-        config={"references": 4000},
-        config_hash=config_hash,
-        results={"l2_replay": {"timing": timing, "requests": 4000}},
-        probe_counts={"naive": {"hit_probes": probes}},
-        sha=sha,
-    )
-
-
-class TestBenchHistory:
-    def test_append_and_save_round_trip(self, tmp_path):
-        history = BenchHistory()
-        history.append(make_entry())
-        path = history.save(tmp_path / "BENCH.json")
-        loaded = BenchHistory.load(path)
-        assert len(loaded) == 1
-        assert loaded.schema_version == BENCH_HISTORY_SCHEMA_VERSION
-        assert validate_history(loaded.data) == []
-
-    def test_dedupe_replaces_same_config_and_sha(self):
-        history = BenchHistory()
-        assert history.append(make_entry(median=1.0)) is False
-        assert history.append(make_entry(median=2.0)) is True
-        assert len(history) == 1
-        timing = history.latest()["results"]["l2_replay"]["timing"]
-        assert timing["median_seconds"] == pytest.approx(2.0)
-
-    def test_different_sha_appends(self):
-        history = BenchHistory()
-        history.append(make_entry(sha="a" * 40))
-        history.append(make_entry(sha="b" * 40))
-        assert len(history) == 2
-
-    def test_unknown_sha_never_dedupes(self):
-        history = BenchHistory()
-        for _ in range(2):
-            entry = make_entry()
-            entry["git_sha"] = None  # e.g. measured outside a checkout
-            history.append(entry)
-        assert len(history) == 2
-
-    def test_baseline_for_skips_other_configs(self):
-        history = BenchHistory()
-        history.append(make_entry(config_hash="aaaa", sha="1" * 40))
-        history.append(make_entry(config_hash="bbbb", sha="2" * 40))
-        history.append(make_entry(config_hash="aaaa", sha="3" * 40))
-        located = history.baseline_for()
-        assert located is not None
-        index, entry = located
-        assert index == 0
-        assert entry["git_sha"] == "1" * 40
-
-    def test_baseline_for_first_of_config_is_none(self):
-        history = BenchHistory()
-        history.append(make_entry(config_hash="aaaa"))
-        assert history.baseline_for() is None
-
-    def test_find_by_index_sha_and_config_prefix(self):
-        history = BenchHistory()
-        history.append(make_entry(config_hash="feed", sha="abc" + "0" * 37))
-        history.append(make_entry(config_hash="f00d", sha="def" + "0" * 37))
-        assert history.find("0")[0] == 0
-        assert history.find("-1")[0] == 1
-        assert history.find("abc")[0] == 0
-        assert history.find("f00d")[0] == 1
-        assert history.find("nope") is None
-
-    def test_legacy_single_run_payload_migrates(self, tmp_path):
-        legacy = {
-            "workload": {"seed": 21},
-            "config_hash": "0123456789abcdef",
-            "phases": {},
-            "results": {
-                "l2_replay_bare": {
-                    "best_seconds": 0.002,
-                    "requests": 100,
-                    "requests_per_second": 50_000.0,
-                }
-            },
-            "summary": {"fused_speedup_over_legacy": 6.0},
-        }
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(legacy))
-        history = BenchHistory.load(path)
-        assert len(history) == 1
-        entry = history.latest()
-        assert entry["migrated_from"] == "legacy-single-run"
-        assert entry["config_hash"] == "0123456789abcdef"
-        timing = entry["results"]["l2_replay_bare"]["timing"]
-        assert timing["median_seconds"] == pytest.approx(0.002)
-        assert validate_history(history.data) == []
-        # Appending after migration preserves the legacy data point.
-        history.append(make_entry())
-        assert len(history) == 2
-
-    def test_load_or_create_missing_file(self, tmp_path):
-        history = BenchHistory.load_or_create(tmp_path / "missing.json")
-        assert len(history) == 0
-        assert history.latest() is None
-
-    def test_non_object_payload_rejected(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError):
-            BenchHistory.load(path)
-
-
-class TestBenchHistoryIntegrity:
-    """Crash-safe saves: CRC32 stamping, bitrot, and torn tails."""
-
-    def save_two_entries(self, tmp_path):
-        history = BenchHistory()
-        history.append(make_entry(sha="a" * 40, median=1.0))
-        history.append(make_entry(sha="b" * 40, median=2.0))
-        return history.save(tmp_path / "BENCH.json")
-
-    def test_save_stamps_integrity_checksum(self, tmp_path):
-        path = self.save_two_entries(tmp_path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert "integrity" in payload
-        assert len(payload["integrity"]) == 8
-
-    def test_bitrot_detected(self, tmp_path):
-        from repro.errors import IntegrityError
-
-        path = self.save_two_entries(tmp_path)
-        text = path.read_text(encoding="utf-8")
-        # A one-character value change keeps the JSON valid; only the
-        # checksum can tell the file has drifted.
-        path.write_text(text.replace("1.02", "1.03"), encoding="utf-8")
-        with pytest.raises(IntegrityError, match="history"):
-            BenchHistory.load(path)
-
-    def test_torn_tail_skipped_and_reported(self, tmp_path):
-        path = self.save_two_entries(tmp_path)
-        text = path.read_text(encoding="utf-8")
-        # Tear the file mid-way through the second entry, as a legacy
-        # non-atomic writer interrupted by a crash would.
-        cut = text.rindex('"config_hash"')
-        path.write_text(text[:cut], encoding="utf-8")
-        history = BenchHistory.load(path)
-        assert history.torn_tail_dropped is True
-        assert len(history) == 1
-        timing = history.latest()["results"]["l2_replay"]["timing"]
-        assert timing["median_seconds"] == pytest.approx(1.0)
-
-    def test_torn_beyond_recovery_raises(self, tmp_path):
-        path = self.save_two_entries(tmp_path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: text.find('"entries"')], encoding="utf-8")
-        with pytest.raises(ValueError, match="beyond recovery"):
-            BenchHistory.load(path)
-
-    def test_atomic_save_leaves_no_temp(self, tmp_path):
-        self.save_two_entries(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH.json"]

@@ -80,12 +80,6 @@ class TestBuildAndValidate:
         assert manifest.failures == [{"error": "boom"}]
         assert validate_manifest(manifest.data) == []
 
-    def test_extra_keys_must_not_collide(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            RunManifest.build(tool="t", config={}, extra={"tool": "other"})
-
     def test_write_and_load_round_trip(self, tmp_path):
         manifest = RunManifest.build(tool="test", config={"a": 1})
         path = manifest.write(tmp_path / "nested" / "manifest.json")

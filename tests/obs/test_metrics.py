@@ -1,8 +1,6 @@
 """Metrics registry: instruments, snapshots, and exact merging."""
 
-import math
 import pickle
-import random
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QuantileHistogram,
     get_metrics,
     set_metrics,
 )
@@ -80,143 +77,6 @@ class TestHistogramMergeEdgeCases:
         assert histogram.min == 5.0 and histogram.max == 5.0
 
 
-class TestQuantileHistogram:
-    def test_empty(self):
-        histogram = QuantileHistogram()
-        assert histogram.quantile(0.5) == 0.0
-        assert histogram.mean == 0.0
-        assert histogram.summary()["p999"] == 0.0
-
-    def test_quantile_rejects_out_of_range(self):
-        histogram = QuantileHistogram()
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                histogram.quantile(bad)
-
-    def test_constant_stream_is_exact(self):
-        histogram = QuantileHistogram()
-        for _ in range(100):
-            histogram.observe(0.125)
-        for q in (0.5, 0.95, 0.99, 0.999, 1.0):
-            assert histogram.quantile(q) == 0.125
-
-    def test_non_positive_values_counted_separately(self):
-        histogram = QuantileHistogram()
-        histogram.observe(0.0)
-        histogram.observe(-1.0)
-        histogram.observe(4.0)
-        assert histogram.zero_count == 2
-        assert histogram.count == 3
-        assert sum(histogram.buckets.values()) == 1
-        # Rank 1 and 2 land in the non-positive block -> min covers it.
-        assert histogram.quantile(0.5) == -1.0
-
-    def test_extremes_are_exact(self):
-        histogram = QuantileHistogram()
-        for value in (0.010, 0.020, 0.500):
-            histogram.observe(value)
-        assert histogram.min == 0.010
-        assert histogram.max == 0.500
-        assert histogram.quantile(1.0) == 0.500
-
-    def test_to_dict_keys_are_json_stable(self):
-        histogram = QuantileHistogram()
-        histogram.observe(0.5)
-        data = histogram.to_dict()
-        assert all(isinstance(k, str) for k in data["buckets"])
-        assert pickle.loads(pickle.dumps(data)) == data
-
-    def test_merge_tolerates_sparse_dicts(self):
-        histogram = QuantileHistogram()
-        histogram.observe(1.5)
-        histogram.merge_dict({})
-        histogram.merge_dict({"count": 1, "zero_count": 1})
-        assert histogram.count == 2
-        assert histogram.zero_count == 1
-
-
-def _true_quantile(samples, q):
-    """Exact rank-based quantile matching the sketch's rank rule."""
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
-def _streams():
-    """Deterministic uniform, Zipf-ish, and constant latency streams."""
-    rng = random.Random(1989)
-    uniform = [rng.uniform(0.001, 2.0) for _ in range(4000)]
-    zipf = [0.001 * (1.0 / rng.random()) ** 0.7 for _ in range(4000)]
-    constant = [0.042] * 1000
-    return {"uniform": uniform, "zipf": zipf, "constant": constant}
-
-
-class TestQuantileDifferential:
-    """The sketch vs the exact quantile, unsharded and merged.
-
-    The contract: the estimate is the upper bound of the bucket
-    holding the requested rank, so it is >= the true rank value and
-    within one bucket's relative width (``2 ** (1/RESOLUTION)``)
-    above it — and merging shards changes *nothing* about the bucket
-    counts, so merged quantiles equal unsharded ones exactly.
-    """
-
-    WIDTH = 2.0 ** (1.0 / QuantileHistogram.RESOLUTION)
-
-    @pytest.mark.parametrize("name", ["uniform", "zipf", "constant"])
-    def test_estimate_within_one_bucket_of_truth(self, name):
-        samples = _streams()[name]
-        histogram = QuantileHistogram()
-        for value in samples:
-            histogram.observe(value)
-        for q in (0.5, 0.9, 0.95, 0.99, 0.999, 1.0):
-            truth = _true_quantile(samples, q)
-            estimate = histogram.quantile(q)
-            assert truth <= estimate <= truth * self.WIDTH * (1 + 1e-12), (
-                f"{name} q={q}: true {truth}, estimate {estimate}"
-            )
-
-    @pytest.mark.parametrize("name", ["uniform", "zipf", "constant"])
-    @pytest.mark.parametrize("shards", [2, 3, 7])
-    def test_merged_equals_unsharded(self, name, shards):
-        samples = _streams()[name]
-        unsharded = QuantileHistogram()
-        for value in samples:
-            unsharded.observe(value)
-        merged = QuantileHistogram()
-        for shard_index in range(shards):
-            worker = QuantileHistogram()
-            for value in samples[shard_index::shards]:
-                worker.observe(value)
-            merged.merge_dict(worker.to_dict())
-        assert merged.count == unsharded.count
-        assert merged.zero_count == unsharded.zero_count
-        assert merged.buckets == unsharded.buckets
-        assert merged.min == unsharded.min
-        assert merged.max == unsharded.max
-        # Only the float total depends on summation order.
-        assert merged.total == pytest.approx(unsharded.total)
-        for q in (0.5, 0.9, 0.95, 0.99, 0.999, 1.0):
-            assert merged.quantile(q) == unsharded.quantile(q)
-
-    def test_merge_is_order_independent(self):
-        samples = _streams()["uniform"]
-        parts = [samples[i::3] for i in range(3)]
-        dicts = []
-        for part in parts:
-            worker = QuantileHistogram()
-            for value in part:
-                worker.observe(value)
-            dicts.append(worker.to_dict())
-        forward, backward = QuantileHistogram(), QuantileHistogram()
-        for data in dicts:
-            forward.merge_dict(data)
-        for data in reversed(dicts):
-            backward.merge_dict(data)
-        assert forward.buckets == backward.buckets
-        assert forward.summary()["p99"] == backward.summary()["p99"]
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -274,34 +134,18 @@ class TestRegistry:
         a.merge(b)
         assert a.counter("c").value == 3
 
-    def test_quantile_histogram_get_or_create_and_snapshot(self):
-        registry = MetricsRegistry()
-        registry.quantile_histogram("latency.job_seconds").observe(0.5)
-        assert registry.quantile_histogram(
-            "latency.job_seconds"
-        ) is registry.quantile_histogram("latency.job_seconds")
-        snapshot = registry.snapshot()
-        block = snapshot["quantile_histograms"]["latency.job_seconds"]
-        assert block["count"] == 1
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-
-    def test_merge_snapshot_folds_quantile_histograms(self):
-        a = MetricsRegistry()
-        a.quantile_histogram("q").observe(1.0)
-        b = MetricsRegistry()
-        b.quantile_histogram("q").observe(2.0)
-        merged = MetricsRegistry()
-        merged.merge_snapshot(a.snapshot())
-        merged.merge_snapshot(b.snapshot())
-        assert merged.quantile_histogram("q").count == 2
-        assert merged.quantile_histogram("q").max == 2.0
-
-    def test_merge_snapshot_tolerates_missing_quantile_block(self):
+    def test_merge_snapshot_ignores_unknown_blocks(self):
+        # A block this registry does not know (say, from a snapshot an
+        # older version wrote) merges as a no-op.
         registry = MetricsRegistry()
         registry.merge_snapshot(
-            {"counters": {"c": 1}, "gauges": {}, "histograms": {}}
+            {
+                "counters": {"c": 1}, "gauges": {}, "histograms": {},
+                "retired": {"r": {"count": 1}},
+            }
         )
         assert registry.counter("c").value == 1
+        assert "retired" not in registry.snapshot()
 
     def test_clear(self):
         registry = MetricsRegistry()
@@ -309,7 +153,6 @@ class TestRegistry:
         registry.clear()
         assert registry.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
-            "quantile_histograms": {},
         }
 
 

@@ -236,23 +236,6 @@ class TestThreadIsolation:
 
 
 class TestSyntheticSpans:
-    def test_record_span_with_explicit_identity(self):
-        tracer = Tracer()
-        record = tracer.record_span(
-            "queue_wait", 0.25, attrs={"job": "j1"},
-            trace_id="t" * 16, parent_span_id="p" * 16,
-        )
-        assert record.wall_seconds == 0.25
-        assert record.trace_id == "t" * 16
-        assert record.parent_span_id == "p" * 16
-        assert record.span_id is not None
-        assert tracer.records == [record]
-
-    def test_record_span_honors_given_span_id(self):
-        tracer = Tracer()
-        record = tracer.record_span("job", 1.0, span_id="s" * 16)
-        assert record.span_id == "s" * 16
-
     def test_adopt_reindexes_and_preserves_identity(self):
         worker = Tracer()
         context = new_trace(IdSource("request"))
@@ -269,15 +252,6 @@ class TestSyntheticSpans:
         assert records[1].name == "pool_task"
         assert records[1].trace_id == context.trace_id
         assert records[1].parent_span_id == context.span_id
-
-    def test_records_for_trace_filters(self):
-        tracer = Tracer()
-        tracer.record_span("a", 0.1, trace_id="t1" + "0" * 14)
-        tracer.record_span("b", 0.1, trace_id="t2" + "0" * 14)
-        names = [
-            r.name for r in tracer.records_for_trace("t1" + "0" * 14)
-        ]
-        assert names == ["a"]
 
 
 class TestGlobalTracer:

@@ -8,7 +8,6 @@ from repro.obs.spans import Tracer
 from repro.obs.trace_report import (
     aggregate_trace,
     build_report,
-    build_span_tree,
     flame,
     load_trace,
     main,
@@ -132,80 +131,6 @@ class TestBuildReport:
         report = build_report([str(trace_pair[0])])
         assert "regressions" not in report
         assert report["runs"][0]["totals"]["wall_seconds"] > 0
-
-
-def write_flight_record(path, job_id="job-1"):
-    """Spool a synthetic but causally-complete trace of one job.
-
-    One retried job: an end-to-end ``job`` root, ``admission`` and
-    ``queue_wait`` phases, the executing ``service_job``, and two
-    ``pool_task`` attempts shipped back from the pool — the first
-    stamped as an error. Plus one span from an unrelated trace.
-    """
-    tracer = Tracer()
-    trace, other = "a" * 16, "b" * 16
-    root, execute = "c" * 16, "d" * 16
-    tracer.record_span(
-        "admission", 0.1, attrs={"job": job_id},
-        trace_id=trace, parent_span_id=root, start=0.0,
-    )
-    tracer.record_span(
-        "queue_wait", 0.2, attrs={"job": job_id},
-        trace_id=trace, parent_span_id=root, start=0.1,
-    )
-    tracer.record_span(
-        "pool_task", 0.25, cpu_seconds=0.2,
-        attrs={"key": 0, "attempt": 1, "error": True,
-               "error_type": "InjectedFaultError"},
-        trace_id=trace, parent_span_id=execute, start=0.3,
-    )
-    tracer.record_span(
-        "pool_task", 0.3, cpu_seconds=0.28,
-        attrs={"key": 0, "attempt": 2},
-        trace_id=trace, parent_span_id=execute, start=0.55,
-    )
-    tracer.record_span(
-        "service_job", 0.6, attrs={"job": job_id},
-        trace_id=trace, span_id=execute, parent_span_id=root, start=0.3,
-    )
-    tracer.record_span(
-        "job", 1.0, attrs={"job": job_id, "status": "done"},
-        trace_id=trace, span_id=root, start=0.0,
-    )
-    tracer.record_span("other_work", 0.4, trace_id=other, start=0.0)
-    tracer.write_jsonl(path)
-    return path
-
-
-class TestSpanTree:
-    def test_children_nest_under_matching_parent(self, tmp_path):
-        records = load_trace(write_flight_record(tmp_path / "t.jsonl"))
-        roots = build_span_tree(
-            [r for r in records if r["trace_id"] == "a" * 16]
-        )
-        (root,) = roots
-        assert root["name"] == "job"
-        names = [child["name"] for child in root["children"]]
-        assert names == ["admission", "queue_wait", "service_job"]
-        execute = root["children"][2]
-        assert [c["attrs"]["attempt"] for c in execute["children"]] == [1, 2]
-
-    def test_orphan_spans_become_roots(self):
-        roots = build_span_tree([
-            {"name": "stray", "span_id": "s" * 16,
-             "parent_span_id": "missing0missing0", "start": 1.0, "index": 0},
-            {"name": "rootless", "span_id": None,
-             "parent_span_id": None, "start": 0.5, "index": 1},
-        ])
-        assert [r["name"] for r in roots] == ["rootless", "stray"]
-        assert all(r["children"] == [] for r in roots)
-
-    def test_self_parented_span_does_not_recurse(self):
-        (root,) = build_span_tree([
-            {"name": "loop", "span_id": "s" * 16,
-             "parent_span_id": "s" * 16, "start": 0.0, "index": 0},
-        ])
-        assert root["name"] == "loop" and root["children"] == []
 
 
 class TestCli:

@@ -1,91 +1,46 @@
-"""``repro-report``: artifacts, determinism, validator round-trip."""
+"""``repro-report``: the summary artifact and its determinism."""
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.obs import validate as obs_validate
-from repro.obs.bench import BenchHistory, TimingResult, build_entry
 from repro.report.cli import main
 
-
-def write_history(path, medians=(1.0, 1.1)):
-    history = BenchHistory()
-    for index, median in enumerate(medians):
-        history.append(
-            build_entry(
-                config={"references": 4000},
-                config_hash="feed",
-                results={
-                    "l2_replay_fused_engine": {
-                        "timing": TimingResult(
-                            [median - 0.01, median, median + 0.01], warmup=1
-                        ).to_dict(),
-                        "requests": 4000,
-                    }
-                },
-                sha=chr(ord("a") + index) * 40,
-            ),
-            dedupe=False,
-        )
-    return history.save(path)
-
-
-def run_cli(tmp_path, history, *extra):
-    out_dir = tmp_path / "results"
-    code = main(
-        [
-            "--out-dir", str(out_dir),
-            "--history", str(history),
-            "--scale", "0.002",
-            *extra,
-        ]
-    )
-    assert code == 0
-    return out_dir
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestArtifacts:
-    def test_writes_all_three(self, tmp_path):
-        history = write_history(tmp_path / "BENCH.json")
-        out_dir = run_cli(tmp_path, history, "--no-figures")
-        assert (out_dir / "results_summary.md").exists()
-        assert (out_dir / "trajectory.json").exists()
-        assert (out_dir / "trajectory.html").exists()
-
-    def test_trajectory_json_passes_validator(self, tmp_path):
-        history = write_history(tmp_path / "BENCH.json")
-        out_dir = run_cli(tmp_path, history, "--no-summary")
-        errors = obs_validate.validate_report_file(
-            out_dir / "trajectory.json"
+    def test_writes_only_the_summary(self, tmp_path):
+        out_dir = tmp_path / "results"
+        code = main(
+            ["--out-dir", str(out_dir), "--scale", "0.002", "--no-figures"]
         )
-        assert errors == []
-        data = json.loads((out_dir / "trajectory.json").read_text())
-        assert data["kind"] == "bench-trajectory"
-        assert data["entry_count"] == 2
-
-    def test_no_flags_skip_sections(self, tmp_path):
-        history = write_history(tmp_path / "BENCH.json")
-        out_dir = run_cli(
-            tmp_path, history, "--no-summary", "--no-trajectory"
-        )
-        assert list(out_dir.iterdir()) == []
-
-    def test_missing_history_renders_empty_trajectory(self, tmp_path):
-        out_dir = run_cli(
-            tmp_path, tmp_path / "absent.json", "--no-summary"
-        )
-        data = json.loads((out_dir / "trajectory.json").read_text())
-        assert data["entry_count"] == 0
+        assert code == 0
+        assert [p.name for p in out_dir.iterdir()] == ["results_summary.md"]
 
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, tmp_path):
-        # The acceptance criterion: regenerate twice, diff nothing.
-        history = write_history(tmp_path / "BENCH.json")
-        first = run_cli(tmp_path / "one", history, "--no-figures")
-        second = run_cli(tmp_path / "two", history, "--no-figures")
-        for name in (
-            "results_summary.md", "trajectory.json", "trajectory.html"
-        ):
-            assert (first / name).read_bytes() == (
-                (second / name).read_bytes()
-            ), name
+        # The acceptance criterion: regenerate twice, figures included,
+        # in two fresh interpreters, and diff nothing.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        summaries = []
+        for name in ("one", "two"):
+            out_dir = tmp_path / name
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.report.cli",
+                    "--out-dir", str(out_dir), "--scale", "0.002",
+                ],
+                cwd=REPO_ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            summaries.append((out_dir / "results_summary.md").read_bytes())
+        assert b"## Figure series" in summaries[0]
+        assert summaries[0] == summaries[1]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.configs import default_workload
 from repro.experiments.runner import ExperimentRunner
-from repro.obs.bench import BenchHistory, TimingResult, build_entry
 from repro.report.summary import build_summary
 
 SCALE = 0.002
@@ -13,28 +12,6 @@ SCALE = 0.002
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(default_workload(scale=SCALE, seed=1989))
-
-
-@pytest.fixture()
-def history_file(tmp_path):
-    history = BenchHistory()
-    history.append(
-        build_entry(
-            config={"references": 4000},
-            config_hash="feed",
-            results={
-                "l2_replay_fused_engine": {
-                    "timing": TimingResult(
-                        [0.9, 1.0, 1.1], warmup=1
-                    ).to_dict(),
-                    "requests": 4000,
-                }
-            },
-            sha="d" * 40,
-        ),
-        dedupe=False,
-    )
-    return history.save(tmp_path / "BENCH_simulator.json")
 
 
 class TestContent:
@@ -59,33 +36,17 @@ class TestContent:
         assert "Figure 5 (right). MRU-distance hit distributions" in text
         assert "Figure 6 (left). Partial transforms vs theory" in text
 
-    def test_trajectory_section(self, runner, history_file):
-        text = build_summary(
-            scale=SCALE,
-            runner=runner,
-            include_figures=False,
-            history_path=history_file,
-        )
-        assert "## Benchmark trajectory" in text
-        assert "```text" in text
-        assert "l2_replay_fused_engine" in text
-
-    def test_no_timestamps_anywhere(self, runner, history_file):
+    def test_no_timestamps_anywhere(self, runner):
         # The determinism contract: regenerating must not churn git.
         text = build_summary(
-            scale=SCALE,
-            runner=runner,
-            include_figures=False,
-            history_path=history_file,
+            scale=SCALE, runner=runner, include_figures=False
         )
         for word in ("generated at", "timestamp", "20:"):
             assert word not in text.lower() or word == "20:"
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs(self, history_file):
+    def test_byte_identical_across_runs(self):
         # Two fully independent builds (fresh runners, fresh workloads).
-        kwargs = dict(
-            scale=SCALE, include_figures=False, history_path=history_file
-        )
+        kwargs = dict(scale=SCALE, include_figures=False)
         assert build_summary(**kwargs) == build_summary(**kwargs)

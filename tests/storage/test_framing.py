@@ -1,4 +1,4 @@
-"""CRC32 record framing: lines, document checksums, binary footers."""
+"""CRC32 record framing: lines and binary footers."""
 
 import json
 import zlib
@@ -12,13 +12,11 @@ from repro.storage.framing import (
     FRAME_PREFIX,
     crc32_footer,
     crc32_hex,
-    document_checksum,
     file_crc32,
     frame_line,
     is_framed,
     parse_framed_line,
     verify_crc32_footer,
-    verify_document_checksum,
 )
 
 
@@ -80,22 +78,6 @@ class TestParseFramedLine:
         framed = frame_line("abc").replace("abc", "abd")
         with pytest.raises(IntegrityError, match="ckpt:17"):
             parse_framed_line(framed, context="ckpt:17")
-
-
-class TestDocumentChecksum:
-    def test_key_order_independent(self):
-        assert document_checksum({"a": 1, "b": 2}) == document_checksum(
-            {"b": 2, "a": 1}
-        )
-
-    def test_verify_round_trip(self):
-        entries = [{"median": 1.5}, {"median": 2.5}]
-        verify_document_checksum(entries, document_checksum(entries), "t")
-
-    def test_verify_mismatch_raises(self):
-        checksum = document_checksum([{"median": 1.5}])
-        with pytest.raises(IntegrityError, match="history"):
-            verify_document_checksum([{"median": 9.5}], checksum, "history")
 
 
 class TestCrc32Footer:
