@@ -86,8 +86,9 @@ class IntegrityError(StorageError):
     not match the bytes on disk —
     bitrot, a torn write that survived undetected, or manual tampering.
     The contract is *detected, never silently wrong*: a reader that
-    cannot verify raises this instead of returning plausible garbage,
-    and ``repro-fsck`` repairs or quarantines the file.
+    cannot verify raises this instead of returning plausible garbage.
+    A damaged checkpoint's message names the remedy: move the file
+    aside and rerun, which recomputes its points.
     """
 
 

@@ -270,13 +270,18 @@ def _validate_point_result(key, value) -> None:
     The resilient executor runs this on every "successful" value; a
     worker that returns corrupt data (a fault injector, a partially
     written pickle, a hijacked return path) is charged a failed
-    attempt instead of poisoning the sweep results.
+    attempt instead of poisoning the sweep results. Anything but a
+    ``(ConfigResult, dict)`` pair raises the typed error.
     """
-    result, snapshot = value
-    if not isinstance(result, ConfigResult) or not isinstance(snapshot, dict):
+    if not (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and isinstance(value[0], ConfigResult)
+        and isinstance(value[1], dict)
+    ):
         raise SimulationError(
             f"worker returned a malformed result for point {key!r}: "
-            f"{type(result).__name__}"
+            f"{type(value).__name__}"
         )
 
 

@@ -1,11 +1,10 @@
-"""Schema validation for manifests, JSONL traces, and fsck reports.
+"""Schema validation for manifests and JSONL traces.
 
 Hand-rolled structural checks — no ``jsonschema`` dependency — used by
 tests and by CI's instrumented smoke sweep, which asserts that a real
 run produced schema-valid artifacts before archiving them::
 
     python -m repro.obs.validate out/manifest.json --trace out/trace.jsonl
-    python -m repro.obs.validate --fsck-report fsck.json
 
 Exit status 0 when everything validates; 1 with one error per line on
 stderr otherwise.
@@ -17,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.jsonl import read_jsonl
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
@@ -77,34 +76,6 @@ def _check_fields(
     return errors
 
 
-def _check_version(
-    data: Dict[str, Any], supported: int, where: str
-) -> List[str]:
-    """Reject payloads newer than this validator understands."""
-    version = data.get("schema_version")
-    if isinstance(version, int) and version > supported:
-        return [
-            f"{where}: schema_version {version} is newer than the "
-            f"supported {supported}"
-        ]
-    return []
-
-
-def _validate_json_file(
-    path, validator: Callable[[Any], List[str]]
-) -> List[str]:
-    """Load ``path`` as JSON and return ``validator``'s errors for it.
-
-    An unreadable or unparseable file is one error naming the path.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: {exc}"]
-    return validator(data)
-
-
 def validate_manifest(data: Dict[str, Any]) -> List[str]:
     """Structural errors in a manifest dict (empty list = valid)."""
     if not isinstance(data, dict):
@@ -112,7 +83,12 @@ def validate_manifest(data: Dict[str, Any]) -> List[str]:
     errors = _check_fields(data, _MANIFEST_FIELDS, "manifest")
     if "config" not in data:
         errors.append("manifest: missing required key 'config'")
-    errors.extend(_check_version(data, MANIFEST_SCHEMA_VERSION, "manifest"))
+    version = data.get("schema_version")
+    if isinstance(version, int) and version > MANIFEST_SCHEMA_VERSION:
+        errors.append(
+            f"manifest: schema_version {version} is newer than the "
+            f"supported {MANIFEST_SCHEMA_VERSION}"
+        )
     for block in ("counters", "gauges", "histograms"):
         metrics = data.get("metrics")
         if isinstance(metrics, dict) and metrics and block not in metrics:
@@ -137,8 +113,16 @@ def validate_manifest(data: Dict[str, Any]) -> List[str]:
 
 
 def validate_manifest_file(path) -> List[str]:
-    """Structural errors in a manifest JSON file."""
-    return _validate_json_file(path, validate_manifest)
+    """Structural errors in a manifest JSON file.
+
+    An unreadable or unparseable file is one error naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"{path}: {exc}"]
+    return validate_manifest(data)
 
 
 def validate_span(record: Dict[str, Any], where: str = "span") -> List[str]:
@@ -186,107 +170,11 @@ def validate_trace_file(path) -> List[str]:
     return errors
 
 
-#: Highest ``repro-fsck --report`` schema version this validator
-#: understands. Mirrors
-#: ``repro.storage.fsck.FSCK_REPORT_SCHEMA_VERSION`` — duplicated, not
-#: imported, because :mod:`repro.obs` must not depend on the rest of
-#: the package; a cross-check test keeps them in lockstep.
-SUPPORTED_FSCK_REPORT_SCHEMA_VERSION = 1
-
-#: Required fsck-report keys and their accepted types.
-_FSCK_REPORT_FIELDS = {
-    "schema_version": (int,),
-    "kind": (str,),
-    "generated_unix": (int, float),
-    "root": (str,),
-    "repair": (bool,),
-    "scanned": (dict,),
-    "findings": (list,),
-    "counts": (dict,),
-    "ok": (bool,),
-}
-
-#: Required keys of one fsck finding and their accepted types.
-_FSCK_FINDING_FIELDS = {
-    "path": (str,),
-    "kind": (str,),
-    "problem": (str,),
-    "action": (str,),
-    "repairable": (bool,),
-    "detail": (str,),
-}
-
-#: The dispositions ``repro-fsck`` records per finding.
-_FSCK_ACTIONS = frozenset(
-    {"detected", "repaired", "removed", "quarantined"}
-)
-
-#: Required keys of the fsck report's ``counts`` roll-up.
-_FSCK_COUNT_KEYS = (
-    "verified", "findings", "repaired", "quarantined", "unrepairable",
-)
-
-
-def validate_fsck_report(data: Dict[str, Any]) -> List[str]:
-    """Structural errors in a ``repro-fsck`` report dict (empty = valid).
-
-    Checks the envelope, every finding's fields and disposition, the
-    ``counts`` roll-up keys, and that ``ok`` agrees with the
-    unrepairable count — an ``ok: true`` report with unrepairable
-    findings would let CI archive corruption as a pass.
-    """
-    if not isinstance(data, dict):
-        return ["fsck-report: not a JSON object"]
-    errors = _check_fields(data, _FSCK_REPORT_FIELDS, "fsck-report")
-    errors.extend(
-        _check_version(
-            data, SUPPORTED_FSCK_REPORT_SCHEMA_VERSION, "fsck-report"
-        )
-    )
-    kind = data.get("kind")
-    if isinstance(kind, str) and kind != "fsck-report":
-        errors.append(f"fsck-report: kind {kind!r} != 'fsck-report'")
-    for index, finding in enumerate(data.get("findings") or []):
-        where = f"fsck-report findings[{index}]"
-        if not isinstance(finding, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        errors.extend(_check_fields(finding, _FSCK_FINDING_FIELDS, where))
-        action = finding.get("action")
-        if isinstance(action, str) and action not in _FSCK_ACTIONS:
-            errors.append(
-                f"{where}: unknown action {action!r} "
-                f"(expected one of {sorted(_FSCK_ACTIONS)})"
-            )
-    counts = data.get("counts")
-    if isinstance(counts, dict):
-        for key in _FSCK_COUNT_KEYS:
-            if not isinstance(counts.get(key), int):
-                errors.append(
-                    f"fsck-report: counts missing or non-integer {key!r}"
-                )
-        unrepairable = counts.get("unrepairable")
-        ok = data.get("ok")
-        if isinstance(unrepairable, int) and isinstance(ok, bool):
-            if ok != (unrepairable == 0):
-                errors.append(
-                    f"fsck-report: 'ok' is {ok} but counts report "
-                    f"{unrepairable} unrepairable finding(s)"
-                )
-    return errors
-
-
-def validate_fsck_report_file(path) -> List[str]:
-    """Structural errors in a ``repro-fsck --report`` JSON file."""
-    return _validate_json_file(path, validate_fsck_report)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: validate manifests / traces / fsck reports; 0 iff valid."""
+    """CLI: validate a manifest and/or a trace; 0 iff valid."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
-        description="Validate run manifests, JSONL traces, and "
-        "repro-fsck reports.",
+        description="Validate run manifests and JSONL traces.",
     )
     parser.add_argument(
         "manifest", nargs="?", default=None,
@@ -295,25 +183,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--trace", default=None, help="path to a JSONL trace to validate too"
     )
-    parser.add_argument(
-        "--fsck-report", default=None, dest="fsck_report",
-        help="path to a repro-fsck report JSON (--report FILE) to validate",
-    )
     args = parser.parse_args(argv)
     checks = [
         (path, validator)
         for path, validator in (
             (args.manifest, validate_manifest_file),
             (args.trace, validate_trace_file),
-            (args.fsck_report, validate_fsck_report_file),
         )
         if path is not None
     ]
     if not checks:
-        parser.error(
-            "nothing to validate: give a manifest, --trace, or "
-            "--fsck-report"
-        )
+        parser.error("nothing to validate: give a manifest or --trace")
     errors = []
     for path, validator in checks:
         errors.extend(validator(path))

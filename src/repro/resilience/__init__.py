@@ -15,8 +15,8 @@ package makes partial failure the normal, handled case:
 - :mod:`repro.resilience.checkpoint` — the crash-safe JSONL
   :class:`SweepCheckpoint` behind ``repro-sweep --resume``;
 - :mod:`repro.resilience.faults` — deterministic fault injectors
-  (raise / hang / exit / corrupt) proving the guarantees, driven by
-  the test suite and the ``repro-chaos`` CLI.
+  (raise / hang / exit / corrupt) with which the test suite proves
+  the guarantees.
 
 See ``docs/resilience.md`` for the full story.
 """

@@ -20,9 +20,9 @@ Durability discipline:
   load — either as unparseable JSON or as a failed frame check — and
   dropped by rewriting the file via write-temp-then-rename — the
   standard atomic-replace idiom — before appending resumes;
-- all I/O goes through :func:`repro.storage.io.get_io`, so the
-  ``torn-disk`` chaos scenario can crash a checkpointed sweep at
-  every write, fsync, and rename it performs; disk-level write
+- all I/O goes through :func:`repro.storage.io.get_io`, so a test
+  can crash a checkpointed sweep at every write, fsync, and rename
+  it performs; disk-level write
   failures (``ENOSPC``, ``EIO``) surface as the typed
   :class:`~repro.errors.StorageError`;
 - the header pins a ``config_hash`` of the sweep's workload identity,
@@ -57,7 +57,12 @@ from typing import IO, Any, Dict, Optional
 from repro.errors import CheckpointError, IntegrityError
 from repro.obs.manifest import config_hash
 from repro.storage.framing import frame_line, parse_framed_line
-from repro.storage.io import durable_append, get_io, wrap_os_error
+from repro.storage.io import (
+    atomic_write_text,
+    durable_append,
+    get_io,
+    wrap_os_error,
+)
 
 #: Version of the checkpoint JSONL layout (bump on breaking changes).
 #: Schema 2 wraps every line in a CRC32 frame; schema 1 (unframed)
@@ -66,6 +71,9 @@ CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Schema versions this reader accepts.
 SUPPORTED_CHECKPOINT_SCHEMAS = (1, 2)
+
+#: What a mid-file corruption error tells the operator to do.
+_REMEDY = "move the checkpoint aside and rerun to recompute its points"
 
 
 def process_start_ticks(pid: int) -> Optional[int]:
@@ -174,7 +182,9 @@ class SweepCheckpoint:
         the typed :class:`~repro.errors.IntegrityError`; any other
         malformed content, a missing or foreign header, or a
         ``config_hash`` mismatch raises
-        :class:`~repro.errors.CheckpointError`.
+        :class:`~repro.errors.CheckpointError`. Both mid-file errors
+        name the line and the remedy: move the checkpoint aside and
+        rerun to recompute its points.
         """
         self._results = {}
         if not self.path.exists():
@@ -198,7 +208,7 @@ class SweepCheckpoint:
                 payload = parse_framed_line(
                     line, context=f"{self.path}: line {index + 1}"
                 )
-            except IntegrityError:
+            except IntegrityError as exc:
                 # A failed frame on the final line is a torn append;
                 # anywhere else it is detected corruption, and the
                 # typed error propagates — never a plausible wrong
@@ -206,7 +216,7 @@ class SweepCheckpoint:
                 if is_last:
                     torn = True
                     break
-                raise
+                raise IntegrityError(f"{exc}; {_REMEDY}") from None
             try:
                 records.append(json.loads(payload))
             except json.JSONDecodeError:
@@ -214,7 +224,8 @@ class SweepCheckpoint:
                     torn = True
                     break
                 raise CheckpointError(
-                    f"{self.path}: corrupt record on line {index + 1}"
+                    f"{self.path}: corrupt record on line {index + 1}; "
+                    f"{_REMEDY}"
                 ) from None
         if not records or records[0].get("kind") != "header":
             raise CheckpointError(
@@ -401,24 +412,19 @@ class SweepCheckpoint:
             pass
 
     def _write_atomically(self, records) -> None:
-        """Write ``records`` as framed JSONL via write-temp-then-rename.
+        """Write ``records`` as framed JSONL in one atomic replace.
 
-        The temp file is fsync'd before the rename and the parent
-        directory after it, so a crash at any point leaves either the
-        previous checkpoint or the new one — never a partial file.
+        A crash at any point leaves either the previous checkpoint or
+        the new one — never a partial file (see
+        :func:`~repro.storage.io.atomic_write_text`).
         """
-        io = get_io()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        handle = io.open(tmp, "w", encoding="utf-8")
-        try:
-            for record in records:
-                framed = frame_line(json.dumps(record, sort_keys=True))
-                io.write(handle, framed + "\n")
-            io.fsync(handle)
-        finally:
-            handle.close()
-        io.replace(tmp, self.path)
-        io.fsync_dir(self.path.parent)
+        atomic_write_text(
+            self.path,
+            "".join(
+                frame_line(json.dumps(record, sort_keys=True)) + "\n"
+                for record in records
+            ),
+        )
 
     def _compact(self, records) -> None:
         """Drop a torn tail by atomically rewriting the parsed records.

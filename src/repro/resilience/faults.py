@@ -4,8 +4,7 @@ The guarantees the resilience layer makes — retries recover transient
 failures, timeouts reap hung workers, pool death loses no completed
 work — are only worth anything if they are *provable*. This module
 injects the failures on demand, deterministically, so the test suite
-and the ``repro-chaos`` CLI can drive every recovery path on a real
-worker pool:
+can drive every recovery path on a real worker pool:
 
 - :class:`FaultSpec` — one injector: ``raise``, ``hang``, ``exit``,
   or ``corrupt``, firing at a chosen point key, call ordinal, and/or

@@ -15,15 +15,11 @@ earned instead of assumed:
   mini-language in the style of :mod:`repro.resilience.faults`;
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
   envelopes for JSONL stores and CRC32 footers for binary artifacts,
-  with transparent reads of legacy unframed files;
-- :mod:`repro.storage.fsck` — the ``repro-fsck`` scanner/repairer for
-  checkpoint, obs and artifact directories.
+  with transparent reads of legacy unframed files.
 
-Layering: :mod:`~repro.storage.io`, :mod:`~repro.storage.faultio`,
-and :mod:`~repro.storage.framing` depend only on the standard library
-and :mod:`repro.errors`, so :mod:`repro.obs` (which must not depend
-on the rest of the package) may import them. :mod:`~repro.storage.fsck`
-is a leaf and imports freely.
+Layering: these modules depend only on the standard library,
+:mod:`repro.errors` and each other, so :mod:`repro.obs` (which must
+not depend on the rest of the package) may import them.
 """
 
 from repro.storage.faultio import (

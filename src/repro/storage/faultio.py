@@ -45,8 +45,8 @@ Example — crash at the third write that touches a checkpoint::
     REPRO_IO_FAULTS='crash@write:path=.ckpt,nth=3'
 
 Each spec fires exactly once; determinism comes from ordinal
-counting, not randomness, so a chaos harness can enumerate *every*
-injection point of a workload by sweeping ``nth``.
+counting, not randomness, so a test can enumerate *every* injection
+point of a workload by sweeping ``nth``.
 
 Like :mod:`repro.resilience.faults`, activation is process-global
 (:func:`activate_io_plan` / :func:`deactivate_io_plan`) or via the
@@ -82,8 +82,7 @@ class InjectedCrashError(BaseException):
     Derives from :class:`BaseException` (like ``KeyboardInterrupt``)
     so that retry loops and blanket ``except Exception`` handlers
     cannot accidentally absorb a "power failure" and carry on — the
-    only legitimate handler is the test or chaos harness that
-    installed the plan.
+    only legitimate handler is the test that installed the plan.
     """
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from pathlib import Path
 from typing import Union
 
 from repro.errors import IntegrityError
@@ -147,14 +146,3 @@ def verify_crc32_footer(
         )
     return True
 
-
-def file_crc32(path: Union[str, Path], chunk_size: int = 1 << 20) -> str:
-    """Streaming CRC32 (8 hex chars) of a whole file."""
-    crc = 0
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-    return f"{crc & 0xFFFFFFFF:08x}"

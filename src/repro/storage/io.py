@@ -4,7 +4,7 @@ Every storage writer in the repository — sweep checkpoints, the
 stream-artifact store, the obs trace and manifest writers — performs its opens, writes, fsyncs, and atomic replaces through the
 :class:`StorageIO` instance returned by :func:`get_io`. In normal
 operation that instance is a zero-overhead passthrough to the
-operating system; under test or chaos it is a
+operating system; under test it is a
 :class:`~repro.storage.faultio.FaultingIO` that can tear a write,
 exhaust the disk, or crash the "machine" at a chosen point.
 
@@ -152,18 +152,19 @@ def atomic_write_bytes(
     io = io if io is not None else get_io()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    handle = io.open(tmp, "wb")
     try:
-        io.write(handle, data)
-        io.fsync(handle)
-    finally:
-        handle.close()
-    try:
+        handle = io.open(tmp, "wb")
+        try:
+            io.write(handle, data)
+            io.fsync(handle)
+        finally:
+            handle.close()
         io.replace(tmp, path)
     except OSError:
         # Disk errors get a clean unwind; anything harsher (an
         # injected crash, a KeyboardInterrupt) leaves the temp behind
-        # as realistic crash debris for ``repro-fsck`` to sweep up.
+        # as realistic crash debris, which the next write to ``path``
+        # overwrites.
         _unlink_quietly(tmp)
         raise
     io.fsync_dir(path.parent)

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.errors import CheckpointError, SweepPointError
+from repro.cache.artifacts import StreamArtifactStore, set_artifact_store
+from repro.cache.hierarchy import cached_miss_stream, clear_miss_stream_cache
+from repro.cache.stream import PackedMissStream
+from repro.errors import CheckpointError, IntegrityError, SweepPointError
 from repro.experiments.runner import (
     ExperimentRunner,
     ParallelSweepRunner,
@@ -17,6 +20,13 @@ from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.policy import RetryPolicy, SweepOutcome
+from repro.storage.faultio import (
+    InjectedCrashError,
+    IOFaultPlan,
+    IOFaultSpec,
+    activate_io_plan,
+    deactivate_io_plan,
+)
 
 from .test_parallel_runner import assert_results_identical
 
@@ -39,8 +49,10 @@ FAST = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
 @pytest.fixture(autouse=True)
 def clean_plan():
     faults.deactivate()
+    deactivate_io_plan()
     yield
     faults.deactivate()
+    deactivate_io_plan()
 
 
 def make_runner(**kwargs):
@@ -115,6 +127,7 @@ class TestInjectedFailures:
         (failure,) = outcome.failures
         assert failure.key == 1
         assert failure.error_type == "InjectedFaultError"
+        assert failure.traceback
         assert failure.attempts == FAST.max_attempts
         assert failure.point["associativity"] == POINTS[1].associativity
         assert failure.signature is not None
@@ -122,6 +135,53 @@ class TestInjectedFailures:
         manifest = RunManifest.load(tmp_path / "manifest.json")
         assert manifest.failures
         assert "InjectedFaultError" in manifest.failures[0]["error"]
+        assert manifest.failures[0]["error_type"] == "InjectedFaultError"
+        assert manifest.failures[0]["traceback"]
+
+    def test_worker_exit_recreates_pool(self, baseline):
+        faults.activate(
+            FaultPlan([FaultSpec("exit", at=2, attempts=frozenset({1}))])
+        )
+        outcome = make_runner().run_points(
+            POINTS, failure_policy="retry_then_collect", retry=FAST
+        )
+        assert outcome.ok and outcome.pool_restarts >= 1
+        assert_matches_baseline(outcome, baseline)
+
+    def test_hung_point_reaped_and_retried(self, baseline):
+        faults.activate(
+            FaultPlan(
+                [FaultSpec("hang", at=0, attempts=frozenset({1}), seconds=120)]
+            )
+        )
+        outcome = make_runner().run_points(
+            POINTS,
+            failure_policy="retry_then_collect",
+            retry=RetryPolicy(
+                max_attempts=3, base_delay=0.01, jitter=0.0, timeout=1.0
+            ),
+        )
+        assert outcome.ok and outcome.timeouts == 1
+        assert_matches_baseline(outcome, baseline)
+
+    def test_corrupt_payload_rejected_not_merged(self, baseline):
+        faults.activate(FaultPlan([FaultSpec("corrupt", at=0)]))
+        outcome = make_runner().run_points(POINTS, failure_policy="collect")
+        assert outcome.results[0] is None
+        (failure,) = outcome.failures
+        assert failure.error_type == "SimulationError"
+        assert "malformed result for point 0" in failure.message
+        assert_matches_baseline(outcome, baseline, skip={0})
+
+    def test_transient_corruption_retried_clean(self, baseline):
+        faults.activate(
+            FaultPlan([FaultSpec("corrupt", at=0, attempts=frozenset({1}))])
+        )
+        outcome = make_runner().run_points(
+            POINTS, failure_policy="retry_then_collect", retry=FAST
+        )
+        assert outcome.ok and outcome.retries == 1
+        assert_matches_baseline(outcome, baseline)
 
     def test_fail_fast_raises_and_records(self):
         faults.activate(FaultPlan([FaultSpec("raise", at=0)]))
@@ -195,6 +255,107 @@ class TestCheckpointResume:
             make_runner().sweep_config_hash()
             == make_runner().sweep_config_hash()
         )
+
+
+def flip_byte(path, offset):
+    """Rot one bit of ``path`` at byte ``offset``."""
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def middle_of_line(path, number):
+    """Byte offset of the middle of 1-based line ``number`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    return sum(len(line) + 1 for line in lines[: number - 1]) + (
+        len(lines[number - 1]) // 2
+    )
+
+
+class TestStorageFaults:
+    def test_torn_write_at_every_checkpoint_write_resumes(
+        self, baseline, tmp_path
+    ):
+        # A recording dry run enumerates the injection points. The
+        # header's atomic write lands on "sweep.ckpt.tmp", which the
+        # path= substring matches too.
+        recorder = activate_io_plan(IOFaultPlan(), record=True)
+        try:
+            dry = make_runner().run_points(
+                POINTS, checkpoint=tmp_path / "dry.ckpt"
+            )
+        finally:
+            deactivate_io_plan()
+        assert dry.ok
+        writes = sum(
+            1
+            for op, path in recorder.operations
+            if op == "write" and ".ckpt" in path
+        )
+        # One header write and one append per point.
+        assert writes == len(POINTS) + 1
+
+        for nth in range(1, writes + 1):
+            checkpoint = tmp_path / f"torn-{nth}" / "sweep.ckpt"
+            activate_io_plan(
+                IOFaultPlan(
+                    [IOFaultSpec("torn", "write", path=".ckpt", nth=nth)]
+                )
+            )
+            try:
+                with pytest.raises(InjectedCrashError):
+                    make_runner().run_points(POINTS, checkpoint=checkpoint)
+            finally:
+                deactivate_io_plan()
+            # No repair step: load() compacts the torn tail itself.
+            resumed = make_runner().run_points(POINTS, checkpoint=checkpoint)
+            assert resumed.ok
+            assert resumed.resumed == max(0, nth - 2), nth
+            assert_matches_baseline(resumed, baseline)
+
+    def test_bitrot_is_detected_never_believed(self, baseline, tmp_path):
+        checkpoint = tmp_path / "sweep.ckpt"
+        assert make_runner().run_points(POINTS, checkpoint=checkpoint).ok
+        flip_byte(checkpoint, middle_of_line(checkpoint, 2))
+        with pytest.raises(
+            IntegrityError,
+            match="line 2: .*move the checkpoint aside and rerun to "
+            "recompute its points",
+        ):
+            make_runner().run_points(POINTS, checkpoint=checkpoint)
+
+        workload = tiny_workload()
+        store = StreamArtifactStore(tmp_path / "artifacts")
+
+        def capture_through_store():
+            clear_miss_stream_cache()
+            set_artifact_store(store)
+            try:
+                cached_miss_stream(workload, 4096, 16)
+            finally:
+                set_artifact_store(None)
+                clear_miss_stream_cache()
+
+        capture_through_store()
+        artifact = store.root / (store.key(workload, 4096, 16) + ".rpm2")
+        original = PackedMissStream.load(artifact, mmap=False).content_hash()
+        flip_byte(artifact, artifact.stat().st_size // 2)
+        with pytest.raises(IntegrityError):
+            PackedMissStream.load(artifact, mmap=False)
+        assert store.load(workload, 4096, 16) is None
+        # The store reads rot as a miss, so the next capture rewrites it.
+        capture_through_store()
+        assert (
+            PackedMissStream.load(artifact, mmap=False).content_hash()
+            == original
+        )
+
+        # Moved aside, the rotten checkpoint is never read again: the
+        # sweep recomputes every point, bit-identically.
+        checkpoint.rename(tmp_path / "sweep.ckpt.rotten")
+        recomputed = make_runner().run_points(POINTS, checkpoint=checkpoint)
+        assert recomputed.ok and recomputed.resumed == 0
+        assert_matches_baseline(recomputed, baseline)
 
 
 class TestProgress:

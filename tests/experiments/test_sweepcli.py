@@ -12,6 +12,10 @@ from repro.experiments.sweepcli import EXIT_PARTIAL, main
 from repro.resilience import faults
 from repro.resilience.faults import ENV_VAR
 
+from .test_resilient_sweep import flip_byte, middle_of_line
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 @pytest.fixture(autouse=True)
 def clean_plan(monkeypatch):
@@ -34,8 +38,30 @@ def base_args(tmp_path, *extra):
     ]
 
 
-def read_out(tmp_path):
-    return json.loads((tmp_path / "results.json").read_text())
+def read_out(tmp_path, name="results.json"):
+    return json.loads((tmp_path / name).read_text())
+
+
+def run_sweep_cli(tmp_path, args, **env):
+    """``repro-sweep`` in a subprocess: ``PYTHONPATH=src`` plus ``env``.
+
+    No ``REPRO_*`` variable of the calling process leaks through.
+    """
+    child_env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("REPRO_")
+    }
+    child_env["PYTHONPATH"] = str(SRC)
+    child_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments.sweepcli", *args],
+        cwd=tmp_path,
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestHappyPath:
@@ -60,6 +86,25 @@ class TestHappyPath:
         payload = read_out(tmp_path)
         assert payload["resumed"] == 2
 
+    def test_resumed_sweep_progress_ends_on_done(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        checkpoint = str(tmp_path / "p.ckpt")
+        first = base_args(tmp_path, "--assoc", "2", "--checkpoint", checkpoint)
+        assert main(first) == 0
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        capsys.readouterr()
+        assert (
+            main(base_args(tmp_path, "--checkpoint", checkpoint, "--resume"))
+            == 0
+        )
+        lines = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("[sweep]")
+        ]
+        assert lines and lines[-1].endswith("done"), lines
+
 
 class TestWorkerTeardown:
     def test_two_point_sweep_prints_no_traceback(self, tmp_path):
@@ -69,20 +114,12 @@ class TestWorkerTeardown:
         the pool resets it, the SIGTERM that stops each idle worker at
         teardown prints a traceback on stderr.
         """
-        env = dict(os.environ)
-        env.pop(ENV_VAR, None)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-        result = subprocess.run(
+        result = run_sweep_cli(
+            tmp_path,
             [
-                sys.executable, "-m", "repro.experiments.sweepcli",
                 "--l1", "4K-16", "--l2", "64K-32", "--assoc", "2,4",
                 "--scale", "0.002", "--processes", "2",
             ],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
         )
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
@@ -153,6 +190,58 @@ class TestFailurePaths:
         payload = read_out(tmp_path)
         assert payload["retries"] >= 1
         assert payload["failures"] == []
+
+
+class TestStorageFaults:
+    def test_torn_checkpoint_write_resumes_to_baseline(self, tmp_path):
+        baseline_out = str(tmp_path / "base.json")
+        assert main(base_args(tmp_path, "--out", baseline_out)) == 0
+        # Write 1 is the header, write 2 the first append; the third
+        # write tears the second append and the "machine" dies.
+        crashed = run_sweep_cli(
+            tmp_path,
+            base_args(
+                tmp_path, "--checkpoint", "spool/sweep.ckpt",
+                "--out", str(tmp_path / "crashed.json"),
+            ),
+            REPRO_IO_FAULTS="torn@write:path=.ckpt,nth=3",
+        )
+        assert crashed.returncode != 0
+        assert "InjectedCrashError" in crashed.stderr
+        # Resume with no repair step: load() drops the torn tail and
+        # record() steals the dead process's lock.
+        checkpoint = str(tmp_path / "spool" / "sweep.ckpt")
+        assert (
+            main(
+                base_args(
+                    tmp_path, "--checkpoint", checkpoint, "--resume",
+                    "--out", str(tmp_path / "res.json"),
+                )
+            )
+            == 0
+        )
+        baseline = read_out(tmp_path, "base.json")
+        resumed = read_out(tmp_path, "res.json")
+        assert resumed.pop("resumed") == 1
+        assert baseline.pop("resumed") == 0
+        assert resumed == baseline
+
+    def test_corrupt_checkpoint_exits_2_and_names_the_remedy(self, tmp_path):
+        checkpoint = tmp_path / "sweep.ckpt"
+        assert main(base_args(tmp_path, "--checkpoint", str(checkpoint))) == 0
+        flip_byte(checkpoint, middle_of_line(checkpoint, 2))
+        result = run_sweep_cli(
+            tmp_path,
+            base_args(tmp_path, "--checkpoint", str(checkpoint), "--resume"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert any(
+            str(checkpoint) in line
+            and "line 2" in line
+            and "move the checkpoint aside and rerun to recompute its points"
+            in line
+            for line in result.stderr.splitlines()
+        ), result.stderr
 
 
 class TestInterrupt:

@@ -12,7 +12,6 @@ from repro.storage.framing import (
     FRAME_PREFIX,
     crc32_footer,
     crc32_hex,
-    file_crc32,
     frame_line,
     is_framed,
     parse_framed_line,
@@ -111,18 +110,6 @@ class TestCrc32Footer:
         buffer[-1] ^= 0x01
         with pytest.raises(IntegrityError):
             verify_crc32_footer(bytes(buffer), len(data))
-
-
-class TestFileCrc32:
-    def test_matches_zlib(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"x" * 10_000)
-        assert file_crc32(path) == crc32_hex(b"x" * 10_000)
-
-    def test_streams_in_chunks(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"abcdef" * 1000)
-        assert file_crc32(path, chunk_size=7) == file_crc32(path)
 
 
 class TestCrc32Hex:

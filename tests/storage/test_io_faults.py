@@ -220,12 +220,11 @@ class TestActivation:
 
 
 class TestAtomicWrites:
-    def test_atomic_write_survives_replace_fault(self, tmp_path):
+    @pytest.mark.parametrize("op", ["write", "fsync", "replace"])
+    def test_atomic_write_survives_disk_error(self, tmp_path, op):
         path = tmp_path / "doc.json"
         path.write_text("old")
-        set_io(
-            FaultingIO(IOFaultPlan([IOFaultSpec("enospc", "replace")]))
-        )
+        set_io(FaultingIO(IOFaultPlan([IOFaultSpec("enospc", op)])))
         try:
             with pytest.raises(OSError):
                 atomic_write_text(path, "new")
@@ -248,7 +247,7 @@ class TestAtomicWrites:
         handle.close()
         assert path.read_text() == "line\n"
 
-    def test_crash_leaves_orphan_temp_for_fsck(self, tmp_path):
+    def test_crash_leaves_orphan_temp_for_next_write(self, tmp_path):
         path = tmp_path / "doc.json"
         set_io(FaultingIO(IOFaultPlan([IOFaultSpec("crash", "replace")])))
         try:
@@ -257,6 +256,9 @@ class TestAtomicWrites:
         finally:
             set_io(None)
         # Crash debris stays on disk, exactly like a real power cut;
-        # repro-fsck removes it as an orphan temp.
+        # the temp has a fixed name, so the next write overwrites it.
         assert not path.exists()
         assert len(list(tmp_path.glob("*.tmp"))) == 1
+        atomic_write_text(path, "newer")
+        assert path.read_text() == "newer"
+        assert list(tmp_path.glob("*.tmp")) == []
