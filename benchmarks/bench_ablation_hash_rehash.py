@@ -11,7 +11,7 @@ worse miss ratio (swap displacement is not true LRU across pairs).
 from _bench_utils import once, save_result
 
 from repro.cache.hash_rehash import HashRehashCache
-from repro.cache.hierarchy import FLUSH_MARKER, replay_miss_stream
+from repro.cache.hierarchy import replay_miss_stream
 from repro.cache.observers import ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.mru import MRULookup
@@ -31,14 +31,7 @@ def sweep(runner):
     replay_miss_stream(stream, two_way)
 
     rehash = HashRehashCache(CAPACITY, BLOCK)
-    for code, address in stream.events:
-        if (code, address) == FLUSH_MARKER:
-            rehash.invalidate_all()
-            continue
-        if code == 0:
-            rehash.read_in(address)
-        else:
-            rehash.write_back(address)
+    replay_miss_stream(stream, rehash)
 
     return {
         "mru-2way": (

@@ -22,7 +22,6 @@ from repro.cache.direct_mapped import DirectMappedCache, MemoryRequest, RequestK
 from repro.cache.hash_rehash import HashRehashCache
 from repro.cache.hierarchy import (
     InclusionStats,
-    MissStream,
     TwoLevelHierarchy,
     cached_miss_stream,
     capture_miss_stream,
@@ -62,7 +61,6 @@ __all__ = [
     "InclusionStats",
     "LruReplacement",
     "MemoryRequest",
-    "MissStream",
     "MruDistanceObserver",
     "MultiprocessorStats",
     "MultiprocessorSystem",

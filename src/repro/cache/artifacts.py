@@ -21,6 +21,9 @@ Writes are atomic *and durable* (temp file + fsync + ``os.replace`` +
 directory fsync, via :mod:`repro.storage.io`), so concurrent workers
 racing to persist the same capture converge on one valid artifact and
 a crash cannot publish a partial one under a content-addressed name.
+Each writer stages under its own temp name, ``<final name>.<pid>.tmp``;
+a save first removes this key's temps left by its own process or by a
+process that no longer exists, so crash debris does not accumulate.
 Streams carry a CRC32 footer verified on every load; a corrupt,
 truncated, or bit-rotted artifact is treated as a miss and
 recaptured, never trusted.
@@ -34,13 +37,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cache.stream import PackedMissStream
 from repro.errors import IntegrityError, TraceFormatError
-from repro.storage.io import get_io
+from repro.storage.io import get_io, process_exists
 
 #: Environment variable naming the artifact directory.
 ENV_VAR = "REPRO_STREAM_ARTIFACTS"
@@ -76,9 +78,9 @@ class StreamArtifactStore:
         """Load the artifact for this capture, or ``None`` on a miss.
 
         The stream comes back memory-mapped (zero-copy); a corrupt or
-        incomplete artifact — bad magic, truncated columns, missing or
-        malformed sidecar — is reported as a miss so the caller
-        recaptures and overwrites it.
+        incomplete artifact — bad magic, truncated columns, a missing or
+        wrong CRC32 footer, a missing or malformed sidecar — is reported
+        as a miss so the caller recaptures and overwrites it.
         """
         key = self.key(workload, capacity_bytes, block_size)
         stream_path, meta_path = self._paths(key)
@@ -89,7 +91,7 @@ class StreamArtifactStore:
             miss_ratio = float(meta["l1_readin_miss_ratio"])
             packed = PackedMissStream.load(stream_path, mmap=True)
         except (
-            IntegrityError,  # CRC32 footer refuted the content
+            IntegrityError,  # CRC32 footer missing or refuted
             TraceFormatError,
             OSError,
             ValueError,
@@ -113,7 +115,8 @@ class StreamArtifactStore:
         key = self.key(workload, capacity_bytes, block_size)
         stream_path, meta_path = self._paths(key)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(stream_path, packed)
+        self._remove_stale_temps(key)
+        self._write_atomic(stream_path, packed.save)
         meta = {
             "l1_readin_miss_ratio": miss_ratio,
             "processor_references": packed.processor_references,
@@ -121,33 +124,42 @@ class StreamArtifactStore:
             "n_flushes": packed.n_flushes,
             "content_hash": packed.content_hash(),
         }
-        io = get_io()
-        fd, temp = tempfile.mkstemp(dir=self.root, suffix=".meta.tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(meta, handle, indent=2, sort_keys=True)
-                io.fsync(handle)
-            io.replace(temp, meta_path)
-        except OSError:
-            _unlink_quietly(temp)
-            raise
-        io.fsync_dir(self.root)
+        text = json.dumps(meta, indent=2, sort_keys=True)
+        self._write_atomic(meta_path, lambda temp: temp.write_text(text))
         return stream_path
 
-    def _write_atomic(self, path: Path, packed: PackedMissStream) -> None:
-        """Publish ``packed`` under ``path`` durably and atomically.
+    def _remove_stale_temps(self, key: str) -> None:
+        """Remove this key's temps whose writer cannot still be writing.
 
-        The temp file is fsync'd *before* the rename and the store
-        directory *after* it — without both, a crash in the window
-        between rename and writeback could publish an empty or partial
-        artifact under a content-addressed name, which later loads
-        would then have to detect and recapture forever.
+        That is this process's own (its saves do not overlap) and any
+        whose PID no longer exists. The temp of a live writer — a
+        sweep worker saving the same capture right now — or of one
+        whose liveness is unknown stays.
+        """
+        for temp in self.root.glob(f"{key}.*.tmp"):
+            try:
+                pid = int(temp.name.rsplit(".", 2)[1])
+            except ValueError:
+                continue
+            if pid == os.getpid() or process_exists(pid) is False:
+                _unlink_quietly(temp)
+
+    def _write_atomic(self, path: Path, write: Callable[[Path], None]) -> None:
+        """Publish the file ``write(temp)`` makes under ``path``,
+        durably and atomically.
+
+        The temp, ``<path>.<pid>.tmp``, is fsync'd *before* the rename
+        and the store directory *after* it — without both, a crash in
+        the window between rename and writeback could publish an empty
+        or partial artifact under a content-addressed name, which later
+        loads would then have to detect and recapture forever. Naming
+        the temp for its writer keeps two workers saving the same key
+        from writing into one file.
         """
         io = get_io()
-        fd, temp = tempfile.mkstemp(dir=self.root, suffix=".rpm2.tmp")
-        os.close(fd)
+        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            packed.save(temp)
+            write(temp)
             with open(temp, "rb") as handle:
                 io.fsync(handle)
             io.replace(temp, path)

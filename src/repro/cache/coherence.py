@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.hierarchy import FLUSH_MARKER, MissStream
 from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.stream import PackedMissStream
 from repro.errors import ConfigurationError
 
 
@@ -119,30 +119,34 @@ class InvalidationInjector:
 
 
 def run_with_invalidations(
-    stream: MissStream,
+    stream: PackedMissStream,
     l2: SetAssociativeCache,
     injector: InvalidationInjector,
     sample_every: int = 2000,
 ) -> CoherenceStats:
     """Replay ``stream`` into ``l2`` with invalidations interleaved.
 
-    Utilization is sampled every ``sample_every`` local requests
+    Utilization is sampled every ``sample_every`` stream positions
     (skipping the initial cold-fill period would bias against the
     direct-mapped case, so samples start once a quarter of the stream
-    has been replayed).
+    has been replayed). Each flush holds one position, as
+    ``len(stream)`` counts it.
     """
     if sample_every <= 0:
         raise ConfigurationError("sample_every must be positive")
-    warmup = len(stream.events) // 4
-    for position, (code, address) in enumerate(stream.events):
-        if (code, address) == FLUSH_MARKER:
+    warmup = len(stream) // 4
+    position = 0
+    for index, (codes, addresses) in enumerate(stream.segments()):
+        if index:
             l2.invalidate_all()
-            continue
-        if code == 0:
-            l2.read_in(address)
-        else:
-            l2.write_back(address)
-        injector.tick()
-        if position >= warmup and position % sample_every == 0:
-            injector.sample_utilization()
+            position += 1
+        for code, address in zip(codes, addresses):
+            if code == 0:
+                l2.read_in(address)
+            else:
+                l2.write_back(address)
+            injector.tick()
+            if position >= warmup and position % sample_every == 0:
+                injector.sample_utilization()
+            position += 1
     return injector.stats

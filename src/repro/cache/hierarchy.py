@@ -7,18 +7,20 @@ levels.
 
 Because the L1 is independent of every L2 parameter under study, the
 L1 pass can be done once per L1 configuration and its *miss stream*
-(the sequence of read-in/write-back requests plus flush markers)
-replayed into many instrumented L2 configurations. This is what makes
-the full Table 4 sweep affordable.
+(the sequence of read-in/write-back requests, cut into cold-start
+segments at flush offsets: a
+:class:`~repro.cache.stream.PackedMissStream`) replayed into many
+instrumented L2 configurations. This is what makes the full Table 4
+sweep affordable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Tuple
 
-from repro.cache.direct_mapped import DirectMappedCache, MemoryRequest, RequestKind
+from repro.cache.direct_mapped import DirectMappedCache, RequestKind
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.cache.stream import PackedMissStream
@@ -27,84 +29,7 @@ from repro.obs.spans import span
 from repro.trace.reference import Reference
 
 
-#: Sentinel in a miss stream marking a cold-start flush boundary.
-FLUSH_MARKER: Tuple[int, int] = (-1, -1)
-
 _KIND_CODES = {RequestKind.READ_IN: 0, RequestKind.WRITE_BACK: 1}
-_CODE_KINDS = {0: RequestKind.READ_IN, 1: RequestKind.WRITE_BACK}
-
-
-@dataclass
-class MissStream:
-    """A captured L1 request stream, replayable into any L2.
-
-    Events are ``(kind_code, address)`` tuples, with
-    :data:`FLUSH_MARKER` standing for a flush boundary. Also records
-    how many processor references produced the stream, so global miss
-    ratios can be computed after replay.
-    """
-
-    events: List[Tuple[int, int]] = field(default_factory=list)
-    processor_references: int = 0
-    #: Cached (readins, writebacks, events counted) — both kind counts
-    #: are computed in one pass and invalidated whenever the event list
-    #: grows (appends through the methods below or directly).
-    _counts: Optional[Tuple[int, int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def append(self, request: MemoryRequest) -> None:
-        """Record one L1 request."""
-        self.events.append((_KIND_CODES[request.kind], request.address))
-
-    def append_flush(self) -> None:
-        """Record a cold-start boundary."""
-        self.events.append(FLUSH_MARKER)
-
-    def _recount(self) -> None:
-        if self._counts is not None and self._counts[2] == len(self.events):
-            return
-        readins = writebacks = 0
-        for code, _ in self.events:
-            if code == 0:
-                readins += 1
-            elif code == 1:
-                writebacks += 1
-        self._counts = (readins, writebacks, len(self.events))
-
-    @property
-    def readins(self) -> int:
-        """Number of read-in events (one cached pass for both kinds)."""
-        self._recount()
-        return self._counts[0]
-
-    @property
-    def writebacks(self) -> int:
-        """Number of write-back events (one cached pass for both kinds)."""
-        self._recount()
-        return self._counts[1]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def save(self, path) -> None:
-        """Persist the stream to ``path`` as RPM2 (gzip if it ends ``.gz``).
-
-        Capturing an L1 miss stream is the expensive step of large
-        studies; saving it lets many later sessions replay it into new
-        L2 configurations without rerunning the L1. The file is the
-        one written by :meth:`PackedMissStream.save`.
-        """
-        PackedMissStream.from_miss_stream(self).save(path)
-
-    @classmethod
-    def load(cls, path) -> "MissStream":
-        """Load a stream written by :meth:`save` (or a legacy RPMS file).
-
-        Raises:
-            TraceFormatError: On a bad header or truncated file.
-        """
-        return PackedMissStream.load(path, mmap=False).to_miss_stream()
 
 
 @dataclass
@@ -256,9 +181,9 @@ class TwoLevelHierarchy:
 
 def capture_miss_stream(
     trace: Iterable[Reference], l1: DirectMappedCache
-) -> MissStream:
+) -> PackedMissStream:
     """Run ``trace`` through ``l1`` alone, recording its request stream."""
-    stream = MissStream()
+    stream = PackedMissStream()
     for ref in trace:
         if ref.is_flush:
             l1.invalidate_all()
@@ -266,14 +191,14 @@ def capture_miss_stream(
             continue
         stream.processor_references += 1
         for request in l1.access(ref):
-            stream.append(request)
+            stream.append(_KIND_CODES[request.kind], request.address)
     return stream
 
 
 #: Process-wide miss-stream cache, content-addressed by
 #: (workload identity, L1 capacity, L1 block size). Values are
 #: (stream, L1 read-in miss ratio) pairs.
-_MISS_STREAM_CACHE: Dict[tuple, Tuple[MissStream, float]] = {}
+_MISS_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
 
 
 def _workload_key(workload) -> tuple:
@@ -293,7 +218,7 @@ def _workload_key(workload) -> tuple:
 
 def cached_miss_stream(
     workload, capacity_bytes: int, block_size: int
-) -> Tuple[MissStream, float]:
+) -> Tuple[PackedMissStream, float]:
     """Captured L1 request stream for ``workload``, memoized process-wide.
 
     The L1 pass is the expensive, L2-independent step of every sweep;
@@ -308,7 +233,8 @@ def cached_miss_stream(
     miss is looked up there before capturing, and a fresh capture is
     persisted as a content-addressed ``RPM2`` artifact, so later
     processes (sweep workers, later sweeps, new sessions) load
-    it instead of re-simulating the L1.
+    it instead of re-simulating the L1. An artifact hit is returned as
+    loaded: its columns stay memory-mapped.
 
     Cache behavior is published to the process metrics registry
     (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``, and
@@ -337,10 +263,8 @@ def cached_miss_stream(
         loaded = store.load(workload, capacity_bytes, block_size)
         if loaded is not None:
             metrics.counter("miss_stream.artifact_hits").inc()
-            packed, miss_ratio = loaded
-            entry = (packed.to_miss_stream(), miss_ratio)
-            _MISS_STREAM_CACHE[key] = entry
-            return entry
+            _MISS_STREAM_CACHE[key] = loaded
+            return loaded
         metrics.counter("miss_stream.artifact_misses").inc()
     l1 = DirectMappedCache(capacity_bytes, block_size)
     start = time.perf_counter()
@@ -355,10 +279,7 @@ def cached_miss_stream(
     entry = (stream, miss_ratio)
     _MISS_STREAM_CACHE[key] = entry
     if store is not None:
-        store.save(
-            workload, capacity_bytes, block_size,
-            PackedMissStream.from_miss_stream(stream), miss_ratio,
-        )
+        store.save(workload, capacity_bytes, block_size, stream, miss_ratio)
     return entry
 
 
@@ -367,13 +288,16 @@ def clear_miss_stream_cache() -> None:
     _MISS_STREAM_CACHE.clear()
 
 
-def replay_miss_stream(stream: MissStream, l2: SetAssociativeCache) -> None:
-    """Feed a captured miss stream into an (instrumented) L2 cache."""
-    for code, address in stream.events:
-        if (code, address) == FLUSH_MARKER:
+def replay_miss_stream(
+    stream: PackedMissStream, l2: SetAssociativeCache
+) -> None:
+    """Feed a captured miss stream into an (instrumented) L2 cache,
+    cold-starting it at each flush."""
+    for index, (codes, addresses) in enumerate(stream.segments()):
+        if index:
             l2.invalidate_all()
-            continue
-        if code == 0:
-            l2.read_in(address)
-        else:
-            l2.write_back(address)
+        for code, address in zip(codes, addresses):
+            if code == 0:
+                l2.read_in(address)
+            else:
+                l2.write_back(address)

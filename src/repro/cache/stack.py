@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.address import AddressMapper
-from repro.cache.hierarchy import FLUSH_MARKER, MissStream
+from repro.cache.stream import PackedMissStream
 from repro.errors import ConfigurationError
 
 
@@ -83,15 +83,15 @@ class StackSimulator:
         """Cold-start: clear every per-set stack."""
         self._stacks.clear()
 
-    def run(self, stream: MissStream) -> "StackSimulator":
+    def run(self, stream: PackedMissStream) -> "StackSimulator":
         """Process a captured L1 miss stream (read-ins and
-        write-backs both promote, as in the real L2), honoring flush
-        markers."""
-        for code, address in stream.events:
-            if (code, address) == FLUSH_MARKER:
+        write-backs both promote, as in the real L2), cold-starting at
+        each flush."""
+        for index, (_, addresses) in enumerate(stream.segments()):
+            if index:
                 self.flush()
-                continue
-            self.access(address)
+            for address in addresses:
+                self.access(address)
         return self
 
     def misses(self, associativity: int) -> int:

@@ -1,10 +1,9 @@
-"""Columnar packed miss streams and the mmap-able RPM2 artifact format.
+"""Columnar packed miss streams and the mmap-able RPM2 file format.
 
 A captured L1 miss stream is the unit of reuse across every L2 sweep:
-one stream is replayed into dozens of instrumented configurations. The
-legacy :class:`~repro.cache.hierarchy.MissStream` stores it as a Python
-list of ``(kind_code, address)`` tuples — two heap objects per event.
-:class:`PackedMissStream` stores the same information *columnar*:
+one stream is replayed into dozens of instrumented configurations.
+:class:`PackedMissStream` is its one representation, stored columnar
+rather than as one heap object per event:
 
 - a **codes** column (one unsigned byte per event: 0 = read-in,
   1 = write-back),
@@ -13,10 +12,12 @@ list of ``(kind_code, address)`` tuples — two heap objects per event.
   of events that precede it — flushes are *not* inline sentinels).
 
 Columns are stdlib :class:`array.array` / :class:`memoryview` buffers,
-so persistence is a handful of bulk writes.
+so persistence is a handful of bulk writes, and every reader walks
+them one cold-start segment at a time
+(:meth:`PackedMissStream.segments`).
 
-The on-disk **RPM2** format (version 2 of the ``RPMS`` record format)
-lays the columns out contiguously with 8-byte alignment::
+The on-disk **RPM2** format lays the columns out contiguously with
+8-byte alignment::
 
     offset  0   magic  b"RPM2"
     offset  4   u32    format version (currently 1)
@@ -27,37 +28,27 @@ lays the columns out contiguously with 8-byte alignment::
     (pad to 8-byte alignment)
     u64 x n_events               addresses column (little-endian)
     u64 x n_flushes              flush-offsets column (little-endian)
+    8 bytes                      CRC32 footer (repro.storage.framing)
 
 so :meth:`PackedMissStream.load` can map the file and hand out
 zero-copy ``memoryview.cast("Q")`` windows directly over the page
 cache — the content-addressed stream-artifact store
 (:mod:`repro.cache.artifacts`) relies on this for cheap reuse across
-worker processes and runs. Legacy ``RPMS`` record files, which
-nothing writes any more, load through the same entry point
-(materialized, not mapped).
+worker processes and runs.
 """
 
 from __future__ import annotations
 
-import gzip
 import struct
 import sys
 from array import array
-from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 from repro.errors import TraceFormatError
 
-#: Sentinel yielded by :meth:`PackedMissStream.iter_events` at flush
-#: boundaries — identical to the legacy in-stream marker.
-FLUSH_MARKER: Tuple[int, int] = (-1, -1)
-
 _MAGIC = b"RPM2"
-_LEGACY_MAGIC = b"RPMS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
-#: One legacy RPMS record: signed code (-1 = flush), address.
-_LEGACY_RECORD = struct.Struct("<bQ")
 
 
 def _pad8(n: int) -> int:
@@ -126,8 +117,8 @@ class PackedMissStream:
         return len(self._flushes)
 
     def __len__(self) -> int:
-        # Mirrors the legacy MissStream, whose events list counts flush
-        # markers too.
+        # Events plus flushes: each flush holds one position of the
+        # stream, and run_with_invalidations samples by position.
         return len(self._codes) + len(self._flushes)
 
     def _recount(self) -> None:
@@ -163,54 +154,38 @@ class PackedMissStream:
         self._flushes.append(len(self._codes))
 
     @classmethod
-    def from_events(
-        cls, events, processor_references: int = 0
-    ) -> "PackedMissStream":
-        """Pack a legacy event sequence (flush markers inline)."""
-        packed = cls(processor_references=processor_references)
-        codes = packed._codes
-        addresses = packed._addresses
-        flushes = packed._flushes
-        for code, address in events:
-            if code < 0:
-                flushes.append(len(codes))
-            else:
-                codes.append(code)
-                addresses.append(address)
-        return packed
-
-    @classmethod
     def from_miss_stream(cls, stream) -> "PackedMissStream":
-        """Pack a legacy :class:`~repro.cache.hierarchy.MissStream`."""
-        return cls.from_events(stream.events, stream.processor_references)
+        """Return ``stream`` itself: capture already builds this type.
+
+        An identity kept only because the pipeline benchmark's traced
+        mode (``benchmarks/pipeline/child.py``) calls it and times the
+        call as ``cache.stream.pack``; delete it with the next change
+        to that benchmark.
+        """
+        return stream
 
     # ------------------------------------------------------------------
-    # Legacy interop
+    # Reading
 
-    def iter_events(self) -> Iterator[Tuple[int, int]]:
-        """Yield legacy ``(code, address)`` events, flush markers inline."""
+    def segments(self) -> Iterator[Tuple[object, object]]:
+        """Yield one ``(codes, addresses)`` window per cold-start segment.
+
+        The windows are cut at each flush offset in order, so there are
+        ``n_flushes + 1`` of them; a leading, trailing or back-to-back
+        flush yields an empty window. Readers run their flush action
+        between consecutive windows. Windows of ``array`` columns are
+        copies; windows of a memory-mapped stream are zero-copy views.
+        """
         codes = self._codes
         addresses = self._addresses
-        position = 0
-        for offset in self._flushes:
-            for i in range(position, offset):
-                yield (codes[i], addresses[i])
-            yield FLUSH_MARKER
-            position = offset
-        for i in range(position, len(codes)):
-            yield (codes[i], addresses[i])
-
-    def to_miss_stream(self):
-        """The equivalent legacy :class:`~repro.cache.hierarchy.MissStream`."""
-        from repro.cache.hierarchy import MissStream
-
-        return MissStream(
-            events=list(self.iter_events()),
-            processor_references=self.processor_references,
-        )
+        start = 0
+        for end in self._flushes:
+            yield codes[start:end], addresses[start:end]
+            start = end
+        yield codes[start:], addresses[start:]
 
     # ------------------------------------------------------------------
-    # Persistence (RPM2, with legacy RPMS fallback)
+    # Persistence (RPM2)
 
     def content_hash(self) -> str:
         """SHA-256 over the packed columns and reference count (hex)."""
@@ -230,20 +205,18 @@ class PackedMissStream:
         return _u64_bytes(self._flushes)
 
     def save(self, path) -> None:
-        """Write the stream as an RPM2 file (gzip if ``path`` ends ``.gz``).
+        """Write the stream as an RPM2 file.
 
         The write is a fixed header plus three bulk column writes — no
-        per-record packing. Plain files are laid out 8-byte aligned so
-        :meth:`load` can map them zero-copy. An 8-byte CRC32 footer
+        per-record packing — laid out 8-byte aligned so :meth:`load`
+        can map the file zero-copy. An 8-byte CRC32 footer
         (:func:`repro.storage.framing.crc32_footer`) follows the last
-        column so :meth:`load` can verify the whole file end to end;
-        readers of this version still accept footer-less legacy files.
+        column so :meth:`load` can verify the whole file end to end.
         """
         import zlib
 
         from repro.storage.framing import FOOTER_MAGIC
 
-        path = Path(path)
         header = _HEADER.pack(
             _MAGIC,
             _VERSION,
@@ -258,57 +231,33 @@ class PackedMissStream:
         for chunk in chunks:
             crc = zlib.crc32(chunk, crc)
         footer = FOOTER_MAGIC + struct.pack("<I", crc & 0xFFFFFFFF)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "wb") as handle:
+        with open(path, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk)
             handle.write(footer)
 
     @classmethod
     def load(cls, path, mmap: bool = True) -> "PackedMissStream":
-        """Load an RPM2 (or legacy RPMS) miss-stream file.
+        """Load an RPM2 miss-stream file.
 
-        Plain (non-gzip) RPM2 files are memory-mapped by default: the
-        returned stream's columns are zero-copy views over the page
-        cache, so many processes loading the same artifact share the
-        physical memory. Pass ``mmap=False`` to materialize instead.
-        Legacy ``RPMS`` record files are detected by magic and packed
-        on load.
+        The file is memory-mapped by default: the returned stream's
+        columns are zero-copy views over the page cache, so many
+        processes loading the same artifact share the physical memory.
+        Pass ``mmap=False`` to materialize instead.
 
         Raises:
             TraceFormatError: On an unknown magic, unsupported version,
                 or truncated/corrupt file.
-            IntegrityError: When the file carries a CRC32 footer and
-                the content does not hash to it (bitrot, tampering).
+            IntegrityError: When the CRC32 footer is missing or the
+                content does not hash to it (bitrot, tampering).
         """
-        path = Path(path)
-        gzipped = path.suffix == ".gz"
-        opener = gzip.open if gzipped else open
-        with opener(path, "rb") as handle:
-            magic = handle.read(4)
-            if magic == _LEGACY_MAGIC:
-                handle.seek(0)
-                return cls._load_legacy(handle, path)
-            if magic != _MAGIC:
+        with open(path, "rb") as handle:
+            if handle.read(4) != _MAGIC:
                 raise TraceFormatError(f"{path} is not a saved miss stream")
-            if not gzipped and mmap and sys.byteorder == "little":
+            if mmap and sys.byteorder == "little":
                 return cls._load_mapped(path)
-            data = magic + handle.read()
+            data = _MAGIC + handle.read()
         return cls._parse(data, path)
-
-    @classmethod
-    def _load_legacy(cls, handle, path) -> "PackedMissStream":
-        """Pack a legacy RPMS record file: magic, ``<QQ`` (references,
-        record count), then one :data:`_LEGACY_RECORD` per event."""
-        handle.read(4)
-        header = handle.read(16)
-        if len(header) != 16:
-            raise TraceFormatError(f"truncated miss-stream header in {path}")
-        refs, count = struct.unpack("<QQ", header)
-        data = handle.read(_LEGACY_RECORD.size * count)
-        if len(data) != _LEGACY_RECORD.size * count:
-            raise TraceFormatError(f"truncated miss-stream record in {path}")
-        return cls.from_events(_LEGACY_RECORD.iter_unpack(data), refs)
 
     @classmethod
     def _parse_header(cls, buffer, path) -> Tuple[int, int, int, int, int]:
@@ -335,10 +284,9 @@ class PackedMissStream:
     def _parse(cls, data: bytes, path) -> "PackedMissStream":
         """Materialize a stream from RPM2 bytes (non-mmap path).
 
-        When the file carries a CRC32 footer (anything saved by this
-        version), the whole payload is verified against it first —
-        :class:`~repro.errors.IntegrityError` on mismatch. Footer-less
-        legacy files parse as before.
+        The whole payload is verified against its CRC32 footer first —
+        :class:`~repro.errors.IntegrityError` when the footer is
+        missing or does not match.
         """
         from repro.storage.framing import verify_crc32_footer
 

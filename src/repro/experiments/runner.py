@@ -30,13 +30,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.hierarchy import (
-    MissStream,
-    cached_miss_stream,
-    replay_miss_stream,
-)
+from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
+from repro.cache.stream import PackedMissStream
 from repro.core.analysis import default_subsets
 from repro.core.engine import FusedProbeEngine
 from repro.core.mru import MRULookup
@@ -313,12 +310,12 @@ class ExperimentRunner:
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self._streams: Dict[str, MissStream] = {}
+        self._streams: Dict[str, PackedMissStream] = {}
         self._l1_stats: Dict[str, float] = {}
         self._results: Dict[tuple, ConfigResult] = {}
         self._run_log: List[Dict[str, Any]] = []
 
-    def miss_stream(self, l1: CacheGeometry) -> MissStream:
+    def miss_stream(self, l1: CacheGeometry) -> PackedMissStream:
         """Captured L1 request stream for ``l1``.
 
         Content-addressed and memoized process-wide, so every runner on

@@ -48,11 +48,6 @@ class ChipSpec:
             )
 
     @property
-    def total_bits_wide(self) -> int:
-        """Combined output width of one package."""
-        return sum(self.bits)
-
-    @property
     def has_page_mode(self) -> bool:
         """Whether repeated same-row probes get the fast page timing."""
         return self.page_access_ns is not None

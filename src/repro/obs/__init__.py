@@ -47,7 +47,7 @@ from repro.obs.context import (
     reset_id_source,
     set_id_source,
 )
-from repro.obs.jsonl import JsonlWriter, read_jsonl, write_jsonl
+from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.log import StructuredLogger, log
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -89,7 +89,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "IdSource",
-    "JsonlWriter",
     "MANIFEST_SCHEMA_VERSION",
     "MetricsRegistry",
     "ProgressReporter",

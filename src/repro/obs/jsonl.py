@@ -1,10 +1,10 @@
-"""Append-only JSONL sink shared by the tracer and manifest writers.
+"""JSONL files shared by the tracer and the trace readers.
 
 One record per line, UTF-8, ``\\n``-terminated — the least-common-
 denominator format every log shipper and ``jq`` pipeline understands.
-Writing is buffered per :class:`JsonlWriter` instance and flushed on
-:meth:`~JsonlWriter.close` (or context-manager exit); reading streams
-records lazily so multi-gigabyte traces never need to fit in memory.
+:func:`write_jsonl` writes a whole file at once; :func:`read_jsonl`
+streams records lazily so multi-gigabyte traces never need to fit in
+memory.
 """
 
 from __future__ import annotations
@@ -21,73 +21,22 @@ def _canonical(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, default=str)
 
 
-class JsonlWriter:
-    """Appends dict records to a JSONL file, one JSON object per line.
-
-    Usable as a context manager::
-
-        with JsonlWriter(path) as sink:
-            sink.write({"event": "started"})
-
-    Args:
-        path: Destination file. Parent directories are created.
-        append: Open in append mode (default) so several writers can
-            extend one trace; pass ``False`` to truncate first.
-    """
-
-    def __init__(self, path: PathLike, append: bool = True) -> None:
-        from repro.storage.io import get_io
-
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = get_io().open(
-            self.path, "a" if append else "w", encoding="utf-8"
-        )
-
-    def write(self, record: Dict[str, Any]) -> None:
-        """Append one record as a JSON line."""
-        from repro.storage.io import get_io
-
-        get_io().write(self._handle, _canonical(record) + "\n")
-
-    def sync(self) -> None:
-        """Flush and fsync the spool — records so far are durable."""
-        from repro.storage.io import get_io
-
-        get_io().fsync(self._handle)
-
-    def write_many(self, records) -> None:
-        """Append every record of an iterable."""
-        for record in records:
-            self.write(record)
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlWriter":
-        """Enter: the writer itself."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Exit: close the file."""
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"JsonlWriter(path={str(self.path)!r})"
-
-
-def write_jsonl(path: PathLike, records, append: bool = False) -> int:
+def write_jsonl(path: PathLike, records) -> int:
     """Write an iterable of dicts to ``path``; returns the record count.
 
-    Truncates by default (a complete artifact, not a log); pass
-    ``append=True`` for incremental extension.
+    The file is truncated first: it is a complete artifact, not a log.
+    Parent directories are created, and the writes go through
+    :func:`repro.storage.io.get_io`.
     """
+    from repro.storage.io import get_io
+
+    io = get_io()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with JsonlWriter(path, append=append) as sink:
+    with io.open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            sink.write(record)
+            io.write(handle, _canonical(record) + "\n")
             count += 1
     return count
 

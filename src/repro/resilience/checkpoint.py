@@ -61,6 +61,7 @@ from repro.storage.io import (
     atomic_write_text,
     durable_append,
     get_io,
+    process_exists,
     wrap_os_error,
 )
 
@@ -84,7 +85,7 @@ def process_start_ticks(pid: int) -> Optional[int]:
     that recycled its PID. ``None`` means the process does not exist
     *or* the platform has no ``/proc`` (macOS, Windows); callers must
     treat those cases differently, so the existence check is separate
-    (:func:`process_exists`).
+    (:func:`repro.storage.io.process_exists`).
     """
     try:
         stat = Path(f"/proc/{pid}/stat").read_bytes()
@@ -97,24 +98,6 @@ def process_start_ticks(pid: int) -> Optional[int]:
         fields = stat.rsplit(b")", 1)[1].split()
         return int(fields[19])
     except (IndexError, ValueError):
-        return None
-
-
-def process_exists(pid: int) -> Optional[bool]:
-    """Whether ``pid`` is a live process; ``None`` when unknowable.
-
-    ``True`` covers processes owned by other users (``EPERM`` still
-    proves existence). ``None`` only on platforms where signal 0 is
-    unsupported.
-    """
-    try:
-        os.kill(pid, 0)
-        return True
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
         return None
 
 

@@ -14,8 +14,8 @@ earned instead of assumed:
   point, ``ENOSPC``, ``EIO``), driven by the ``REPRO_IO_FAULTS``
   mini-language in the style of :mod:`repro.resilience.faults`;
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
-  envelopes for JSONL stores and CRC32 footers for binary artifacts,
-  with transparent reads of legacy unframed files.
+  envelopes for JSONL stores, with transparent reads of legacy
+  unframed lines, and the CRC32 footer every binary artifact carries.
 
 Layering: these modules depend only on the standard library,
 :mod:`repro.errors` and each other, so :mod:`repro.obs` (which must

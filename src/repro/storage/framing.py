@@ -17,8 +17,9 @@ legacy unframed files.
 **Binary footers** (RPM2 stream artifacts). :func:`crc32_footer`
 builds an 8-byte trailer — magic ``C32\\0`` plus the little-endian
 CRC32 of the preceding bytes — appended after the last column;
-:func:`verify_crc32_footer` checks it when present and reports its
-absence (a legacy file) without complaint.
+:func:`verify_crc32_footer` checks it and refuses a file whose footer
+is missing, short or lacks the magic, so damage to the footer cannot
+switch the checksum off.
 
 All verification failures raise the typed
 :class:`~repro.errors.IntegrityError` — *detected, never silently
@@ -121,28 +122,20 @@ def verify_crc32_footer(
     buffer: Union[bytes, bytearray, memoryview],
     length: int,
     context: str = "artifact",
-) -> bool:
-    """Verify the footer after ``buffer[:length]`` when one is present.
+) -> None:
+    """Verify the footer that must follow ``buffer[:length]``.
 
-    Returns ``True`` when a footer was found and verified, ``False``
-    when the buffer ends at ``length`` or continues with non-footer
-    bytes (a legacy file, or unrelated trailing data — both load as
-    before). Raises :class:`~repro.errors.IntegrityError` when the
-    footer magic is present but the checksum does not match.
+    Raises :class:`~repro.errors.IntegrityError` when the footer is
+    missing, short or does not open with :data:`FOOTER_MAGIC`, or when
+    its checksum does not match the content.
     """
-    if len(buffer) < length + FOOTER_SIZE:
-        return False
-    magic = bytes(buffer[length:length + len(FOOTER_MAGIC)])
-    if magic != FOOTER_MAGIC:
-        return False
-    (expected,) = _FOOTER_CRC.unpack(
-        bytes(buffer[length + len(FOOTER_MAGIC):length + FOOTER_SIZE])
-    )
+    footer = bytes(buffer[length:length + FOOTER_SIZE])
+    if len(footer) != FOOTER_SIZE or not footer.startswith(FOOTER_MAGIC):
+        raise IntegrityError(f"{context}: missing CRC32 footer")
+    (expected,) = _FOOTER_CRC.unpack(footer[len(FOOTER_MAGIC):])
     actual = zlib.crc32(buffer[:length]) & 0xFFFFFFFF
     if actual != expected:
         raise IntegrityError(
             f"{context}: CRC32 footer mismatch "
             f"(footer {expected:08x}, content {actual:08x})"
         )
-    return True
-

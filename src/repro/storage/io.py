@@ -18,7 +18,9 @@ writer spells them identically:
   crash the destination holds either the old bytes or the new bytes,
   and the rename itself is durable;
 - :func:`fsync_dir` — make a directory entry (a rename, a create)
-  survive power loss.
+  survive power loss;
+- :func:`process_exists` — whether the writer that left a lock or a
+  temp file behind is still alive.
 
 ``OSError`` from the disk is translated into the typed
 :class:`~repro.errors.StorageError` by :func:`wrap_os_error`-using
@@ -184,6 +186,24 @@ def atomic_write_text(
 def fsync_dir(path: PathLike, io: Optional[StorageIO] = None) -> None:
     """Fsync directory ``path`` through the active storage I/O."""
     (io if io is not None else get_io()).fsync_dir(path)
+
+
+def process_exists(pid: int) -> Optional[bool]:
+    """Whether ``pid`` is a live process; ``None`` when unknowable.
+
+    ``True`` covers processes owned by other users (``EPERM`` still
+    proves existence). ``None`` only on platforms where signal 0 is
+    unsupported.
+    """
+    try:
+        os.kill(pid, 0)
+        return True
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    except OSError:
+        return None
 
 
 def _unlink_quietly(path: PathLike) -> None:

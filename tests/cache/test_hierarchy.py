@@ -98,7 +98,7 @@ class TestMissStream:
 
     def test_capture_records_flush_markers(self):
         stream = capture_miss_stream(self.trace(), DirectMappedCache(256, 16))
-        assert (-1, -1) in stream.events
+        assert stream.n_flushes == 1
 
     def test_replay_equals_direct_simulation(self):
         # The L2 must end in exactly the same state and stats whether

@@ -1,7 +1,8 @@
 """Tests for the packed (columnar) miss stream and its RPM2 artifact."""
 
-import gzip
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -12,47 +13,48 @@ from repro.cache.artifacts import (
 )
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import (
-    FLUSH_MARKER,
-    MissStream,
     cached_miss_stream,
     capture_miss_stream,
     clear_miss_stream_cache,
 )
 from repro.cache.stream import PackedMissStream
-from repro.errors import TraceFormatError
+from repro.errors import IntegrityError, TraceFormatError
 from repro.obs.metrics import get_metrics
+from repro.storage.faultio import (
+    InjectedCrashError,
+    activate_io_plan,
+    deactivate_io_plan,
+)
+from repro.storage.framing import FOOTER_SIZE
 from repro.trace.synthetic import AtumWorkload
 
 
 @pytest.fixture(scope="module")
-def legacy_stream():
+def packed():
     workload = AtumWorkload(segments=3, references_per_segment=4_000, seed=7)
     return capture_miss_stream(iter(workload), DirectMappedCache(2048, 16))
 
 
-@pytest.fixture(scope="module")
-def packed(legacy_stream):
-    return PackedMissStream.from_miss_stream(legacy_stream)
+def columns(stream):
+    return (
+        bytes(stream.codes),
+        list(stream.addresses),
+        list(stream.flush_offsets),
+        stream.processor_references,
+    )
 
 
 class TestConversion:
-    def test_roundtrip_through_packed(self, legacy_stream, packed):
-        back = packed.to_miss_stream()
-        assert back.events == legacy_stream.events
-        assert back.processor_references == legacy_stream.processor_references
+    def test_len_counts_flush_markers_like_legacy(self, packed):
+        # One position per event and one per flush.
+        assert packed.n_flushes == 2
+        assert len(packed) == packed.n_events + 2
 
-    def test_iter_events_matches_legacy_inline_flushes(
-        self, legacy_stream, packed
-    ):
-        assert list(packed.iter_events()) == legacy_stream.events
-
-    def test_len_counts_flush_markers_like_legacy(self, legacy_stream, packed):
-        assert len(packed) == len(legacy_stream)
-        assert packed.n_flushes == legacy_stream.events.count(FLUSH_MARKER)
-
-    def test_readin_writeback_counts_match_legacy(self, legacy_stream, packed):
-        assert packed.readins == legacy_stream.readins
-        assert packed.writebacks == legacy_stream.writebacks
+    def test_readin_writeback_counts_match_legacy(self, packed):
+        codes = list(packed.codes)
+        assert packed.readins == codes.count(0)
+        assert packed.writebacks == codes.count(1)
+        assert packed.readins + packed.writebacks == packed.n_events
 
     def test_counts_invalidate_on_append(self):
         stream = PackedMissStream()
@@ -61,13 +63,34 @@ class TestConversion:
         stream.append(1, 128)
         assert (stream.readins, stream.writebacks) == (1, 1)
 
-    def test_from_events_flushes(self):
-        stream = PackedMissStream.from_events(
-            [(0, 32), FLUSH_MARKER, (1, 64)], processor_references=9
-        )
-        assert stream.n_events == 2
-        assert list(stream.flush_offsets) == [1]
-        assert list(stream.iter_events()) == [(0, 32), FLUSH_MARKER, (1, 64)]
+
+class TestSegments:
+    def test_every_flush_cuts_a_window_even_an_empty_one(self, tmp_path):
+        stream = PackedMissStream()
+        stream.append_flush()  # leading
+        stream.append(0, 32)
+        stream.append(1, 64)
+        stream.append_flush()  # back-to-back
+        stream.append_flush()
+        stream.append(0, 96)
+        stream.append_flush()  # trailing
+        expected = [
+            ([], []), ([0, 1], [32, 64]), ([], []), ([0], [96]), ([], []),
+        ]
+        path = tmp_path / "edges.rpm2"
+        stream.save(path)
+        mapped = PackedMissStream.load(path, mmap=True)
+        for each in (stream, mapped):
+            windows = [
+                (list(codes), list(addresses))
+                for codes, addresses in each.segments()
+            ]
+            assert len(windows) == each.n_flushes + 1
+            assert windows == expected
+        # A mapped stream's windows are views over the file, not copies.
+        codes, addresses = next(mapped.segments())
+        assert isinstance(codes, memoryview)
+        assert isinstance(addresses, memoryview)
 
 
 class TestRpm2SaveLoad:
@@ -75,8 +98,7 @@ class TestRpm2SaveLoad:
         path = tmp_path / "stream.rpm2"
         packed.save(path)
         loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == list(packed.iter_events())
-        assert loaded.processor_references == packed.processor_references
+        assert columns(loaded) == columns(packed)
 
     def test_mmap_load_is_lazy_and_equal(self, packed, tmp_path):
         path = tmp_path / "stream.rpm2"
@@ -87,31 +109,10 @@ class TestRpm2SaveLoad:
         assert list(mapped.addresses) == list(eager.addresses)
         assert list(mapped.flush_offsets) == list(eager.flush_offsets)
 
-    def test_gzip_roundtrip(self, packed, tmp_path):
-        path = tmp_path / "stream.rpm2.gz"
-        packed.save(path)
-        with gzip.open(path, "rb") as handle:
-            assert handle.read(4) == b"RPM2"
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == list(packed.iter_events())
-
     def test_content_hash_stable_across_roundtrip(self, packed, tmp_path):
         path = tmp_path / "stream.rpm2"
         packed.save(path)
         assert PackedMissStream.load(path).content_hash() == packed.content_hash()
-
-    def test_legacy_rpms_loads_through_packed(
-        self, legacy_stream, tmp_path, write_rpms
-    ):
-        path = write_rpms(legacy_stream, tmp_path / "stream.rpms")
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == legacy_stream.events
-
-    def test_rpm2_loads_through_legacy_missstream(self, packed, tmp_path):
-        path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        loaded = MissStream.load(path)
-        assert loaded.events == list(packed.iter_events())
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.rpm2"
@@ -125,8 +126,7 @@ class TestRpm2SaveLoad:
         packed.save(path)
         mapped = PackedMissStream.load(path, mmap=True)
         clone = pickle.loads(pickle.dumps(mapped))
-        assert list(clone.iter_events()) == list(packed.iter_events())
-        assert clone.processor_references == packed.processor_references
+        assert columns(clone) == columns(packed)
 
 
 class TestRpm2Errors:
@@ -165,6 +165,20 @@ class TestRpm2Errors:
         with pytest.raises(TraceFormatError, match="version"):
             PackedMissStream.load(path, mmap=False)
 
+    @pytest.mark.parametrize("mmap", [False, True], ids=["read", "mmap"])
+    def test_flipped_footer_magic_keeps_the_checksum_on(
+        self, packed, tmp_path, mmap
+    ):
+        path = tmp_path / "rot.rpm2"
+        packed.save(path)
+        data = bytearray(path.read_bytes())
+        last_address = len(data) - FOOTER_SIZE - 8 * packed.n_flushes - 8
+        data[last_address] ^= 0x01
+        data[len(data) - FOOTER_SIZE] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="footer"):
+            PackedMissStream.load(path, mmap=mmap)
+
 
 class TestArtifactStore:
     @pytest.fixture(autouse=True)
@@ -194,7 +208,7 @@ class TestArtifactStore:
         assert entry is not None
         loaded, loaded_ratio = entry
         assert loaded_ratio == ratio
-        assert list(loaded.iter_events()) == stream.events
+        assert loaded.content_hash() == stream.content_hash()
 
     def test_artifact_hit_skips_recapture(self, tmp_path):
         workload = AtumWorkload(
@@ -210,8 +224,9 @@ class TestArtifactStore:
             hits_before + 1
         )
         assert ratio_again == ratio
-        assert second.events == first.events
-        assert second.processor_references == first.processor_references
+        assert second.content_hash() == first.content_hash()
+        # The hit is replayed as loaded: its columns stay mapped.
+        assert isinstance(second.addresses, memoryview)
 
     def test_corrupt_artifact_treated_as_miss(self, tmp_path):
         workload = AtumWorkload(
@@ -227,3 +242,48 @@ class TestArtifactStore:
         stream, _ = cached_miss_stream(workload, 2048, 16)
         assert stream.readins > 0
         assert store.load(workload, 2048, 16) is not None
+
+    def test_crashed_saves_leave_no_temp_files(self, tmp_path):
+        workload = AtumWorkload(
+            segments=1, references_per_segment=1_000, seed=9
+        )
+        stream = capture_miss_stream(iter(workload), DirectMappedCache(2048, 16))
+        store = StreamArtifactStore(tmp_path)
+        for plan in ("crash@replace:path=.rpm2", "crash@fsync:path=.rpm2"):
+            activate_io_plan(plan)
+            try:
+                with pytest.raises(InjectedCrashError):
+                    store.save(workload, 2048, 16, stream, 0.25)
+            finally:
+                deactivate_io_plan()
+        store.save(workload, 2048, 16, stream, 0.25)
+        key = store.key(workload, 2048, 16)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{key}.meta.json", f"{key}.rpm2",
+        ]
+
+    def test_save_keeps_a_live_writers_temp_and_removes_a_dead_ones(
+        self, tmp_path
+    ):
+        workload = AtumWorkload(
+            segments=1, references_per_segment=1_000, seed=10
+        )
+        stream = capture_miss_stream(iter(workload), DirectMappedCache(2048, 16))
+        store = StreamArtifactStore(tmp_path)
+        key = store.key(workload, 2048, 16)
+        live = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(120)"]
+        )
+        reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+        reaped.wait(timeout=60)
+        try:
+            live_temp = tmp_path / f"{key}.rpm2.{live.pid}.tmp"
+            dead_temp = tmp_path / f"{key}.rpm2.{reaped.pid}.tmp"
+            live_temp.write_bytes(b"half a stream")
+            dead_temp.write_bytes(b"half a stream")
+            store.save(workload, 2048, 16, stream, 0.25)
+            assert live_temp.exists()
+            assert not dead_temp.exists()
+        finally:
+            live.kill()
+            live.wait(timeout=60)

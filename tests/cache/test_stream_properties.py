@@ -3,23 +3,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.hierarchy import FLUSH_MARKER, MissStream
+from repro.cache.stream import PackedMissStream
 
 
 @st.composite
 def streams(draw):
-    events = []
+    stream = PackedMissStream()
     for _ in range(draw(st.integers(0, 60))):
         if draw(st.integers(0, 9)) == 0:
-            events.append(FLUSH_MARKER)
+            stream.append_flush()
         else:
             code = draw(st.integers(0, 1))
             address = draw(st.integers(0, 2**40 - 1))
-            events.append((code, address))
-    return MissStream(
-        events=events,
-        processor_references=draw(st.integers(0, 2**32)),
-    )
+            stream.append(code, address)
+    stream.processor_references = draw(st.integers(0, 2**32))
+    return stream
 
 
 @given(stream=streams())
@@ -27,8 +25,11 @@ def streams(draw):
 def test_save_load_roundtrip(stream, tmp_path_factory):
     path = tmp_path_factory.mktemp("streams") / "s.rpm2"
     stream.save(path)
-    loaded = MissStream.load(path)
-    assert loaded.events == stream.events
-    assert loaded.processor_references == stream.processor_references
-    assert loaded.readins == stream.readins
-    assert loaded.writebacks == stream.writebacks
+    for mmap in (False, True):
+        loaded = PackedMissStream.load(path, mmap=mmap)
+        assert bytes(loaded.codes) == bytes(stream.codes)
+        assert list(loaded.addresses) == list(stream.addresses)
+        assert list(loaded.flush_offsets) == list(stream.flush_offsets)
+        assert loaded.processor_references == stream.processor_references
+        assert loaded.readins == stream.readins
+        assert loaded.writebacks == stream.writebacks

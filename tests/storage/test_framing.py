@@ -87,15 +87,17 @@ class TestCrc32Footer:
 
     def test_verify_round_trip(self):
         data = b"payload bytes"
-        assert verify_crc32_footer(data + crc32_footer(data), len(data)) is True
+        verify_crc32_footer(data + crc32_footer(data), len(data))
 
-    def test_missing_footer_is_legacy(self):
-        assert verify_crc32_footer(b"payload", len(b"payload")) is False
+    def test_missing_footer_detected(self):
+        with pytest.raises(IntegrityError, match="missing CRC32 footer"):
+            verify_crc32_footer(b"payload", len(b"payload"))
 
-    def test_partial_footer_is_legacy(self):
+    def test_partial_footer_detected(self):
         data = b"payload"
         buffer = data + crc32_footer(data)[:3]
-        assert verify_crc32_footer(buffer, len(data)) is False
+        with pytest.raises(IntegrityError, match="missing CRC32 footer"):
+            verify_crc32_footer(buffer, len(data))
 
     def test_corrupt_content_detected(self):
         data = b"payload bytes"

@@ -8,25 +8,21 @@ loading the prefix either raises a typed error
 a stream bit-identical to the original. No prefix may load as a
 quietly shorter or different stream.
 
-The one legal "lossy" window is the footer itself: a prefix holding
-all the columns but only part of the 8-byte CRC32 footer is
-indistinguishable from a legacy footer-less file, so it loads — with
-columns provably identical to the original's.
+Every RPM2 file carries an 8-byte CRC32 footer, so only the whole file
+loads: a prefix holding all the columns but none or part of the footer
+fails typed like any other.
 """
 
 import pytest
 
 from repro.cache.stream import PackedMissStream
 from repro.errors import IntegrityError, TraceFormatError
-from repro.storage.framing import FOOTER_SIZE
 
 
 def small_stream() -> PackedMissStream:
-    events = [
-        (code, 0x1000 + 16 * index)
-        for index, code in enumerate([0, 1, 0, 0, 1, 0, 1, 1, 0, 0])
-    ]
-    packed = PackedMissStream.from_events(events, processor_references=40)
+    packed = PackedMissStream(processor_references=40)
+    for index, code in enumerate([0, 1, 0, 0, 1, 0, 1, 1, 0, 0]):
+        packed.append(code, 0x1000 + 16 * index)
     packed.append_flush()
     return packed
 
@@ -61,10 +57,8 @@ def test_every_prefix_fails_typed_or_loads_identical(tmp_path, mmap):
         assert columns(stream) == expected, f"prefix of {size} bytes"
         loaded_sizes.append(size)
 
-    # Exactly the legal window loads: the full file, plus the
-    # footer-less/partial-footer prefixes that mimic a legacy file.
-    total = len(data) - FOOTER_SIZE
-    assert loaded_sizes == list(range(total, len(data) + 1))
+    # Only the whole file loads.
+    assert loaded_sizes == [len(data)]
 
 
 def test_full_file_round_trips(tmp_path):
