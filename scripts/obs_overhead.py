@@ -2,11 +2,15 @@
 """Observability-overhead smoke gate for the sweep instrumentation.
 
 The contract is that the tracing layer is effectively free: a replay
-wrapped in the sweep path's instrumentation — an ambient
-:class:`~repro.obs.context.TraceContext`, the span nest a sweep records
-around each point (``sweep`` / ``pool_task`` / ``l2_replay``), and
-three histogram observations — must replay the benchmark workload at
-no less than ``(1 - max_regression)`` of the bare throughput.
+run as one sweep point — inside an ``l2_replay`` span, called through
+the pool's real per-task wrapper
+(:func:`repro.resilience.executor._guarded_call`: a fresh tracer and
+a ``pool_task`` span, the span records shipped back as dicts), and
+adopted by the parent tracer under an open ``sweep`` span — must
+replay the benchmark workload at no less than ``(1 - max_regression)``
+of the bare throughput. Both arms run in-process: the bare arm models
+no pool either, and in a real sweep the span dicts ride the result
+pickle the pool makes anyway.
 
 Both configurations replay the same L1-filtered miss stream through
 an uninstrumented L2 (the *cheapest* replay, so the overhead fraction
@@ -33,9 +37,8 @@ from pathlib import Path
 
 from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
 from repro.cache.set_associative import SetAssociativeCache
-from repro.obs.context import activate, new_trace
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Tracer
+from repro.obs.spans import Tracer, span
+from repro.resilience.executor import _guarded_call
 from repro.trace.synthetic import AtumWorkload
 
 L1_CAPACITY = 4096
@@ -52,23 +55,19 @@ def bare_replay(stream):
     return cache
 
 
-def instrumented_replay(stream, tracer, metrics):
-    """The same replay under the sweep path's per-point instrumentation.
+def traced_replay(stream):
+    """The sweep worker's share: the replay inside an ``l2_replay`` span."""
+    with span("l2_replay"):
+        return bare_replay(stream)
 
-    A fresh trace context activated for the duration, the
-    ``sweep``/``pool_task``/``l2_replay`` span nest, and three
-    histogram observations of the point's wait and elapsed time.
-    """
-    started = time.perf_counter()
-    with activate(new_trace()):
-        with tracer.span("sweep"):
-            with tracer.span("pool_task", attempt=1):
-                with tracer.span("l2_replay"):
-                    cache = bare_replay(stream)
-    elapsed = time.perf_counter() - started
-    metrics.histogram("sweep.queue_wait_seconds").observe(0.0)
-    metrics.histogram("sweep.execute_seconds").observe(elapsed)
-    metrics.histogram("sweep.point_seconds").observe(elapsed)
+
+def instrumented_replay(stream, tracer):
+    """The same replay as one sweep point, wrapper and adoption included."""
+    with tracer.span("sweep"):
+        tag, cache, spans = _guarded_call((traced_replay, 0, stream, 1))
+        tracer.adopt(spans)
+    if tag != "ok":
+        raise RuntimeError(cache["traceback"])
     return cache
 
 
@@ -77,7 +76,7 @@ def _timed(fn) -> float:
 
     The replay allocates thousands of cache lines per call, so a
     generational collection lands inside whichever sample happens to
-    cross the threshold — a ~0.1 ms pause that dwarfs the ~30 µs
+    cross the threshold — a ~0.1 ms pause, as large as the
     instrumentation cost under measurement. Collecting before and
     disabling during the call keeps the gate measuring the
     instrumentation, not the collector's scheduling.
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
         help="workload references per segment (default: %(default)s)",
     )
     parser.add_argument(
-        "--repetitions", type=int, default=7,
+        "--repetitions", type=int, default=61,
         help="timed repetitions per configuration (default: %(default)s)",
     )
     parser.add_argument(
@@ -124,17 +123,16 @@ def main(argv=None) -> int:
     stream, _ = cached_miss_stream(workload, L1_CAPACITY, L1_BLOCK)
     requests = len(stream)
     tracer = Tracer()
-    metrics = MetricsRegistry()
 
     for _ in range(args.warmup):
         bare_replay(stream)
-        instrumented_replay(stream, tracer, metrics)
+        instrumented_replay(stream, tracer)
     bare_samples = []
     instrumented_samples = []
     for _ in range(args.repetitions):
         bare_samples.append(_timed(lambda: bare_replay(stream)))
         instrumented_samples.append(
-            _timed(lambda: instrumented_replay(stream, tracer, metrics))
+            _timed(lambda: instrumented_replay(stream, tracer))
         )
 
     bare_median = statistics.median(bare_samples)

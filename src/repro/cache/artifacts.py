@@ -134,7 +134,8 @@ class StreamArtifactStore:
         That is this process's own (its saves do not overlap) and any
         whose PID no longer exists. The temp of a live writer — a
         sweep worker saving the same capture right now — or of one
-        whose liveness is unknown stays.
+        whose liveness is unknown stays. Temps left by older versions'
+        saves go too.
         """
         for temp in self.root.glob(f"{key}.*.tmp"):
             try:
@@ -142,6 +143,11 @@ class StreamArtifactStore:
             except ValueError:
                 continue
             if pid == os.getpid() or process_exists(pid) is False:
+                _unlink_quietly(temp)
+        # Crash debris of older versions, which staged saves under
+        # ``tempfile.mkstemp`` names; no current writer makes these.
+        for pattern in ("tmp*.rpm2.tmp", "tmp*.meta.tmp"):
+            for temp in self.root.glob(pattern):
                 _unlink_quietly(temp)
 
     def _write_atomic(self, path: Path, write: Callable[[Path], None]) -> None:

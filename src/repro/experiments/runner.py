@@ -241,7 +241,7 @@ def _run_sweep_point(payload):
     Spans go to the *process-global* tracer — inside a pool worker
     that is the per-task tracer the executor guard installs, so the
     point's ``l1_capture``/``l2_replay`` spans ship back to the
-    parent under the submitting request's trace. Metrics stay
+    parent, which hangs them under its ``sweep`` span. Metrics stay
     per-point (the snapshot is part of the return value).
     """
     workload, point = payload

@@ -36,17 +36,6 @@ from repro.obs.bench import (
     environment_fingerprint,
     measure,
 )
-from repro.obs.context import (
-    IdSource,
-    TraceContext,
-    activate,
-    current_context,
-    get_id_source,
-    new_id,
-    new_trace,
-    reset_id_source,
-    set_id_source,
-)
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.log import StructuredLogger, log
 from repro.obs.manifest import (
@@ -88,7 +77,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "IdSource",
     "MANIFEST_SCHEMA_VERSION",
     "MetricsRegistry",
     "ProgressReporter",
@@ -96,29 +84,21 @@ __all__ = [
     "SpanRecord",
     "StructuredLogger",
     "TimingResult",
-    "TraceContext",
     "Tracer",
-    "activate",
     "aggregate_trace",
     "bootstrap_ci",
     "build_report",
     "config_hash",
-    "current_context",
     "describe_workload",
     "environment_fingerprint",
-    "get_id_source",
     "get_metrics",
     "get_tracer",
     "git_sha",
     "log",
     "measure",
     "merge_aggregates",
-    "new_id",
-    "new_trace",
     "progress_enabled",
     "read_jsonl",
-    "reset_id_source",
-    "set_id_source",
     "set_metrics",
     "set_tracer",
     "span",

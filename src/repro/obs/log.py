@@ -16,10 +16,6 @@ Output contract, chosen to keep existing CLI output *byte-stable*:
 - ``debug``/``warning``/``error`` go to **stderr** (debug is hidden at
   the default threshold), as ``level event key=value ...`` text or as
   JSON.
-- In JSON mode each record also carries the ambient causal identity
-  (``trace_id``/``span_id`` from :mod:`repro.obs.context`) when one is
-  active, so log lines join the same trace as the spans. The
-  text formats are untouched — byte-stability holds.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ import json
 import os
 import sys
 from typing import Any, Optional, TextIO
-
-from repro.obs.context import current_context
 
 #: Recognized levels and their severities.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40, "silent": 100}
@@ -77,10 +71,6 @@ class StructuredLogger:
         )
         if json_mode:
             record = {"level": level, "message": message}
-            context = current_context()
-            if context is not None:
-                record["trace_id"] = context.trace_id
-                record["span_id"] = context.span_id
             record.update(fields)
             stream.write(json.dumps(record, sort_keys=True, default=str) + "\n")
             return

@@ -8,14 +8,13 @@ time — both immune to system clock steps), and record their
 attributes, depth, and full path through the enclosing spans.
 Durations are *inclusive* of child spans.
 
-Every record also carries **causal identity** from
-:mod:`repro.obs.context`: a ``trace_id`` shared by all spans of one
-request, its own ``span_id``, and the ``parent_span_id`` it nests
-under — taken from the enclosing span, or from the ambient
-:class:`~repro.obs.context.TraceContext` when the span is the first
-of its thread (the cross-thread and cross-process re-parenting hook).
-A top-level span with no ambient context roots a fresh trace of its
-own, so every record is attributable.
+Every record also carries **causal identity**: a ``trace_id`` shared
+by all spans of one tree, its own ``span_id``, and the
+``parent_span_id`` of the enclosing span. Ids are random 16-hex-char
+strings (64 bits), so spans recorded in different processes do not
+collide. A top-level span roots a fresh trace of its own, so every
+record is attributable; :meth:`Tracer.adopt` hangs span records
+shipped from another process under the adopting thread's open span.
 
 Usage::
 
@@ -38,19 +37,18 @@ work. Nothing in this module is invoked from the simulator hot path.
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.context import (
-    TraceContext,
-    current_context,
-    new_id,
-    reset_context,
-    set_context,
-)
 from repro.obs.jsonl import write_jsonl
+
+
+def _new_id() -> str:
+    """A random 16-hex-char span or trace id."""
+    return os.urandom(8).hex()
 
 
 class SpanRecord:
@@ -128,7 +126,8 @@ class SpanRecord:
         """Rebuild a record from its :meth:`to_dict` form.
 
         Tolerates legacy records without the causal-identity fields
-        (they come back as ``None``) so pre-context traces still load.
+        (they come back as ``None``) so traces written before span ids
+        existed still load.
         """
         return cls(
             name=data["name"],
@@ -156,8 +155,7 @@ class _ActiveSpan:
 
     __slots__ = (
         "_tracer", "name", "attrs", "_wall0", "_cpu0", "_path", "_depth",
-        "trace_id", "span_id", "parent_span_id",
-        "_stack_token", "_context_token",
+        "trace_id", "span_id", "parent_span_id", "_stack_token",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]):
@@ -169,32 +167,21 @@ class _ActiveSpan:
         """Start the clocks, resolve causal identity, push the stack.
 
         The parent is the enclosing span of *this* context (thread);
-        with no enclosing span, the ambient
-        :class:`~repro.obs.context.TraceContext` — the hook through
-        which a request's root span adopts worker threads — and with
-        neither, the span roots a fresh trace.
+        with no enclosing span, the span roots a fresh trace.
         """
         tracer = self._tracer
         stack: Tuple["_ActiveSpan", ...] = tracer._stack_var.get() or ()
         self._depth = len(stack)
         parent = stack[-1] if stack else None
         self._path = f"{parent._path}/{self.name}" if parent else self.name
-        self.span_id = new_id()
+        self.span_id = _new_id()
         if parent is not None:
             self.trace_id = parent.trace_id
             self.parent_span_id = parent.span_id
         else:
-            ambient = current_context()
-            if ambient is not None:
-                self.trace_id = ambient.trace_id
-                self.parent_span_id = ambient.span_id
-            else:
-                self.trace_id = new_id()
-                self.parent_span_id = None
+            self.trace_id = _new_id()
+            self.parent_span_id = None
         self._stack_token = tracer._stack_var.set(stack + (self,))
-        self._context_token = set_context(
-            TraceContext(self.trace_id, self.span_id, self.parent_span_id)
-        )
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
         return self
@@ -212,7 +199,6 @@ class _ActiveSpan:
             self.attrs["error"] = True
             self.attrs["error_type"] = exc_type.__name__
         tracer = self._tracer
-        reset_context(self._context_token)
         tracer._stack_var.reset(self._stack_token)
         tracer._record(
             SpanRecord(
@@ -272,14 +258,25 @@ class Tracer:
         """Fold another process's span records into this tracer.
 
         Takes :meth:`SpanRecord.to_dict` dicts (the pool executor
-        ships them back from workers), preserves their causal
-        identity, paths, and durations, and re-indexes them locally.
-        ``start`` offsets are worker-relative and kept as-is — tree
-        assembly goes by span ids, not clocks. Returns the count.
+        ships them back from workers) and re-indexes them locally.
+        When the calling thread has a span open on this tracer, every
+        record joins that span's trace and each shipped root (no
+        ``parent_span_id``) becomes its child; with none open, the
+        records keep their shipped identity. Paths, depths, durations,
+        and attributes stay as shipped; ``start`` offsets are
+        worker-relative — tree assembly goes by span ids, not clocks.
+        Returns the count.
         """
+        stack = self._stack_var.get()
+        host = stack[-1] if stack else None
         count = 0
         for data in records:
-            self._record(SpanRecord.from_dict(data))
+            record = SpanRecord.from_dict(data)
+            if host is not None:
+                record.trace_id = host.trace_id
+                if record.parent_span_id is None:
+                    record.parent_span_id = host.span_id
+            self._record(record)
             count += 1
         return count
 

@@ -55,7 +55,7 @@ _SPAN_ID_FIELDS = {
     "parent_span_id": (str, type(None)),
 }
 
-#: The id format :mod:`repro.obs.context` emits: 16 lowercase hex.
+#: The id format the tracer emits: 16 lowercase hex (64 random bits).
 _ID_PATTERN = re.compile(r"[0-9a-f]{16}")
 
 
@@ -129,8 +129,8 @@ def validate_span(record: Dict[str, Any], where: str = "span") -> List[str]:
     """Structural errors in one trace record (empty list = valid).
 
     The causal-identity fields (``trace_id``/``span_id``/
-    ``parent_span_id``) are optional — traces written before trace
-    context existed stay valid — but when present they must be
+    ``parent_span_id``) are optional — traces written before span
+    ids existed stay valid — but when present they must be
     ``None`` or a 16-lowercase-hex id.
     """
     if not isinstance(record, dict):

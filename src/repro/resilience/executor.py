@@ -38,13 +38,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.context import (
-    IdSource,
-    TraceContext,
-    activate,
-    current_context,
-    set_id_source,
-)
 from repro.obs.log import log
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.spans import Tracer, get_tracer, set_tracer
@@ -57,6 +50,16 @@ def _attr_value(key: Any) -> Any:
     if isinstance(key, (str, int, float, bool)) or key is None:
         return key
     return str(key)
+
+
+def _parent_side_error(exc: Exception) -> Dict[str, Any]:
+    """The failure record of an attempt the parent itself rejected."""
+    return {
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": traceback.format_exc(),
+        "worker_pid": None,
+    }
 
 
 def _reset_worker_signals() -> None:
@@ -81,63 +84,43 @@ def _guarded_call(task: tuple) -> tuple:
     deaths bypass this (there is nothing to return from a dead
     process) and surface to the parent as ``BrokenProcessPool``.
 
-    The envelope's fifth element is the submitting side's
-    :meth:`~repro.obs.context.TraceContext.to_wire` (or ``None``):
-    it is activated as the ambient context around a ``pool_task`` span
-    tagged ``attempt=N``, so every span the worker records re-parents
-    under the *submitting* span — by value in the envelope, which
-    survives fork, spawn, pool re-creation, and retry, where fork-time
-    context inheritance would not (tasks arrive long after the fork).
-    The worker's span ids are drawn from an
-    :class:`~repro.obs.context.IdSource` seeded with
-    ``"<parent span id>:<key>:<attempt>"`` — deterministic under a
-    pinned ``REPRO_TRACE_SEED`` *and* collision-free across tasks,
-    pool workers, and retries. ``spans`` is the task's recorded spans
-    as dicts, shipped back for the parent tracer to adopt.
+    The task records on a fresh tracer, inside a ``pool_task`` span
+    tagged ``key``, ``attempt``, and ``worker_pid`` (and stamped
+    ``error``/``error_type`` on a raise). ``spans`` is that tracer's
+    records as dicts, shipped back in the result for the parent's
+    :meth:`~repro.obs.spans.Tracer.adopt` to hang under its open span.
     """
-    worker, key, payload, attempt, wire = task
-    context = TraceContext.from_wire(wire)
+    worker, key, payload, attempt = task
     # A fresh tracer per task: only this task's spans travel back.
-    previous_tracer = set_tracer(Tracer())
-    tracer = get_tracer()
-    previous_source = None
-    if context is not None:
-        previous_source = set_id_source(
-            IdSource(f"{context.span_id}:{_attr_value(key)}:{attempt}")
-        )
+    tracer = Tracer()
+    previous_tracer = set_tracer(tracer)
     try:
-        with activate(context):
-            try:
-                with tracer.span(
-                    "pool_task",
-                    key=_attr_value(key),
-                    attempt=attempt,
-                    worker_pid=os.getpid(),
-                ):
-                    plan = faults.active_plan()
-                    if plan is not None:
-                        plan.before(key, attempt)
-                    value = worker(payload)
-                    if plan is not None:
-                        value = plan.transform(key, attempt, value)
-                spans = [record.to_dict() for record in tracer.records]
-                return ("ok", value, spans)
-            except Exception as exc:
-                spans = [record.to_dict() for record in tracer.records]
-                return (
-                    "err",
-                    {
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": traceback.format_exc(),
-                        "worker_pid": os.getpid(),
-                    },
-                    spans,
-                )
+        with tracer.span(
+            "pool_task",
+            key=_attr_value(key),
+            attempt=attempt,
+            worker_pid=os.getpid(),
+        ):
+            plan = faults.active_plan()
+            if plan is not None:
+                plan.before(key, attempt)
+            value = worker(payload)
+            if plan is not None:
+                value = plan.transform(key, attempt, value)
+        return ("ok", value, [record.to_dict() for record in tracer.records])
+    except Exception as exc:
+        return (
+            "err",
+            {
+                "error_type": type(exc).__name__,
+                "message": str(exc),
+                "traceback": traceback.format_exc(),
+                "worker_pid": os.getpid(),
+            },
+            [record.to_dict() for record in tracer.records],
+        )
     finally:
         set_tracer(previous_tracer)
-        if previous_source is not None:
-            set_id_source(previous_source)
 
 
 class _Task:
@@ -213,10 +196,9 @@ class ResilientPoolExecutor:
             data cannot poison the results or crash the parent.
         tracer: The :class:`~repro.obs.spans.Tracer` that adopts the
             span records workers ship back; defaults to the
-            process-global tracer. The ambient
-            :class:`~repro.obs.context.TraceContext` at submission
-            time rides in each task envelope, so worker spans
-            re-parent under the submitting span.
+            process-global tracer. Adoption happens on the thread
+            that called :meth:`run`, so each ``pool_task`` becomes a
+            child of the span open around that call.
     """
 
     def __init__(
@@ -347,18 +329,10 @@ class ResilientPoolExecutor:
     def _submit(self, task: _Task):
         """Submit one task, re-creating the pool if it is broken.
 
-        The ambient trace context (if any) is embedded in the
-        envelope *at submission time*, so a retry submitted later
-        still carries the original request's identity.
+        The envelope is ``(worker, key, payload, attempt)``; the
+        attempt number tags the worker's ``pool_task`` span.
         """
-        context = current_context()
-        payload = (
-            self.worker,
-            task.key,
-            task.payload,
-            task.attempt,
-            context.to_wire() if context is not None else None,
-        )
+        payload = (self.worker, task.key, task.payload, task.attempt)
         for _ in range(2):
             pool = self._ensure_pool()
             try:
@@ -375,44 +349,29 @@ class ResilientPoolExecutor:
         task = in_flight.pop(future)
         try:
             tag, value, spans = future.result()
-            if spans:
-                self.tracer.adopt(spans)
+            if tag == "ok" and self.validator is not None:
+                try:
+                    self.validator(task.key, value)
+                except Exception as exc:
+                    self.metrics.counter("resilience.invalid_results").inc()
+                    tag, value = "err", _parent_side_error(exc)
+                    # Show the rejection in the trace as a worker
+                    # raise would: on the attempt's pool_task span.
+                    for data in spans:
+                        if data["parent_span_id"] is None:
+                            data["attrs"]["error"] = True
+                            data["attrs"]["error_type"] = value["error_type"]
+            self.tracer.adopt(spans)
         except BrokenProcessPool:
             self._pool_incident(task, pending, in_flight, report)
             return
         except Exception as exc:  # parent-side surprise (e.g. unpickling)
             self._fail_attempt(
-                task,
-                pending,
-                report,
-                kind="raise",
-                info={
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                    "worker_pid": None,
-                },
+                task, pending, report, kind="raise",
+                info=_parent_side_error(exc),
             )
             return
         if tag == "ok":
-            if self.validator is not None:
-                try:
-                    self.validator(task.key, value)
-                except Exception as exc:
-                    self.metrics.counter("resilience.invalid_results").inc()
-                    self._fail_attempt(
-                        task,
-                        pending,
-                        report,
-                        kind="raise",
-                        info={
-                            "error_type": type(exc).__name__,
-                            "message": str(exc),
-                            "traceback": traceback.format_exc(),
-                            "worker_pid": None,
-                        },
-                    )
-                    return
             report.results[task.key] = value
             if self.on_result is not None:
                 self.on_result(task.key, value)

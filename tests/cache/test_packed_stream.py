@@ -256,6 +256,9 @@ class TestArtifactStore:
                     store.save(workload, 2048, 16, stream, 0.25)
             finally:
                 deactivate_io_plan()
+        # Debris that a crashed save of an older version left behind.
+        (tmp_path / "tmpbt_1sown.rpm2.tmp").write_bytes(b"half a stream")
+        (tmp_path / "tmp3kq0x2ab.meta.tmp").write_text("{")
         store.save(workload, 2048, 16, stream, 0.25)
         key = store.key(workload, 2048, 16)
         assert sorted(path.name for path in tmp_path.iterdir()) == [

@@ -157,6 +157,7 @@ class TestProvenanceEmission:
         assert outcome.ok
         records = list(read_jsonl(tmp_path / "trace.jsonl"))
         by_id = {record["span_id"]: record for record in records}
+        assert len(by_id) == len(records)
         (sweep,) = [r for r in records if r["name"] == "sweep"]
         tasks = [r for r in records if r["name"] == "pool_task"]
         assert tasks

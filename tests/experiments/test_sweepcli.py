@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.sweepcli import EXIT_PARTIAL, main
+from repro.obs.jsonl import read_jsonl
+from repro.obs.validate import validate_manifest_file, validate_trace_file
 from repro.resilience import faults
 from repro.resilience.faults import ENV_VAR
 
@@ -104,6 +106,25 @@ class TestHappyPath:
             if line.startswith("[sweep]")
         ]
         assert lines and lines[-1].endswith("done"), lines
+
+    def test_obs_dir_writes_one_trace_tree(self, tmp_path):
+        # A subprocess, so no earlier test's spans are in the tracer.
+        result = run_sweep_cli(
+            tmp_path, base_args(tmp_path, "--obs-dir", str(tmp_path / "obs"))
+        )
+        assert result.returncode == 0, result.stderr
+        manifest = tmp_path / "obs" / "manifest.json"
+        trace = tmp_path / "obs" / "trace.jsonl"
+        assert validate_manifest_file(manifest) == []
+        assert validate_trace_file(trace) == []
+        records = list(read_jsonl(trace))
+        (sweep,) = [r for r in records if r["name"] == "sweep"]
+        assert {r["trace_id"] for r in records} == {sweep["trace_id"]}
+        tasks = [r for r in records if r["name"] == "pool_task"]
+        assert all(t["parent_span_id"] == sweep["span_id"] for t in tasks)
+        assert sorted(t["attrs"]["key"] for t in tasks) == [0, 1]
+        span_ids = [r["span_id"] for r in records]
+        assert len(set(span_ids)) == len(span_ids)
 
 
 class TestWorkerTeardown:

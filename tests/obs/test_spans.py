@@ -2,7 +2,6 @@
 
 import threading
 
-from repro.obs.context import IdSource, activate, new_trace
 from repro.obs.jsonl import read_jsonl
 from repro.obs.spans import SpanRecord, Tracer, get_tracer, set_tracer, span
 from repro.obs.validate import validate_span
@@ -157,27 +156,6 @@ class TestCausalIdentity:
         assert record.span_id is not None
         assert record.parent_span_id is None
 
-    def test_top_level_span_adopts_ambient_context(self):
-        tracer = Tracer()
-        context = new_trace(IdSource("request"))
-        with activate(context):
-            with tracer.span("phase"):
-                pass
-        record = tracer.records[0]
-        assert record.trace_id == context.trace_id
-        assert record.parent_span_id == context.span_id
-
-    def test_sibling_spans_under_one_context_share_parent(self):
-        tracer = Tracer()
-        context = new_trace(IdSource("request"))
-        with activate(context):
-            with tracer.span("first"):
-                pass
-            with tracer.span("second"):
-                pass
-        parents = {record.parent_span_id for record in tracer.records}
-        assert parents == {context.span_id}
-
     def test_record_round_trips_through_dict(self):
         tracer = Tracer()
         with tracer.span("a", key="v"):
@@ -236,22 +214,48 @@ class TestThreadIsolation:
 
 
 class TestSyntheticSpans:
-    def test_adopt_reindexes_and_preserves_identity(self):
+    def test_adopt_hangs_shipped_roots_under_the_open_span(self):
         worker = Tracer()
-        context = new_trace(IdSource("request"))
-        with activate(context):
-            with worker.span("pool_task", attempt=1):
+        with worker.span("pool_task", attempt=1):
+            with worker.span("l2_replay", l2="64K-32"):
                 pass
+        shipped = [r.to_dict() for r in worker.records]
         parent = Tracer()
         with parent.span("local"):
             pass
-        adopted = parent.adopt(r.to_dict() for r in worker.records)
-        assert adopted == 1
+        with parent.span("sweep") as sweep:
+            assert parent.adopt(shipped) == 2
         records = parent.snapshot_records()
-        assert [r.index for r in records] == [0, 1]
-        assert records[1].name == "pool_task"
-        assert records[1].trace_id == context.trace_id
-        assert records[1].parent_span_id == context.span_id
+        assert [r.index for r in records] == [0, 1, 2, 3]
+        by_name = {r.name: r for r in records}
+        task, replay = by_name["pool_task"], by_name["l2_replay"]
+        assert task.parent_span_id == sweep.span_id
+        assert replay.parent_span_id == task.span_id
+        assert {task.trace_id, replay.trace_id} == {sweep.trace_id}
+        assert by_name["local"].trace_id != sweep.trace_id
+        # Everything but the trace and the root's parent is as shipped.
+        assert (task.span_id, replay.span_id) == (
+            shipped[1]["span_id"], shipped[0]["span_id"],
+        )
+        assert (task.path, task.depth) == ("pool_task", 0)
+        assert (replay.path, replay.depth) == ("pool_task/l2_replay", 1)
+        assert replay.attrs == {"l2": "64K-32"}
+        assert replay.wall_seconds == shipped[0]["wall_seconds"]
+
+    def test_adopt_outside_a_span_keeps_shipped_identity(self):
+        worker = Tracer()
+        with worker.span("pool_task", attempt=1):
+            with worker.span("l2_replay"):
+                pass
+        shipped = [r.to_dict() for r in worker.records]
+        parent = Tracer()
+        with parent.span("local"):
+            pass
+        assert parent.adopt(shipped) == 2
+        adopted = parent.snapshot_records()[1:]
+        assert [r.index for r in adopted] == [1, 2]
+        for record, data in zip(adopted, shipped):
+            assert record.to_dict() == dict(data, index=record.index)
 
 
 class TestGlobalTracer:

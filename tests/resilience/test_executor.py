@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SweepPointError, SweepTimeoutError
-from repro.obs.context import IdSource, activate, new_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.resilience import faults
@@ -165,61 +164,49 @@ class TestInjectedFaults:
 
 
 class TestTracePropagation:
-    """Worker spans cross the pool boundary with the submitter's ids."""
+    """Worker spans cross the pool boundary into the open span's tree."""
 
-    def run_traced(self, tasks, context=None, **kwargs):
+    def run_traced(self, tasks, in_span=True, **kwargs):
+        """Run ``tasks``, by default inside a ``request`` span.
+
+        Returns the report, the tracer, and the ``request`` span's
+        record (``None`` when run outside a span).
+        """
         tracer = Tracer()
         kwargs.setdefault("tracer", tracer)
         executor = make(**kwargs)
-        if context is not None:
-            with activate(context):
-                report = executor.run(tasks)
-        else:
+        if not in_span:
+            return executor.run(tasks), tracer, None
+        with tracer.span("request"):
             report = executor.run(tasks)
-        return report, tracer
+        (request,) = [r for r in tracer.records if r.name == "request"]
+        return report, tracer, request
 
-    def test_pool_task_spans_adopted_with_submitting_trace(self):
-        context = new_trace(IdSource("request"))
-        report, tracer = self.run_traced(
-            [(i, i) for i in range(3)], context=context
-        )
+    def test_pool_task_spans_adopted_under_the_open_span(self):
+        report, tracer, request = self.run_traced([(i, i) for i in range(3)])
         assert report.results == {i: i * 2 for i in range(3)}
         tasks = [r for r in tracer.records if r.name == "pool_task"]
         assert len(tasks) == 3
         for record in tasks:
-            assert record.trace_id == context.trace_id
-            assert record.parent_span_id == context.span_id
+            assert record.trace_id == request.trace_id
+            assert record.parent_span_id == request.span_id
             assert record.attrs["attempt"] == 1
             assert record.attrs["worker_pid"] != 0
         assert sorted(r.attrs["key"] for r in tasks) == [0, 1, 2]
 
     def test_span_ids_unique_across_tasks(self):
-        context = new_trace(IdSource("request"))
-        _, tracer = self.run_traced(
-            [(i, i) for i in range(4)], context=context
-        )
+        _, tracer, _ = self.run_traced([(i, i) for i in range(4)])
         span_ids = [
             r.span_id for r in tracer.records if r.name == "pool_task"
         ]
         assert len(span_ids) == len(set(span_ids)) == 4
 
-    def test_worker_ids_deterministic_for_fixed_context(self):
-        def ids_for_run():
-            context = new_trace(IdSource("request"))
-            _, tracer = self.run_traced([(0, 1), (1, 2)], context=context)
-            return sorted(
-                r.span_id for r in tracer.records if r.name == "pool_task"
-            )
-
-        assert ids_for_run() == ids_for_run()
-
     def test_retry_produces_attempt_tagged_child_spans(self):
         faults.activate(
             FaultPlan([FaultSpec("raise", at=0, attempts=frozenset({1}))])
         )
-        context = new_trace(IdSource("request"))
-        report, tracer = self.run_traced(
-            [(0, 5)], context=context, failure_policy="retry_then_collect"
+        report, tracer, request = self.run_traced(
+            [(0, 5)], failure_policy="retry_then_collect"
         )
         assert report.results == {0: 10}
         tasks = sorted(
@@ -230,27 +217,25 @@ class TestTracePropagation:
         assert tasks[0].attrs["error"] is True
         assert tasks[0].attrs["error_type"] == "InjectedFaultError"
         assert "error" not in tasks[1].attrs
-        assert {r.trace_id for r in tasks} == {context.trace_id}
+        assert {r.trace_id for r in tasks} == {request.trace_id}
         assert tasks[0].span_id != tasks[1].span_id
 
-    def test_no_ambient_context_ships_no_wire(self):
-        report, tracer = self.run_traced([(0, 1)])
+    def test_no_open_span_leaves_worker_roots(self):
+        report, tracer, _ = self.run_traced([(0, 1)], in_span=False)
         assert report.results == {0: 2}
         (record,) = [r for r in tracer.records if r.name == "pool_task"]
-        # The worker self-roots a fresh trace rather than inheriting
-        # a stale one.
+        # The worker's span roots its own trace.
         assert record.trace_id is not None
         assert record.parent_span_id is None
 
     def test_worker_inner_spans_nest_under_pool_task(self):
-        context = new_trace(IdSource("request"))
-        report, tracer = self.run_traced(
-            [(0, 2)], context=context, worker=traced_worker
+        report, tracer, request = self.run_traced(
+            [(0, 2)], worker=traced_worker
         )
         assert report.results == {0: 4}
         by_name = {r.name: r for r in tracer.records}
         inner, task = by_name["compute"], by_name["pool_task"]
-        assert inner.trace_id == context.trace_id
+        assert inner.trace_id == request.trace_id
         assert inner.parent_span_id == task.span_id
 
 
@@ -290,9 +275,20 @@ class TestValidator:
             if not isinstance(value, int):
                 raise TypeError("corrupt")
 
+        tracer = Tracer()
         executor = make(
-            failure_policy="retry_then_collect", validator=validator
+            failure_policy="retry_then_collect", validator=validator,
+            tracer=tracer,
         )
-        report = executor.run([(0, 1)])
+        with tracer.span("request"):
+            report = executor.run([(0, 1)])
         assert report.results == {0: 2}
         assert report.retries == 1
+        tasks = {
+            r.attrs["attempt"]: r.attrs
+            for r in tracer.records if r.name == "pool_task"
+        }
+        # The rejected attempt shows as failed, next to its retry.
+        assert tasks[1]["error"] is True
+        assert tasks[1]["error_type"] == "TypeError"
+        assert "error" not in tasks[2]
