@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments.figures import (
+    Figure5,
+    FigureSeries,
     build_figure3,
     build_figure4,
     build_figure5,
@@ -138,3 +140,52 @@ class TestFigure6:
     def test_render(self, fig6):
         text = fig6.render()
         assert "Figure 6" in text
+
+
+class TestGoldenRenderings:
+    """Byte-exact figure text on hand-built series.
+
+    Pins the union-of-x grid, ``-`` for a missing point, ``:.4g``
+    cells, left-justified columns, and Figure 5's right-panel lines.
+    """
+
+    SERIES = FigureSeries(
+        title="Figure X. Demo",
+        x_label="associativity",
+        y_label="avg probes",
+        series={
+            "naive": {1: 1.0, 2: 1.5, 4: 2.5},
+            "partial t=16": {2: 1.25, 4: 1.0625},
+        },
+    )
+
+    SERIES_GOLDEN = """\
+Figure X. Demo [avg probes]
+===========================
+associativity  naive  partial t=16
+-------------  -----  ------------
+1              1      -
+2              1.5    1.25
+4              2.5    1.062"""
+
+    FIGURE5_RIGHT_GOLDEN = """\
+Figure 5 (right). MRU-distance hit distributions f_i
+   4-way: f1=0.750, f2=0.125, f3=0.062, f4=0.062
+  16-way: f1=0.500, f2=0.100, f3=0.100, f4=0.050, f5=0.050, f6=0.050, \
+f7=0.050, f8=0.050"""
+
+    def test_series_with_missing_point(self):
+        assert self.SERIES.render() == self.SERIES_GOLDEN
+
+    def test_figure5(self):
+        figure = Figure5(
+            left=self.SERIES,
+            distributions={
+                4: [0.75, 0.125, 0.0625, 0.0625],
+                16: [0.5, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.025,
+                     0.025],
+            },
+        )
+        assert figure.render() == (
+            self.SERIES_GOLDEN + "\n\n" + self.FIGURE5_RIGHT_GOLDEN
+        )

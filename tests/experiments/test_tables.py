@@ -5,6 +5,8 @@ import pytest
 from repro.experiments.tables import (
     Table3,
     Table3Row,
+    Table4,
+    Table4Row,
     build_table1,
     build_table2,
     build_table3,
@@ -192,3 +194,38 @@ L1 geometry  Measured miss ratio  Paper miss ratio
             "Workload: 2 cold-start segments, 100 references total\n\n"
         )
         assert "| 0.0500 | - |" in text
+
+
+class TestTable4Golden:
+    """Byte-exact Table 4 on hand-built rows.
+
+    Pins the ``:.4g`` cells, left-justified columns, the ``*`` marker on
+    a row whose best total is the partial scheme, and one section per
+    associativity.
+    """
+
+    ROWS = [
+        Table4Row("4K-16", "64K-16", 2, 0.0123456, 0.25, 0.2101, 1.0, 1.5,
+                  0.9375, 1.25, 1.125, 1.0, 1.3333),
+        Table4Row("16K-32", "256K-32", 2, 0.00517, 0.4, 0.195, 1.2, 2.0,
+                  0.95, 1.125, 0.875, 1.0, 1.0),
+        Table4Row("16K-16", "128K-32", 8, 0.009, 0.1875, 0.22, 3.75, 6.625,
+                  1.5, 2.875, 1.625, 2.5, 12345.678),
+    ]
+
+    GOLDEN = """\
+Table 4 (2-way set-associative level two cache)
+===============================================
+Configuration   Global   Local  FracWB  Nv-Hit  Nv-Tot  MRU-Hit  MRU-Tot  Pt-Hit  Pt-Miss  Pt-Tot
+--------------  -------  -----  ------  ------  ------  -------  -------  ------  -------  ------
+4K-16 64K-16    0.01235  0.25   0.2101  1       1.5     0.9375   1.25     1.125   1        1.333
+16K-32 256K-32  0.00517  0.4    0.195   1.2     2       0.95     1.125    0.875   1        *1
+
+Table 4 (8-way set-associative level two cache)
+===============================================
+Configuration   Global  Local   FracWB  Nv-Hit  Nv-Tot  MRU-Hit  MRU-Tot  Pt-Hit  Pt-Miss  Pt-Tot
+--------------  ------  ------  ------  ------  ------  -------  -------  ------  -------  ---------
+16K-16 128K-32  0.009   0.1875  0.22    3.75    6.625   1.5      2.875    1.625   2.5      1.235e+04"""
+
+    def test_render_golden(self):
+        assert Table4(rows=list(self.ROWS)).render() == self.GOLDEN

@@ -1,5 +1,7 @@
 """The results-summary generator: content, provenance, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.configs import default_workload
@@ -7,6 +9,9 @@ from repro.experiments.runner import ExperimentRunner
 from repro.report.summary import build_summary
 
 SCALE = 0.002
+
+#: Everything below the provenance block at SCALE, seed 1989.
+GOLDEN_BODY = Path(__file__).with_name("summary_body_scale0.002.md")
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +55,13 @@ class TestDeterminism:
         # Two fully independent builds (fresh runners, fresh workloads).
         kwargs = dict(scale=SCALE, include_figures=False)
         assert build_summary(**kwargs) == build_summary(**kwargs)
+
+
+class TestGoldenBody:
+    def test_body_byte_identical_to_golden(self, runner):
+        # Tables 1-3 and every figure series, byte for byte: pins the
+        # per-column formats, the right-aligned rules, and "-" for
+        # missing points and f_i padding.
+        text = build_summary(scale=SCALE, runner=runner)
+        body = text[text.index("## Paper tables"):]
+        assert body == GOLDEN_BODY.read_text(encoding="utf-8")
