@@ -1,8 +1,12 @@
 """Exception hierarchy for the ``repro`` package.
 
 All errors raised by this library derive from :class:`ReproError`, so
-callers can catch one type to handle any library failure.
+callers can catch one type to handle any library failure; the console
+scripts (:func:`console_script`) turn one into exit code 2.
 """
+
+import sys
+from typing import Callable, NoReturn
 
 
 class ReproError(Exception):
@@ -100,3 +104,26 @@ class CheckpointError(ReproError):
     the one being resumed, or a second writer holding the checkpoint's
     advisory lock.
     """
+
+
+def console_script(main: Callable[[], int]) -> Callable[[], NoReturn]:
+    """Wrap a CLI's ``main`` as its console-script entry point.
+
+    The entry point exits with ``main()``'s status. A
+    :class:`ReproError` (the package rejecting its input) prints one
+    ``error`` line instead of a traceback and exits 2, the bad-usage
+    code; any other exception is a bug and keeps its traceback.
+    ``main`` itself still raises, so it stays testable in-process.
+    """
+
+    def run() -> NoReturn:
+        # Deferred so this module keeps importing nothing from the package.
+        from repro.obs.log import log
+
+        try:
+            sys.exit(main())
+        except ReproError as exc:
+            log.error(str(exc))
+            sys.exit(2)
+
+    return run

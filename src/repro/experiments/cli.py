@@ -15,10 +15,10 @@ span trace are written into ``DIR`` alongside the artifacts.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from typing import List, Optional
 
+from repro.errors import console_script
 from repro.experiments.configs import default_workload
 from repro.experiments.figures import (
     build_figure3,
@@ -135,5 +135,7 @@ def _save_target(save_dir, target: str, result) -> None:
         )
 
 
+run = console_script(main)
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,45 +1,115 @@
-"""ASCII and CSV rendering for tables and figure series.
+"""Table and CSV rendering for the paper's tables and figure series.
 
-Every experiment builder returns structured data; these helpers render
-it in a form that visually parallels the paper's tables and the data
-series behind its figures, or as CSV for external plotting tools.
-
-Since the :mod:`repro.report` subsystem landed, these are thin shims:
-:func:`render_table` delegates to
-:class:`repro.report.builder.TableBuilder` under the ``"legacy"``
-preset, which reproduces the historical output byte-for-byte
-(``:.4g`` floats, left-justified columns, two-space gutter). New code
-wanting fixed-decimal columns, alignment, or markdown/HTML output
-should use :class:`~repro.report.builder.TableBuilder` directly with
-per-column specs.
+Every experiment builder returns structured data. :func:`render_table`
+prints it as a monospace (``ascii``) or GitHub markdown (``github``)
+table that parallels the paper's layout; the figure builders and the
+results summary render their data series through the same grid
+(:func:`series_rows`), and the CSV helpers write it out for external
+plotting tools.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.report.builder import TableBuilder
+_ALIGNERS = {"left": str.ljust, "right": str.rjust}
 
-#: The historical renderer's exact behavior as a preset instance.
-#: ``none_text="None"`` matches the old ``str(value)`` path — the
-#: legacy formatter never special-cased missing values.
-_LEGACY = TableBuilder(preset="legacy", none_text="None")
+#: Markdown alignment markers per column alignment.
+_GITHUB_RULES = {"left": "---", "right": "---:"}
+
+
+def _format_cell(value: object, spec: Optional[str]) -> str:
+    """One cell's text: numbers under ``spec``, everything else ``str``.
+
+    Without a spec, floats get four significant digits and ints print
+    as they are. Bools are not numbers here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return str(value)
+    if spec:
+        return format(value, spec)
+    return format(value, ".4g") if isinstance(value, float) else str(value)
 
 
 def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str = "",
+    fmt: str = "ascii",
+    formats: Optional[Sequence[Optional[str]]] = None,
+    align: Optional[Sequence[str]] = None,
 ) -> str:
-    """Monospace table with per-column auto-width.
+    """Render positional rows as a monospace or markdown table.
 
-    Floats are shown with four significant decimals; everything else
-    via ``str``. Byte-compatible with the original implementation —
-    now a delegation to the ``"legacy"`` builder preset.
+    Args:
+        headers: Column headers.
+        rows: One sequence of cells per row, in header order.
+        title: Optional title, underlined with ``=`` in ``ascii`` and
+            bold in ``github``.
+        fmt: ``"ascii"`` (auto-width columns, two-space gutter) or
+            ``"github"`` (a markdown pipe table).
+        formats: A format spec per column (``".2f"``), applied to its
+            numbers; ``None`` (or no list) means four significant
+            digits for floats and ``str`` for ints.
+        align: ``"left"`` or ``"right"`` per column (default all
+            left). In ``ascii`` the header and rule lines stay
+            left-justified.
     """
-    return _LEGACY.render(rows, headers=headers, title=title)
+    if fmt not in ("ascii", "github"):
+        raise ValueError(f"unknown table format {fmt!r}")
+    formats = formats or [None] * len(headers)
+    align = align or ["left"] * len(headers)
+    cells = [
+        [_format_cell(value, spec) for value, spec in zip(row, formats)]
+        for row in rows
+    ]
+
+    if fmt == "github":
+
+        def md_row(parts: Sequence[str]) -> str:
+            return "| " + " | ".join(p.replace("|", "\\|") for p in parts) + " |"
+
+        lines = [f"**{title}**", ""] if title else []
+        lines.append(md_row(headers))
+        lines.append(md_row([_GITHUB_RULES[a] for a in align]))
+        lines.extend(md_row(row) for row in cells)
+        return "\n".join(lines)
+
+    widths = [
+        max([len(header)] + [len(row[index]) for row in cells])
+        for index, header in enumerate(headers)
+    ]
+
+    def line(parts: Sequence[str], aligns: Sequence[str]) -> str:
+        return "  ".join(
+            _ALIGNERS[a](part, width)
+            for part, a, width in zip(parts, aligns, widths)
+        ).rstrip()
+
+    left = ["left"] * len(headers)
+    lines = [title, "=" * len(title)] if title else []
+    lines.append(line(headers, left))
+    lines.append(line(["-" * w for w in widths], left))
+    lines.extend(line(row, align) for row in cells)
+    return "\n".join(lines)
+
+
+def series_rows(
+    series: Dict[str, Dict[object, float]], missing: object = "-"
+) -> List[List[object]]:
+    """The union-of-x grid behind every figure-series table and CSV.
+
+    One row per x value (the union of all series' keys, sorted), one
+    column per series, ``missing`` where a series has no point.
+    """
+    xs = sorted({x for points in series.values() for x in points})
+    rows: List[List[object]] = []
+    for x in xs:
+        values = [points.get(x) for points in series.values()]
+        rows.append([x] + [missing if v is None else v for v in values])
+    return rows
 
 
 def render_series(
@@ -50,40 +120,11 @@ def render_series(
 ) -> str:
     """Render figure data series as a table: one column per series.
 
-    ``series`` maps series name to {x: y}. The x values are the union
-    of all series' keys, sorted.
+    ``series`` maps series name to {x: y}; missing points show ``-``.
     """
-    xs = sorted({x for points in series.values() for x in points})
-    headers = [x_label] + list(series)
-    rows = []
-    for x in xs:
-        row: List[object] = [x]
-        for name in series:
-            value = series[name].get(x)
-            row.append("-" if value is None else value)
-        rows.append(row)
-    heading = title or y_label
-    return render_table(headers, rows, title=heading)
-
-
-def series_rows(
-    series: Dict[str, Dict[object, float]]
-) -> List[List[object]]:
-    """The union-of-x row grid behind :func:`render_series`.
-
-    Exposed so :mod:`repro.report.summary` can render the same figure
-    data through a :class:`~repro.report.builder.TableBuilder` in
-    other formats (markdown, HTML) without re-deriving the grid.
-    Missing points are ``None`` (the builder's ``none_text`` applies).
-    """
-    xs = sorted({x for points in series.values() for x in points})
-    rows: List[List[object]] = []
-    for x in xs:
-        row: List[object] = [x]
-        for name in series:
-            row.append(series[name].get(x))
-        rows.append(row)
-    return rows
+    return render_table(
+        [x_label] + list(series), series_rows(series), title=title or y_label
+    )
 
 
 def table_to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -99,12 +140,6 @@ def table_to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
 def series_to_csv(series: Dict[str, Dict[object, float]], x_label: str) -> str:
     """Render figure series as CSV: one column per series, blank for
     missing points."""
-    xs = sorted({x for points in series.values() for x in points})
-    rows = []
-    for x in xs:
-        row: List[object] = [x]
-        for name in series:
-            value = series[name].get(x)
-            row.append("" if value is None else value)
-        rows.append(row)
-    return table_to_csv([x_label] + list(series), rows)
+    return table_to_csv(
+        [x_label] + list(series), series_rows(series, missing="")
+    )

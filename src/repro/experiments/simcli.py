@@ -15,9 +15,9 @@ validates.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
+from repro.errors import console_script
 from repro.experiments.configs import default_workload
 from repro.experiments.report import render_table
 from repro.experiments.runner import ExperimentRunner
@@ -109,5 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+run = console_script(main)
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -28,14 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import signal
-import sys
 import threading
 from pathlib import Path
 from typing import List, Optional
 
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.set_associative import SetAssociativeCache
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, console_script
 from repro.experiments.configs import default_workload, parse_geometry
 from repro.experiments.runner import (
     ParallelSweepRunner,
@@ -309,14 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return EXIT_PARTIAL if outcome.failures else 0
 
 
-def run() -> None:
-    """Console-script shim mapping :class:`ReproError` to exit code 2."""
-    try:
-        sys.exit(main())
-    except ReproError as exc:
-        log.error(str(exc))
-        sys.exit(2)
-
+run = console_script(main)
 
 if __name__ == "__main__":
     run()

@@ -7,7 +7,7 @@ the paper's layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import (
@@ -28,7 +28,6 @@ from repro.experiments.configs import (
 from repro.experiments.report import render_table
 from repro.experiments.runner import ConfigResult, ExperimentRunner
 from repro.hardware.costmodel import table2_designs
-from repro.report.builder import TableBuilder
 
 
 @dataclass
@@ -47,19 +46,12 @@ class Table1Row:
 class Table1:
     rows: List[Table1Row]
 
-    #: Declarative layout: probe counts are fixed-decimal (``.2f``) so
-    #: the columns stay aligned against the paper's layout — the old
-    #: ``:.4g`` dropped trailing zeros (``1.0`` → ``"1"``) and wobbled.
-    COLUMNS = [
-        {"header": "Method", "key": "method"},
-        {"header": "Assoc", "key": "associativity", "align": "right"},
-        {"header": "Subsets", "key": "subsets", "align": "right"},
-        {"header": "TagMemWidth", "key": "tag_memory_width", "align": "right"},
-        {"header": "Hit", "key": "hit_probes", "format": ".2f",
-         "align": "right"},
-        {"header": "Miss", "key": "miss_probes", "format": ".2f",
-         "align": "right"},
-    ]
+    HEADERS = ("Method", "Assoc", "Subsets", "TagMemWidth", "Hit", "Miss")
+    #: Probe counts are fixed-decimal (``.2f``) so the columns stay
+    #: aligned against the paper's layout; ``:.4g`` would drop trailing
+    #: zeros (``1.0`` → ``"1"``).
+    FORMATS = (None, None, None, None, ".2f", ".2f")
+    ALIGN = ("left",) + ("right",) * 5
 
     TITLE = (
         "Table 1. Performance of Set-Associativity Implementations "
@@ -68,8 +60,9 @@ class Table1:
 
     def render(self, fmt: str = "ascii") -> str:
         """Render paralleling the paper's Table 1 (ASCII by default)."""
-        return TableBuilder(preset="paper", fmt=fmt).render(
-            self.rows, columns=self.COLUMNS, title=self.TITLE
+        return render_table(
+            self.HEADERS, [astuple(row) for row in self.rows],
+            title=self.TITLE, fmt=fmt, formats=self.FORMATS, align=self.ALIGN,
         )
 
 
@@ -123,13 +116,8 @@ def build_table1(tag_bits: int = 16, mru_f1_ratio: float = 0.5) -> Table1:
 class Table2:
     cells: Dict[Tuple[str, str], object]
 
-    COLUMNS = [
-        {"header": ""},
-        {"header": "Direct", "align": "right"},
-        {"header": "Traditional", "align": "right"},
-        {"header": "MRU", "align": "right"},
-        {"header": "Partial", "align": "right"},
-    ]
+    HEADERS = ("", "Direct", "Traditional", "MRU", "Partial")
+    ALIGN = ("left",) + ("right",) * 4
 
     TITLE = (
         "Table 2. Trial Set-Associativity Implementations "
@@ -156,8 +144,9 @@ class Table2:
 
     def render(self, fmt: str = "ascii") -> str:
         """Render paralleling the paper's Table 2 (ASCII by default)."""
-        return TableBuilder(preset="paper", fmt=fmt).render(
-            self.body_rows(), columns=self.COLUMNS, title=self.TITLE
+        return render_table(
+            self.HEADERS, self.body_rows(), title=self.TITLE, fmt=fmt,
+            align=self.ALIGN,
         )
 
 
@@ -181,15 +170,11 @@ class Table3:
     segments: int
     rows: List[Table3Row]
 
+    HEADERS = ("L1 geometry", "Measured miss ratio", "Paper miss ratio")
     #: Miss ratios are probabilities; ``.4f`` keeps every row the same
     #: width (the paper reports four decimal places).
-    COLUMNS = [
-        {"header": "L1 geometry", "key": "geometry"},
-        {"header": "Measured miss ratio", "key": "measured_miss_ratio",
-         "format": ".4f", "align": "right"},
-        {"header": "Paper miss ratio", "key": "paper_miss_ratio",
-         "format": ".4f", "align": "right"},
-    ]
+    FORMATS = (None, ".4f", ".4f")
+    ALIGN = ("left", "right", "right")
 
     TITLE = "Table 3. Trace and level-one cache characteristics"
 
@@ -202,8 +187,17 @@ class Table3:
 
     def render(self, fmt: str = "ascii") -> str:
         """Render the workload/L1 summary (ASCII by default)."""
-        body = TableBuilder(preset="paper", fmt=fmt).render(
-            self.rows, columns=self.COLUMNS, title=self.TITLE
+        rows = [
+            (
+                r.geometry,
+                r.measured_miss_ratio,
+                "-" if r.paper_miss_ratio is None else r.paper_miss_ratio,
+            )
+            for r in self.rows
+        ]
+        body = render_table(
+            self.HEADERS, rows, title=self.TITLE, fmt=fmt,
+            formats=self.FORMATS, align=self.ALIGN,
         )
         separator = "\n\n" if fmt == "github" else "\n"
         return self.workload_line() + separator + body

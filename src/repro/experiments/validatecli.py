@@ -9,9 +9,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
+from repro.errors import console_script
 from repro.experiments.configs import default_workload
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.validation import validate
@@ -34,5 +34,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if report.passed else 1
 
 
+run = console_script(main)
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

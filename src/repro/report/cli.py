@@ -21,11 +21,10 @@ Exit codes: 0 — success; 2 — bad usage or unreadable inputs.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import console_script
 from repro.obs.log import log
 
 
@@ -70,14 +69,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def run() -> None:
-    """Console-script shim mapping :class:`ReproError` to exit code 2."""
-    try:
-        sys.exit(main())
-    except ReproError as exc:
-        log.error(str(exc))
-        sys.exit(2)
-
+run = console_script(main)
 
 if __name__ == "__main__":
     run()

@@ -59,15 +59,25 @@ class FailurePolicy(str, enum.Enum):
             ) from None
 
 
-def _jitter_unit(seed: int, key: Any, attempt: int) -> float:
-    """Deterministic uniform value in [0, 1) from (seed, key, attempt).
+#: Backoff growth factor per retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Cap on the un-jittered backoff, in seconds.
+MAX_DELAY = 30.0
+#: Jitter fraction: a delay grows by up to this share of itself.
+JITTER = 0.5
+#: Seed of the deterministic jitter draws.
+JITTER_SEED = 0
+
+
+def _jitter_unit(key: Any, attempt: int) -> float:
+    """Deterministic uniform value in [0, 1) from (key, attempt).
 
     Hash-derived rather than drawn from a shared RNG so the delay for
     a given point and attempt never depends on scheduling order —
-    backoff schedules are reproducible under a fixed seed.
+    every run backs off identically.
     """
     digest = hashlib.sha256(
-        f"{seed}:{key!r}:{attempt}".encode("utf-8")
+        f"{JITTER_SEED}:{key!r}:{attempt}".encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
@@ -78,39 +88,30 @@ class RetryPolicy:
 
     The delay before attempt ``n + 1`` (after ``n`` failures) is::
 
-        min(max_delay, base_delay * multiplier ** (n - 1)) * (1 + jitter * u)
+        min(MAX_DELAY, base_delay * BACKOFF_MULTIPLIER ** (n - 1))
+            * (1 + JITTER * u)
 
-    where ``u`` is a deterministic uniform draw from ``(seed, point
-    key, attempt)`` — see :func:`_jitter_unit` — so two runs with the
-    same seed back off identically, yet concurrent retries de-correlate.
+    where ``u`` is a deterministic uniform draw from ``(point key,
+    attempt)`` — see :func:`_jitter_unit` — so two runs back off
+    identically, yet concurrent retries de-correlate.
 
     Args:
         max_attempts: Total attempts per point (1 = no retries).
         base_delay: Backoff before the first retry, in seconds.
-        multiplier: Exponential growth factor per subsequent retry.
-        max_delay: Cap on the un-jittered delay, in seconds.
-        jitter: Jitter fraction in [0, 1]; 0 disables jitter.
         timeout: Per-point wall-clock budget in seconds, enforced by
             killing and re-creating the worker pool (``None`` = none).
-        seed: Seed for the deterministic jitter.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.5
     timeout: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         """Validate ranges at construction time."""
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
+        if self.base_delay < 0:
+            raise ConfigurationError("base_delay must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError("timeout must be positive")
 
@@ -119,16 +120,9 @@ class RetryPolicy:
         if attempt < 1:
             raise ConfigurationError("attempt numbers are 1-based")
         raw = min(
-            self.max_delay, self.base_delay * self.multiplier ** (attempt - 1)
+            MAX_DELAY, self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1)
         )
-        return raw * (1.0 + self.jitter * _jitter_unit(self.seed, key, attempt))
-
-    def schedule(self, key: Any) -> List[float]:
-        """Every backoff delay a point would see if it kept failing."""
-        return [
-            self.delay(key, attempt)
-            for attempt in range(1, self.max_attempts)
-        ]
+        return raw * (1.0 + JITTER * _jitter_unit(key, attempt))
 
 
 #: Failure kinds a :class:`PointFailure` can record.

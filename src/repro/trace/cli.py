@@ -14,11 +14,10 @@ dinero text format, ``.rpt``/``.rpt.gz`` the compact binary format.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, console_script
 from repro.trace.binary import read_binary, write_binary
 from repro.trace.dinero import read_din, write_din
 from repro.trace.reference import Reference
@@ -131,5 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.fn(args)
 
 
+run = console_script(main)
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -43,7 +43,7 @@ POINTS = [
     SweepPoint("8K-16", "64K-32", 4),
 ]
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
 @pytest.fixture(autouse=True)
@@ -157,9 +157,7 @@ class TestInjectedFailures:
         outcome = make_runner().run_points(
             POINTS,
             failure_policy="retry_then_collect",
-            retry=RetryPolicy(
-                max_attempts=3, base_delay=0.01, jitter=0.0, timeout=1.0
-            ),
+            retry=RetryPolicy(max_attempts=3, base_delay=0.01, timeout=1.0),
         )
         assert outcome.ok and outcome.timeouts == 1
         assert_matches_baseline(outcome, baseline)

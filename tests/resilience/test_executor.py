@@ -30,7 +30,7 @@ def clean_plan():
     faults.deactivate()
 
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
 def make(worker=double, **kwargs):
@@ -141,9 +141,7 @@ class TestInjectedFaults:
         )
         executor = make(
             failure_policy="retry_then_collect",
-            retry=RetryPolicy(
-                max_attempts=2, base_delay=0.01, jitter=0.0, timeout=1.0
-            ),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01, timeout=1.0),
         )
         report = executor.run([(0, 5), (1, 6)])
         assert report.results == {0: 10, 1: 12}
