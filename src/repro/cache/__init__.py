@@ -7,11 +7,6 @@ the paper's read-in / write-back protocol and write-back optimization.
 """
 
 from repro.cache.address import AddressMapper
-from repro.cache.artifacts import (
-    StreamArtifactStore,
-    get_artifact_store,
-    set_artifact_store,
-)
 from repro.cache.associative_l1 import AssociativeL1Cache
 from repro.cache.coherence import (
     CoherenceStats,
@@ -71,15 +66,12 @@ __all__ = [
     "RequestKind",
     "SetAssociativeCache",
     "StackSimulator",
-    "StreamArtifactStore",
     "TwoLevelHierarchy",
     "cached_miss_stream",
     "capture_miss_stream",
     "clear_miss_stream_cache",
-    "get_artifact_store",
     "make_replacement",
     "node_workloads",
     "replay_miss_stream",
     "run_with_invalidations",
-    "set_artifact_store",
 ]

@@ -25,7 +25,7 @@ from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.cache.stream import PackedMissStream
 from repro.obs.metrics import get_metrics
-from repro.obs.spans import span
+from repro.obs.spans import get_tracer
 from repro.trace.reference import Reference
 
 
@@ -217,7 +217,7 @@ def _workload_key(workload) -> tuple:
 
 
 def cached_miss_stream(
-    workload, capacity_bytes: int, block_size: int
+    workload, capacity_bytes: int, block_size: int, tracer=None
 ) -> Tuple[PackedMissStream, float]:
     """Captured L1 request stream for ``workload``, memoized process-wide.
 
@@ -226,31 +226,22 @@ def cached_miss_stream(
     L2-only sweeps — even across independent
     :class:`~repro.experiments.runner.ExperimentRunner` instances —
     never re-simulate the L1 for a workload they have already seen.
-
-    When a stream artifact store is configured
-    (``REPRO_STREAM_ARTIFACTS`` or
-    :func:`repro.cache.artifacts.set_artifact_store`), an in-process
-    miss is looked up there before capturing, and a fresh capture is
-    persisted as a content-addressed ``RPM2`` artifact, so later
-    processes (sweep workers, later sweeps, new sessions) load
-    it instead of re-simulating the L1. An artifact hit is returned as
-    loaded: its columns stay memory-mapped.
+    The memo is the one place a captured stream lives: a sweep captures
+    each L1 in the parent before its pool forks, so the workers inherit
+    every stream they replay.
 
     Cache behavior is published to the process metrics registry
-    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``, and
-    ``miss_stream.artifact_hits`` / ``miss_stream.artifact_misses``
-    when a store is configured), and each capture — the expensive
-    phase — runs under an ``l1_capture`` tracing span with its wall
-    time recorded in the ``miss_stream.capture_seconds`` histogram.
-    Instrumentation wraps the whole capture, never the per-reference
-    loop.
+    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``), and
+    each capture — the expensive phase — runs under an ``l1_capture``
+    span on ``tracer`` (default: the process-global tracer) with its
+    wall time recorded in the ``miss_stream.capture_seconds``
+    histogram. Instrumentation wraps the whole capture, never the
+    per-reference loop.
 
     Returns:
         ``(stream, l1_readin_miss_ratio)``. The stream is shared;
         callers must treat it as immutable.
     """
-    from repro.cache.artifacts import get_artifact_store
-
     key = (_workload_key(workload), capacity_bytes, block_size)
     entry = _MISS_STREAM_CACHE.get(key)
     metrics = get_metrics()
@@ -258,28 +249,18 @@ def cached_miss_stream(
         metrics.counter("miss_stream.cache_hits").inc()
         return entry
     metrics.counter("miss_stream.cache_misses").inc()
-    store = get_artifact_store()
-    if store is not None:
-        loaded = store.load(workload, capacity_bytes, block_size)
-        if loaded is not None:
-            metrics.counter("miss_stream.artifact_hits").inc()
-            _MISS_STREAM_CACHE[key] = loaded
-            return loaded
-        metrics.counter("miss_stream.artifact_misses").inc()
+    tracer = tracer if tracer is not None else get_tracer()
     l1 = DirectMappedCache(capacity_bytes, block_size)
     start = time.perf_counter()
-    with span(
+    with tracer.span(
         "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
     ):
         stream = capture_miss_stream(iter(workload), l1)
     metrics.histogram("miss_stream.capture_seconds").observe(
         time.perf_counter() - start
     )
-    miss_ratio = l1.stats.readin_miss_ratio
-    entry = (stream, miss_ratio)
+    entry = (stream, l1.stats.readin_miss_ratio)
     _MISS_STREAM_CACHE[key] = entry
-    if store is not None:
-        store.save(workload, capacity_bytes, block_size, stream, miss_ratio)
     return entry
 
 

@@ -74,20 +74,19 @@ class StorageError(ReproError):
     """A durable-storage operation failed at the disk level.
 
     Raised by the :mod:`repro.storage` I/O layer (and the writers
-    threaded through it — checkpoints, artifact stores, trace and
-    manifest writers) when the operating system refuses a write:
-    ``ENOSPC``, ``EIO``, a failed ``fsync``. Unlike a transient worker
-    fault, retrying without operator action will not help, so it
-    surfaces as this typed error (``repro-sweep`` exits 2 on it)
-    instead of a bare ``OSError``.
+    threaded through it — checkpoints, trace and manifest writers)
+    when the operating system refuses a write: ``ENOSPC``, ``EIO``, a
+    failed ``fsync``. Unlike a transient worker fault, retrying
+    without operator action will not help, so it surfaces as this
+    typed error (``repro-sweep`` exits 2 on it) instead of a bare
+    ``OSError``.
     """
 
 
 class IntegrityError(StorageError):
     """Stored data failed an end-to-end integrity check on read.
 
-    Raised when a CRC32 record frame or an RPM2 column checksum does
-    not match the bytes on disk —
+    Raised when a CRC32 record frame does not match the bytes on disk:
     bitrot, a torn write that survived undetected, or manual tampering.
     The contract is *detected, never silently wrong*: a reader that
     cannot verify raises this instead of returning plausible garbage.

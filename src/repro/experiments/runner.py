@@ -7,7 +7,8 @@ associativities x all schemes) affordable:
 - captured L1 miss streams are memoized process-wide, content-addressed
   by (workload identity, L1 geometry)
   (:func:`~repro.cache.hierarchy.cached_miss_stream`), so L2-only
-  sweeps never re-simulate the L1;
+  sweeps never re-simulate the L1, and a parallel sweep captures each
+  L1 once, in the parent, before its workers fork;
 - each replay uses the fused probe-accounting engine
   (:class:`~repro.core.engine.FusedProbeEngine`), computing every
   scheme's probes from one set of shared lookup facts per access;
@@ -41,7 +42,7 @@ from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
 from repro.core.probes import ProbeAccumulator
 from repro.core.traditional import TraditionalLookup
-from repro.errors import SimulationError, SweepPointError
+from repro.errors import ConfigurationError, SimulationError, SweepPointError
 from repro.experiments.configs import (
     DEFAULT_TAG_BITS,
     CacheGeometry,
@@ -233,16 +234,16 @@ def _run_sweep_point(payload):
 
     The resilient executor's unit of work — one point per task gives
     per-point retries, timeouts, and checkpointing. Returns
-    ``(ConfigResult, metric_snapshot)``; the worker derives its miss
-    stream deterministically from the shared workload seed (or
-    inherits the parent's memoized copy on fork platforms), so
+    ``(ConfigResult, metric_snapshot)``; the worker replays the miss
+    stream it inherited from the parent's memo (on a platform without
+    fork it captures it again from the shared workload seed), so
     results are bit-identical to a serial run.
 
     Spans go to the *process-global* tracer — inside a pool worker
     that is the per-task tracer the executor guard installs, so the
-    point's ``l1_capture``/``l2_replay`` spans ship back to the
-    parent, which hangs them under its ``sweep`` span. Metrics stay
-    per-point (the snapshot is part of the return value).
+    point's ``l2_replay`` span ships back to the parent, which hangs
+    it under its ``sweep`` span. Metrics stay per-point (the snapshot
+    is part of the return value).
     """
     workload, point = payload
     runner = ExperimentRunner(
@@ -310,31 +311,25 @@ class ExperimentRunner:
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self._streams: Dict[str, PackedMissStream] = {}
-        self._l1_stats: Dict[str, float] = {}
         self._results: Dict[tuple, ConfigResult] = {}
         self._run_log: List[Dict[str, Any]] = []
 
     def miss_stream(self, l1: CacheGeometry) -> PackedMissStream:
         """Captured L1 request stream for ``l1``.
 
-        Content-addressed and memoized process-wide, so every runner on
-        the same workload shares one capture per L1 geometry.
+        Content-addressed and memoized process-wide
+        (:func:`~repro.cache.hierarchy.cached_miss_stream`), so every
+        runner on the same workload shares one capture per L1 geometry.
         """
-        key = l1.label
-        if key not in self._streams:
-            stream, miss_ratio = cached_miss_stream(
-                self.workload, l1.capacity_bytes, l1.block_size
-            )
-            self._streams[key] = stream
-            self._l1_stats[key] = miss_ratio
-        return self._streams[key]
+        return cached_miss_stream(
+            self.workload, l1.capacity_bytes, l1.block_size, self.tracer
+        )[0]
 
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""
-        if l1.label not in self._l1_stats:
-            self.miss_stream(l1)
-        return self._l1_stats[l1.label]
+        return cached_miss_stream(
+            self.workload, l1.capacity_bytes, l1.block_size, self.tracer
+        )[1]
 
     def run(
         self,
@@ -474,9 +469,9 @@ class ParallelSweepRunner:
     :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
     retries with deterministic backoff, per-point wall-clock timeouts,
     worker-death recovery, and crash-safe checkpoint/resume — see
-    ``docs/resilience.md``. Every worker derives its trace
-    deterministically from the shared workload seed (on fork platforms
-    it inherits streams already memoized in the parent), and results
+    ``docs/resilience.md``. The parent captures each distinct L1 of the
+    submitted points once, inside its ``sweep`` span, before the pool
+    forks, so every worker inherits the streams it replays; results
     come back in input order, so a parallel sweep is byte-identical to
     running the points serially through an :class:`ExperimentRunner` —
     only wall-clock changes.
@@ -629,6 +624,7 @@ class ParallelSweepRunner:
                 "sweep",
                 points=len(points), tasks=len(tasks), policy=policy.value,
             ):
+                self._capture_l1s(points[index].l1 for index, _ in tasks)
                 report = executor.run(tasks)
         except SweepPointError:
             # fail_fast: the failure is already in self.failures via
@@ -650,6 +646,22 @@ class ParallelSweepRunner:
         if self.obs_dir is not None:
             self.write_obs()
         return outcome
+
+    def _capture_l1s(self, labels) -> None:
+        """Capture each distinct L1 among ``labels`` once, before the
+        pool forks, so every worker inherits the process-wide memo and
+        none re-simulates an L1. A label that does not make a valid L1
+        is skipped; its point then fails in its worker as its own
+        :class:`~repro.resilience.policy.PointFailure`.
+        """
+        runner = ExperimentRunner(
+            self.workload, metrics=self.metrics, tracer=self.tracer
+        )
+        for label in dict.fromkeys(labels):
+            try:
+                runner.miss_stream(parse_geometry(label))
+            except ConfigurationError:
+                continue
 
     def sweep_config_hash(self) -> str:
         """Content address of this sweep's identity (checkpoint key).

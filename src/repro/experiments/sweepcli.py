@@ -189,18 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--obs-dir", metavar="DIR", default=None,
         help="write the provenance manifest and JSONL span trace here",
     )
-    parser.add_argument(
-        "--stream-artifacts", metavar="DIR", default=None,
-        help="persist captured miss streams as content-addressed RPM2 "
-        "artifacts in DIR and mmap them on reuse (workers inherit it)",
-    )
     args = parser.parse_args(argv)
-
-    if args.stream_artifacts is not None:
-        # Via the environment so forked sweep workers inherit it.
-        import os
-
-        os.environ["REPRO_STREAM_ARTIFACTS"] = args.stream_artifacts
 
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint")

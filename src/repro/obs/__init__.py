@@ -61,17 +61,6 @@ from repro.obs.spans import (
     set_tracer,
     span,
 )
-from repro.obs.trace_report import (
-    aggregate_trace,
-    build_report,
-    merge_aggregates,
-)
-from repro.obs.validate import (
-    validate_manifest,
-    validate_manifest_file,
-    validate_span,
-    validate_trace_file,
-)
 
 __all__ = [
     "Counter",
@@ -85,9 +74,7 @@ __all__ = [
     "StructuredLogger",
     "TimingResult",
     "Tracer",
-    "aggregate_trace",
     "bootstrap_ci",
-    "build_report",
     "config_hash",
     "describe_workload",
     "environment_fingerprint",
@@ -96,15 +83,10 @@ __all__ = [
     "git_sha",
     "log",
     "measure",
-    "merge_aggregates",
     "progress_enabled",
     "read_jsonl",
     "set_metrics",
     "set_tracer",
     "span",
-    "validate_manifest",
-    "validate_manifest_file",
-    "validate_span",
-    "validate_trace_file",
     "write_jsonl",
 ]

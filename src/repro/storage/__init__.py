@@ -1,8 +1,8 @@
 """Storage integrity layer: durable I/O, record framing, fault injection.
 
 Every recovery path in the resilience stack ultimately trusts the
-disk: sweep checkpoints, ``RPM2`` stream artifacts, and obs traces
-are read back and folded into results. This package makes that trust
+disk: sweep checkpoints and obs traces are read back and folded into
+results. This package makes that trust
 earned instead of assumed:
 
 - :mod:`repro.storage.io` — the durable-write primitives
@@ -15,7 +15,7 @@ earned instead of assumed:
   mini-language in the style of :mod:`repro.resilience.faults`;
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
   envelopes for JSONL stores, with transparent reads of legacy
-  unframed lines, and the CRC32 footer every binary artifact carries.
+  unframed lines.
 
 Layering: these modules depend only on the standard library,
 :mod:`repro.errors` and each other, so :mod:`repro.obs` (which must

@@ -1,8 +1,6 @@
-"""CRC32-framed, length-prefixed record envelopes.
+"""CRC32-framed, length-prefixed JSONL record envelopes.
 
-Two flavors, one per on-disk shape in this repository:
-
-**JSONL record frames** (sweep checkpoints). A framed line is::
+Sweep checkpoints frame every record. A framed line is::
 
     F1 <crc32-hex-8> <payload-length-bytes> <payload>
 
@@ -14,13 +12,6 @@ a missing terminator, a short payload, or a checksum mismatch.
 through unchanged, which is how every reader stays compatible with
 legacy unframed files.
 
-**Binary footers** (RPM2 stream artifacts). :func:`crc32_footer`
-builds an 8-byte trailer — magic ``C32\\0`` plus the little-endian
-CRC32 of the preceding bytes — appended after the last column;
-:func:`verify_crc32_footer` checks it and refuses a file whose footer
-is missing, short or lacks the magic, so damage to the footer cannot
-switch the checksum off.
-
 All verification failures raise the typed
 :class:`~repro.errors.IntegrityError` — *detected, never silently
 wrong*. Depends only on the standard library and :mod:`repro.errors`.
@@ -28,30 +19,17 @@ wrong*. Depends only on the standard library and :mod:`repro.errors`.
 
 from __future__ import annotations
 
-import struct
 import zlib
-from typing import Union
 
 from repro.errors import IntegrityError
 
 #: Version prefix for framed JSONL records.
 FRAME_PREFIX = "F1 "
 
-#: Magic that opens the binary CRC32 footer of an RPM2 artifact.
-FOOTER_MAGIC = b"C32\x00"
-
-#: Full footer size: 4 magic bytes + u32 little-endian CRC32.
-FOOTER_SIZE = 8
-
-_FOOTER_CRC = struct.Struct("<I")
-
 
 def crc32_hex(data: bytes) -> str:
     """CRC32 of ``data`` as 8 lowercase hex characters."""
     return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
-
-
-# -- JSONL record frames -------------------------------------------------
 
 
 def frame_line(payload: str) -> str:
@@ -109,33 +87,3 @@ def parse_framed_line(line: str, context: str = "record") -> str:
         )
     return payload
 
-
-# -- Binary footers ------------------------------------------------------
-
-
-def crc32_footer(data: Union[bytes, bytearray, memoryview]) -> bytes:
-    """The 8-byte CRC32 trailer protecting ``data``."""
-    return FOOTER_MAGIC + _FOOTER_CRC.pack(zlib.crc32(data) & 0xFFFFFFFF)
-
-
-def verify_crc32_footer(
-    buffer: Union[bytes, bytearray, memoryview],
-    length: int,
-    context: str = "artifact",
-) -> None:
-    """Verify the footer that must follow ``buffer[:length]``.
-
-    Raises :class:`~repro.errors.IntegrityError` when the footer is
-    missing, short or does not open with :data:`FOOTER_MAGIC`, or when
-    its checksum does not match the content.
-    """
-    footer = bytes(buffer[length:length + FOOTER_SIZE])
-    if len(footer) != FOOTER_SIZE or not footer.startswith(FOOTER_MAGIC):
-        raise IntegrityError(f"{context}: missing CRC32 footer")
-    (expected,) = _FOOTER_CRC.unpack(footer[len(FOOTER_MAGIC):])
-    actual = zlib.crc32(buffer[:length]) & 0xFFFFFFFF
-    if actual != expected:
-        raise IntegrityError(
-            f"{context}: CRC32 footer mismatch "
-            f"(footer {expected:08x}, content {actual:08x})"
-        )

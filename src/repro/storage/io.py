@@ -1,10 +1,10 @@
 """Durable-write primitives with a process-wide injection point.
 
-Every storage writer in the repository — sweep checkpoints, the
-stream-artifact store, the obs trace and manifest writers — performs its opens, writes, fsyncs, and atomic replaces through the
-:class:`StorageIO` instance returned by :func:`get_io`. In normal
-operation that instance is a zero-overhead passthrough to the
-operating system; under test it is a
+Every storage writer in the repository — sweep checkpoints, the obs
+trace and manifest writers — performs its opens, writes, fsyncs, and
+atomic replaces through the :class:`StorageIO` instance returned by
+:func:`get_io`. In normal operation that instance is a zero-overhead
+passthrough to the operating system; under test it is a
 :class:`~repro.storage.faultio.FaultingIO` that can tear a write,
 exhaust the disk, or crash the "machine" at a chosen point.
 

@@ -11,8 +11,11 @@ The runner replays through the fused engine only; the per-scheme
 independent oracle for it.
 """
 
+import os
+
 import pytest
 
+import repro.cache.hierarchy as hierarchy
 from repro.cache.hierarchy import (
     cached_miss_stream,
     clear_miss_stream_cache,
@@ -29,6 +32,8 @@ from repro.experiments.runner import (
     _scheme_plan,
     config_result_to_dict,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Tracer
 from repro.resilience.policy import SweepOutcome
 from repro.trace.synthetic import AtumWorkload
 
@@ -173,3 +178,73 @@ def test_cached_miss_stream_is_shared():
     other, _ = cached_miss_stream(workload, 8192, 16)
     assert other is not first
     clear_miss_stream_cache()
+
+
+class TestCaptureOncePerL1:
+    """A sweep captures each L1 of its submitted points once, in the
+    parent, before the pool forks; workers replay the inherited memo."""
+
+    POINTS = [
+        SweepPoint(l1, "64K-32", a)
+        for a in (2, 4) for l1 in ("4K-16", "8K-16")
+    ]
+
+    @pytest.fixture
+    def captures(self, tmp_path, monkeypatch):
+        """Every ``capture_miss_stream`` call as ``(pid, L1 capacity)``.
+
+        The wrapper appends to a file, so a capture in a forked worker,
+        which inherits the wrapper, is recorded too.
+        """
+        log = tmp_path / "captures.log"
+        log.touch()
+        capture = hierarchy.capture_miss_stream
+
+        def recording(trace, l1):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {l1.capacity_bytes}\n")
+            return capture(trace, l1)
+
+        monkeypatch.setattr(hierarchy, "capture_miss_stream", recording)
+        clear_miss_stream_cache()
+        yield lambda: [
+            tuple(map(int, line.split()))
+            for line in log.read_text().splitlines()
+        ]
+        clear_miss_stream_cache()
+
+    def sweeper(self, tracer):
+        return ParallelSweepRunner(
+            small_workload(), processes=2,
+            metrics=MetricsRegistry(), tracer=tracer,
+        )
+
+    def test_each_l1_captured_once_in_the_parent(self, captures):
+        tracer = Tracer()
+        assert self.sweeper(tracer).run_points(self.POINTS).ok
+        parent = os.getpid()
+        assert sorted(captures()) == [(parent, 4096), (parent, 8192)]
+        (sweep,) = [r for r in tracer.records if r.name == "sweep"]
+        spans = [r for r in tracer.records if r.name == "l1_capture"]
+        assert sorted(r.attrs["capacity_bytes"] for r in spans) == [4096, 8192]
+        assert all(r.parent_span_id == sweep.span_id for r in spans)
+
+    def test_resumed_points_are_not_captured(self, captures, tmp_path):
+        checkpoint = tmp_path / "sweep.ckpt"
+        only_4k = [p for p in self.POINTS if p.l1 == "4K-16"]
+        first = self.sweeper(Tracer()).run_points(
+            only_4k, checkpoint=checkpoint
+        )
+        assert first.ok
+        clear_miss_stream_cache()
+        rest = self.sweeper(Tracer()).run_points(
+            self.POINTS, checkpoint=checkpoint
+        )
+        assert rest.ok and rest.resumed == len(only_4k)
+        assert captures()[1:] == [(os.getpid(), 8192)]
+        clear_miss_stream_cache()
+        again = self.sweeper(Tracer()).run_points(
+            self.POINTS, checkpoint=checkpoint
+        )
+        assert again.ok and again.resumed == len(self.POINTS)
+        assert len(captures()) == 2

@@ -9,6 +9,7 @@ seed.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -80,27 +81,31 @@ class TestFailureWrapping:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_worker_failure_names_the_point(self, processes, tmp_path):
         good = SweepPoint("4K-16", "64K-32", 4)
-        bad = SweepPoint("4K-16", "not-a-geometry", 4)
-        runner = ParallelSweepRunner(
-            small_workload(), processes=processes,
-            metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path,
-        )
-        with pytest.raises(SweepPointError) as excinfo:
-            runner.run_points([good, bad], failure_policy="fail_fast")
-        message = str(excinfo.value)
-        assert "not-a-geometry" in message
-        # The failure record is structured: kind, exception class,
-        # worker traceback, and a human-readable summary line.
-        (record,) = runner.failures
-        assert record["error_type"] == "ConfigurationError"
-        assert "not-a-geometry" in record["message"]
-        assert "ConfigurationError" in record["traceback"]
-        assert "not-a-geometry" in record["error"]
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        (persisted,) = manifest["failures"]
-        assert persisted["error"] == record["error"]
-        assert persisted["point"]["l2"] == "not-a-geometry"
+        # A bad L2 fails in the worker; a bad L1 is skipped by the
+        # parent's capture and then fails in the worker the same way.
+        for field in ("l2", "l1"):
+            bad = replace(good, **{field: "not-a-geometry"})
+            obs_dir = tmp_path / field
+            runner = ParallelSweepRunner(
+                small_workload(), processes=processes,
+                metrics=MetricsRegistry(), tracer=Tracer(),
+                obs_dir=obs_dir,
+            )
+            with pytest.raises(SweepPointError) as excinfo:
+                runner.run_points([good, bad], failure_policy="fail_fast")
+            message = str(excinfo.value)
+            assert "not-a-geometry" in message
+            # The failure record is structured: kind, exception class,
+            # worker traceback, and a human-readable summary line.
+            (record,) = runner.failures
+            assert record["error_type"] == "ConfigurationError"
+            assert "not-a-geometry" in record["message"]
+            assert "ConfigurationError" in record["traceback"]
+            assert "not-a-geometry" in record["error"]
+            manifest = json.loads((obs_dir / "manifest.json").read_text())
+            (persisted,) = manifest["failures"]
+            assert persisted["error"] == record["error"]
+            assert persisted["point"][field] == "not-a-geometry"
 
 
 class TestProvenanceEmission:

@@ -110,7 +110,11 @@ class TestHappyPath:
     def test_obs_dir_writes_one_trace_tree(self, tmp_path):
         # A subprocess, so no earlier test's spans are in the tracer.
         result = run_sweep_cli(
-            tmp_path, base_args(tmp_path, "--obs-dir", str(tmp_path / "obs"))
+            tmp_path,
+            base_args(
+                tmp_path, "--l1", "4K-16,8K-16",
+                "--obs-dir", str(tmp_path / "obs"),
+            ),
         )
         assert result.returncode == 0, result.stderr
         manifest = tmp_path / "obs" / "manifest.json"
@@ -122,7 +126,13 @@ class TestHappyPath:
         assert {r["trace_id"] for r in records} == {sweep["trace_id"]}
         tasks = [r for r in records if r["name"] == "pool_task"]
         assert all(t["parent_span_id"] == sweep["span_id"] for t in tasks)
-        assert sorted(t["attrs"]["key"] for t in tasks) == [0, 1]
+        assert sorted(t["attrs"]["key"] for t in tasks) == [0, 1, 2, 3]
+        # One capture per distinct L1, in the parent, before the fork.
+        captures = [r for r in records if r["name"] == "l1_capture"]
+        assert sorted(c["attrs"]["capacity_bytes"] for c in captures) == [
+            4096, 8192,
+        ]
+        assert all(c["parent_span_id"] == sweep["span_id"] for c in captures)
         span_ids = [r["span_id"] for r in records]
         assert len(set(span_ids)) == len(span_ids)
 

@@ -1,4 +1,4 @@
-"""CRC32 record framing: lines and binary footers."""
+"""CRC32 record framing of JSONL lines."""
 
 import json
 import zlib
@@ -7,15 +7,11 @@ import pytest
 
 from repro.errors import IntegrityError
 from repro.storage.framing import (
-    FOOTER_MAGIC,
-    FOOTER_SIZE,
     FRAME_PREFIX,
-    crc32_footer,
     crc32_hex,
     frame_line,
     is_framed,
     parse_framed_line,
-    verify_crc32_footer,
 )
 
 
@@ -77,41 +73,6 @@ class TestParseFramedLine:
         framed = frame_line("abc").replace("abc", "abd")
         with pytest.raises(IntegrityError, match="ckpt:17"):
             parse_framed_line(framed, context="ckpt:17")
-
-
-class TestCrc32Footer:
-    def test_footer_layout(self):
-        footer = crc32_footer(b"payload")
-        assert len(footer) == FOOTER_SIZE
-        assert footer.startswith(FOOTER_MAGIC)
-
-    def test_verify_round_trip(self):
-        data = b"payload bytes"
-        verify_crc32_footer(data + crc32_footer(data), len(data))
-
-    def test_missing_footer_detected(self):
-        with pytest.raises(IntegrityError, match="missing CRC32 footer"):
-            verify_crc32_footer(b"payload", len(b"payload"))
-
-    def test_partial_footer_detected(self):
-        data = b"payload"
-        buffer = data + crc32_footer(data)[:3]
-        with pytest.raises(IntegrityError, match="missing CRC32 footer"):
-            verify_crc32_footer(buffer, len(data))
-
-    def test_corrupt_content_detected(self):
-        data = b"payload bytes"
-        buffer = bytearray(data + crc32_footer(data))
-        buffer[3] ^= 0x01
-        with pytest.raises(IntegrityError, match="artifact"):
-            verify_crc32_footer(bytes(buffer), len(data))
-
-    def test_corrupt_footer_crc_detected(self):
-        data = b"payload bytes"
-        buffer = bytearray(data + crc32_footer(data))
-        buffer[-1] ^= 0x01
-        with pytest.raises(IntegrityError):
-            verify_crc32_footer(bytes(buffer), len(data))
 
 
 class TestCrc32Hex:

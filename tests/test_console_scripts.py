@@ -2,7 +2,8 @@
 
 Each command runs as ``python -m`` in a subprocess, through the same
 ``run`` its console-script entry point calls. ``main()`` itself still
-raises, so in-process tests keep using ``pytest.raises``.
+raises, so in-process tests keep using ``pytest.raises``. Run that way,
+no command prints runpy's warning about a module its package imported.
 """
 
 import importlib
@@ -70,6 +71,25 @@ def test_rejected_input_exits_2_without_traceback(tmp_path, command):
     assert result.returncode == 2, result.stderr
     (line,) = result.stderr.splitlines()
     assert line.startswith("error ") and message in line
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.obs.validate", "repro.obs.trace_report"]
+)
+def test_python_m_prints_no_runpy_warning(tmp_path, module):
+    # runpy warns when the package's __init__ already imported the module.
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "always::RuntimeWarning", "-m", module,
+            str(tmp_path / "missing.json"),
+        ],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "RuntimeWarning" not in result.stderr, result.stderr
 
 
 def _console_scripts():
