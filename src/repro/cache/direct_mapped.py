@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.cache.address import AddressMapper
 from repro.cache.stats import CacheStats
+from repro.cache.stream import PackedMissStream
 from repro.errors import ConfigurationError
 from repro.trace.reference import AccessKind, Reference
 
@@ -87,6 +88,65 @@ class DirectMappedCache:
         self._tags[index] = tag
         self._dirty[index] = ref.kind is AccessKind.STORE
         return requests
+
+    def capture(self, trace: Iterable, stream: PackedMissStream) -> None:
+        """Run a whole trace through the cache, appending its requests
+        to ``stream``'s columns.
+
+        The same protocol as :meth:`access`, inlined over bound locals
+        so no per-reference object is built: each item of ``trace``
+        unpacks as ``(kind, address)`` (a :class:`Reference` or a
+        pair), a FLUSH item cold-starts the cache and records a flush
+        offset, and each miss appends its read-in (code 0) and any
+        dirty victim's write-back (code 1) straight into the
+        :class:`~repro.cache.stream.PackedMissStream` columns. The
+        counters reach :attr:`stats` and the stream's
+        ``processor_references`` once, at the end.
+        """
+        tags = self._tags
+        dirty = self._dirty
+        block_bits = self.mapper.block_bits
+        set_bits = self.mapper.set_bits
+        mask = self.num_lines - 1
+        codes = stream.codes
+        append_code = codes.append
+        append_address = stream.addresses.append
+        flushes = stream.flush_offsets
+        store = AccessKind.STORE
+        flush = AccessKind.FLUSH
+        events = len(codes)
+        hits = evictions = dirty_evictions = 0
+        for kind, address in trace:
+            if kind is flush:
+                self.invalidate_all()
+                flushes.append(len(codes))
+                continue
+            block = address >> block_bits
+            index = block & mask
+            tag = block >> set_bits
+            resident = tags[index]
+            if resident == tag:
+                hits += 1
+                if kind is store:
+                    dirty[index] = True
+                continue
+            append_code(0)
+            append_address(block << block_bits)
+            if resident is not None:
+                evictions += 1
+                if dirty[index]:
+                    dirty_evictions += 1
+                    append_code(1)
+                    append_address(((resident << set_bits) | index) << block_bits)
+            tags[index] = tag
+            dirty[index] = kind is store
+        misses = len(codes) - events - dirty_evictions
+        stats = self.stats
+        stats.readin_hits += hits
+        stats.readin_misses += misses
+        stats.evictions += evictions
+        stats.dirty_evictions += dirty_evictions
+        stream.processor_references += hits + misses
 
     def contains(self, address: int) -> bool:
         """Whether the block holding ``address`` is resident."""

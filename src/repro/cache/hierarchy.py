@@ -20,13 +20,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
+from repro.cache.associative_l1 import AssociativeL1Cache
 from repro.cache.direct_mapped import DirectMappedCache, RequestKind
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.cache.stream import PackedMissStream
 from repro.obs.metrics import get_metrics
 from repro.obs.spans import get_tracer
-from repro.trace.reference import Reference
+from repro.trace.reference import AccessKind, Reference
 
 
 _KIND_CODES = {RequestKind.READ_IN: 0, RequestKind.WRITE_BACK: 1}
@@ -180,17 +181,29 @@ class TwoLevelHierarchy:
 
 
 def capture_miss_stream(
-    trace: Iterable[Reference], l1: DirectMappedCache
+    trace: Iterable, l1: "DirectMappedCache | AssociativeL1Cache"
 ) -> PackedMissStream:
-    """Run ``trace`` through ``l1`` alone, recording its request stream."""
+    """Run ``trace`` through ``l1`` alone, recording its request stream.
+
+    Each item of ``trace`` unpacks as ``(kind, address)``: a
+    :class:`~repro.trace.reference.Reference`, or a pair from
+    :meth:`~repro.trace.synthetic.AtumWorkload.pairs`. A
+    :class:`DirectMappedCache` (the paper's L1) runs the whole trace
+    inline (:meth:`DirectMappedCache.capture`); any other L1, such as
+    an :class:`AssociativeL1Cache`, goes through its own ``access()``
+    one reference at a time.
+    """
     stream = PackedMissStream()
-    for ref in trace:
-        if ref.is_flush:
+    if isinstance(l1, DirectMappedCache):
+        l1.capture(trace, stream)
+        return stream
+    for kind, address in trace:
+        if kind is AccessKind.FLUSH:
             l1.invalidate_all()
             stream.append_flush()
             continue
         stream.processor_references += 1
-        for request in l1.access(ref):
+        for request in l1.access(Reference(kind, address)):
             stream.append(_KIND_CODES[request.kind], request.address)
     return stream
 
@@ -201,23 +214,8 @@ def capture_miss_stream(
 _MISS_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
 
 
-def _workload_key(workload) -> tuple:
-    """Content address for a workload.
-
-    Uses the workload's own ``cache_key()`` when it provides one
-    (:class:`~repro.trace.synthetic.AtumWorkload` does — seed, segment
-    structure, and model parameters); otherwise falls back to object
-    identity, which still deduplicates repeated captures of the same
-    instance.
-    """
-    cache_key = getattr(workload, "cache_key", None)
-    if cache_key is not None:
-        return (type(workload).__qualname__,) + tuple(cache_key())
-    return ("id", id(workload))
-
-
 def cached_miss_stream(
-    workload, capacity_bytes: int, block_size: int, tracer=None
+    workload, capacity_bytes: int, block_size: int, tracer=None, metrics=None
 ) -> Tuple[PackedMissStream, float]:
     """Captured L1 request stream for ``workload``, memoized process-wide.
 
@@ -230,21 +228,29 @@ def cached_miss_stream(
     each L1 in the parent before its pool forks, so the workers inherit
     every stream they replay.
 
-    Cache behavior is published to the process metrics registry
-    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``), and
-    each capture — the expensive phase — runs under an ``l1_capture``
-    span on ``tracer`` (default: the process-global tracer) with its
-    wall time recorded in the ``miss_stream.capture_seconds``
-    histogram. Instrumentation wraps the whole capture, never the
-    per-reference loop.
+    ``workload`` is an :class:`~repro.trace.synthetic.AtumWorkload` (or
+    any object with its ``cache_key()`` and ``pairs()``): the key
+    content-addresses the stream, and the capture reads the pairs.
+
+    Memo behavior is published to ``metrics`` (default: the process
+    metrics registry) as ``miss_stream.cache_hits`` /
+    ``miss_stream.cache_misses``, and each capture — the expensive
+    phase — runs under an ``l1_capture`` span on ``tracer`` (default:
+    the process-global tracer) with its wall time recorded in the
+    ``miss_stream.capture_seconds`` histogram. Instrumentation wraps
+    the whole capture, never the per-reference loop.
 
     Returns:
         ``(stream, l1_readin_miss_ratio)``. The stream is shared;
         callers must treat it as immutable.
     """
-    key = (_workload_key(workload), capacity_bytes, block_size)
+    key = (
+        (type(workload).__qualname__,) + tuple(workload.cache_key()),
+        capacity_bytes,
+        block_size,
+    )
     entry = _MISS_STREAM_CACHE.get(key)
-    metrics = get_metrics()
+    metrics = metrics if metrics is not None else get_metrics()
     if entry is not None:
         metrics.counter("miss_stream.cache_hits").inc()
         return entry
@@ -255,7 +261,7 @@ def cached_miss_stream(
     with tracer.span(
         "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
     ):
-        stream = capture_miss_stream(iter(workload), l1)
+        stream = capture_miss_stream(workload.pairs(), l1)
     metrics.histogram("miss_stream.capture_seconds").observe(
         time.perf_counter() - start
     )

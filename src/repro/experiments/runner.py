@@ -322,13 +322,15 @@ class ExperimentRunner:
         runner on the same workload shares one capture per L1 geometry.
         """
         return cached_miss_stream(
-            self.workload, l1.capacity_bytes, l1.block_size, self.tracer
+            self.workload, l1.capacity_bytes, l1.block_size,
+            tracer=self.tracer, metrics=self.metrics,
         )[0]
 
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""
         return cached_miss_stream(
-            self.workload, l1.capacity_bytes, l1.block_size, self.tracer
+            self.workload, l1.capacity_bytes, l1.block_size,
+            tracer=self.tracer, metrics=self.metrics,
         )[1]
 
     def run(

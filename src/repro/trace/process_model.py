@@ -244,8 +244,8 @@ class ProcessModel:
         # anyway — distinct address spaces).
         self._routine_order = list(range(params.routines))
         self._rng.shuffle(self._routine_order)
-        self._arena_remaining = 0
         self._next_new_block = self._fresh_arena()
+        self._arena_remaining = params.arena_granules
         self._run_block = None
         self._run_remaining = 0
         # The chase set is scattered uniformly through its own 16 MB
@@ -277,117 +277,154 @@ class ProcessModel:
         return min(index, slots - 1)
 
     def _fresh_arena(self) -> int:
-        """Pick a new 64 KB-aligned arena in the data region."""
+        """First granule of a new 64 KB-aligned arena in the data region."""
         params = self.params
         arena_granules = 0x10000 // params.data_block
         arenas = max(1, self._data_region_granules // arena_granules)
         start = self._skewed_slot(arenas) * arena_granules
-        self._arena_remaining = params.arena_granules
         return self._data_base // params.data_block + start
 
     def next_reference(self) -> Tuple[AccessKind, int]:
         """Produce one ``(kind, address)`` pair."""
-        rng = self._rng
-        if rng.random() < self.params.instruction_fraction:
-            return AccessKind.INSTRUCTION, self._next_instruction()
-        if self._shared_cdf is not None and (
-            rng.random() < self.params.shared_fraction
-        ):
-            rank = bisect.bisect_left(self._shared_cdf, rng.random())
-            block = self._shared_set[rank]
-            offset = rng.randrange(self.params.data_block // 4) * 4
-            address = block * self.params.data_block + offset
-            if rng.random() < self.params.shared_store_fraction:
-                return AccessKind.STORE, address
-            return AccessKind.LOAD, address
-        address = self._next_data_address()
-        if rng.random() < self.params.store_fraction:
-            return AccessKind.STORE, address
-        return AccessKind.LOAD, address
+        return self.references(1)[0]
 
-    def _next_instruction(self) -> int:
+    def references(self, count: int) -> List[Tuple[AccessKind, int]]:
+        """Produce the next ``count`` ``(kind, address)`` pairs.
+
+        The whole model runs in this one loop over bound locals: the
+        instruction stream, then (for data references) the shared
+        segment, the pointer-chase set, a sequential run or a Zipf
+        draw from the LRU data stack. The order of ``random()`` and
+        ``randrange()`` calls is the trace's identity: the golden
+        digests and ``tests/trace/test_trace_pins.py`` pin it.
+        """
         params = self.params
         rng = self._rng
-        address = self._pc
-        if rng.random() < params.branch_probability:
-            if rng.random() < params.loop_branch_fraction:
-                # Short backward branch: loop within the current routine.
-                span = min(params.loop_span, address - self._code_base)
-                if span >= 4:
-                    self._pc = address - (rng.randrange(span // 4) + 1) * 4
+        rand = rng.random
+        randrange = rng.randrange
+        bisect_left = bisect.bisect_left
+        instruction = AccessKind.INSTRUCTION
+        load = AccessKind.LOAD
+        store = AccessKind.STORE
+        instruction_fraction = params.instruction_fraction
+        branch_probability = params.branch_probability
+        loop_branch_fraction = params.loop_branch_fraction
+        loop_span = params.loop_span
+        routine_size = params.routine_size
+        routine_cdf = self._routine_cdf
+        routine_order = self._routine_order
+        code_base = self._code_base
+        code_end = code_base + params.routines * routine_size
+        shared_cdf = self._shared_cdf
+        shared_set = self._shared_set
+        shared_fraction = params.shared_fraction
+        shared_store_fraction = params.shared_store_fraction
+        chase_fraction = params.chase_fraction
+        chase_cdf = self._chase_cdf
+        chase_set = self._chase_set
+        data_block = params.data_block
+        words = data_block // 4
+        store_fraction = params.store_fraction
+        sequential_run_probability = params.sequential_run_probability
+        new_block_probability = params.new_block_probability
+        zipf_cdf = self._zipf_cdf
+        stack = self._data_stack
+        stack_limit = params.data_stack
+        skip_max = params.allocation_skip_max
+        pc = self._pc
+        run_block = self._run_block
+        run_remaining = self._run_remaining
+        next_new_block = self._next_new_block
+        arena_remaining = self._arena_remaining
+
+        pairs: List[Tuple[AccessKind, int]] = []
+        append = pairs.append
+        for _ in range(count):
+            if rand() < instruction_fraction:
+                address = pc
+                if rand() < branch_probability:
+                    if rand() < loop_branch_fraction:
+                        # Short backward branch: loop within the
+                        # current routine.
+                        span = address - code_base
+                        if span > loop_span:
+                            span = loop_span
+                        if span >= 4:
+                            pc = address - (randrange(span // 4) + 1) * 4
+                        else:
+                            pc = address + 4
+                    else:
+                        # Call/jump to the start of another routine;
+                        # targets are Zipf-distributed so a few
+                        # routines are hot.
+                        rank = bisect_left(routine_cdf, rand())
+                        pc = code_base + routine_order[rank] * routine_size
                 else:
-                    self._pc = address + 4
+                    pc = address + 4
+                    if pc >= code_end:
+                        pc = code_base
+                append((instruction, address))
+                continue
+            if shared_cdf is not None and rand() < shared_fraction:
+                block = shared_set[bisect_left(shared_cdf, rand())]
+                address = block * data_block + randrange(words) * 4
+                if rand() < shared_store_fraction:
+                    append((store, address))
+                else:
+                    append((load, address))
+                continue
+            if chase_fraction and rand() < chase_fraction:
+                block = chase_set[bisect_left(chase_cdf, rand())]
+            elif run_remaining > 0 and run_block is not None:
+                # Continue a sequential run into the adjacent block,
+                # promoting it to the top of the data stack.
+                run_remaining -= 1
+                run_block += 1
+                block = run_block
+                try:
+                    stack.remove(block)
+                except ValueError:
+                    pass
+                stack.insert(0, block)
+                if len(stack) > stack_limit:
+                    stack.pop()
             else:
-                # Call/jump to the start of another routine; targets are
-                # Zipf-distributed so a few routines are hot.
-                rank = bisect.bisect_left(self._routine_cdf, rng.random())
-                routine = self._routine_order[rank]
-                self._pc = self._code_base + routine * params.routine_size
-        else:
-            self._pc = address + 4
-            end = self._code_base + params.routines * params.routine_size
-            if self._pc >= end:
-                self._pc = self._code_base
-        return address
-
-    def _next_data_address(self) -> int:
-        params = self.params
-        rng = self._rng
-
-        if params.chase_fraction and rng.random() < params.chase_fraction:
-            rank = bisect.bisect_left(self._chase_cdf, rng.random())
-            block = self._chase_set[rank]
-            offset = rng.randrange(params.data_block // 4) * 4
-            return block * params.data_block + offset
-
-        if self._run_remaining > 0 and self._run_block is not None:
-            # Continue a sequential run into the adjacent block.
-            self._run_remaining -= 1
-            self._run_block += 1
-            block = self._run_block
-            self._promote(block)
-        else:
-            block = self._pick_block()
-            if rng.random() < params.sequential_run_probability:
-                self._run_block = block
-                self._run_remaining = rng.randrange(1, 5)
+                # Re-reference a block by Zipf stack distance, or
+                # allocate a fresh one past the previous allocation.
+                fresh = not stack or rand() < new_block_probability
+                if not fresh:
+                    distance = bisect_left(zipf_cdf, rand()) + 1
+                    if distance > len(stack):
+                        fresh = True
+                if fresh:
+                    if arena_remaining <= 0:
+                        next_new_block = self._fresh_arena()
+                        arena_remaining = params.arena_granules
+                    skip = skip_max
+                    if skip > 1:
+                        skip = randrange(1, skip + 1)
+                    block = next_new_block + skip - 1
+                    next_new_block = block + 1
+                    arena_remaining -= skip
+                else:
+                    block = stack.pop(distance - 1)
+                stack.insert(0, block)
+                if len(stack) > stack_limit:
+                    stack.pop()
+                if rand() < sequential_run_probability:
+                    run_block = block
+                    run_remaining = randrange(1, 5)
+                else:
+                    run_remaining = 0
+            address = block * data_block + randrange(words) * 4
+            if rand() < store_fraction:
+                append((store, address))
             else:
-                self._run_remaining = 0
-        offset = rng.randrange(params.data_block // 4) * 4
-        return block * params.data_block + offset
+                append((load, address))
 
-    def _pick_block(self) -> int:
-        params = self.params
-        rng = self._rng
-        stack = self._data_stack
-        fresh = not stack or rng.random() < params.new_block_probability
-        if not fresh:
-            u = rng.random()
-            distance = bisect.bisect_left(self._zipf_cdf, u) + 1
-            if distance > len(stack):
-                fresh = True
-        if fresh:
-            if self._arena_remaining <= 0:
-                self._next_new_block = self._fresh_arena()
-            skip = self.params.allocation_skip_max
-            if skip > 1:
-                skip = rng.randrange(1, skip + 1)
-            block = self._next_new_block + skip - 1
-            self._next_new_block = block + 1
-            self._arena_remaining -= skip
-        else:
-            block = stack.pop(distance - 1)
-        stack.insert(0, block)
-        if len(stack) > params.data_stack:
-            stack.pop()
-        return block
-
-    def _promote(self, block: int) -> None:
-        stack = self._data_stack
-        try:
-            stack.remove(block)
-        except ValueError:
-            pass
-        stack.insert(0, block)
-        if len(stack) > self.params.data_stack:
-            stack.pop()
+        self._pc = pc
+        self._run_block = run_block
+        self._run_remaining = run_remaining
+        self._next_new_block = next_new_block
+        self._arena_remaining = arena_remaining
+        return pairs

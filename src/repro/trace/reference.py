@@ -33,6 +33,11 @@ class Reference:
         if self.address < 0:
             raise ValueError(f"addresses are non-negative, got {self.address}")
 
+    def __iter__(self):
+        """Unpack as ``(kind, address)``, like the pairs
+        :meth:`~repro.trace.synthetic.AtumWorkload.pairs` yields."""
+        return iter((self.kind, self.address))
+
     @property
     def is_flush(self) -> bool:
         """Whether this is the cold-start flush sentinel."""

@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.trace.process_model import ProcessModel, ProcessParameters
-from repro.trace.reference import FLUSH, AccessKind, Reference
+from repro.trace.reference import AccessKind, Reference
+
+#: Most pairs generated in one call to
+#: :meth:`~repro.trace.process_model.ProcessModel.references`: large
+#: enough to amortize the call, small enough that a long scheduling
+#: quantum never sits in memory whole.
+PAIR_BATCH = 1024
+
+_FLUSH_PAIR = (AccessKind.FLUSH, 0)
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,8 @@ class AtumWorkload:
 
     Iterating the workload yields :class:`Reference` objects with a
     FLUSH sentinel between segments (and none before the first or after
-    the last).
+    the last); :meth:`pairs` yields the same trace as ``(kind,
+    address)`` pairs.
     """
 
     def __init__(
@@ -119,11 +128,23 @@ class AtumWorkload:
             self.params,
         )
 
-    def __iter__(self) -> Iterator[Reference]:
+    def pairs(self) -> Iterator[Tuple[AccessKind, int]]:
+        """The trace as ``(kind, address)`` pairs, with
+        ``(AccessKind.FLUSH, 0)`` between cold-start segments.
+
+        The allocation-free form L1 capture reads
+        (:func:`~repro.cache.hierarchy.cached_miss_stream`); iterating
+        the workload wraps the same pairs in :class:`Reference` objects.
+        """
         for segment in range(self.segments):
             if segment > 0 and self.cold_start:
-                yield FLUSH
-            yield from self.segment_references(segment)
+                yield _FLUSH_PAIR
+            for batch in self._batches(segment):
+                yield from batch
+
+    def __iter__(self) -> Iterator[Reference]:
+        for kind, address in self.pairs():
+            yield Reference(kind, address)
 
     def segment_references(self, segment: int) -> Iterator[Reference]:
         """References of one segment (no FLUSH sentinel)."""
@@ -131,6 +152,19 @@ class AtumWorkload:
             raise ConfigurationError(
                 f"segment {segment} out of range [0, {self.segments})"
             )
+        return (
+            Reference(kind, address)
+            for batch in self._batches(segment)
+            for kind, address in batch
+        )
+
+    def _batches(self, segment: int) -> Iterator[List[Tuple[AccessKind, int]]]:
+        """One segment's pairs, in lists of at most :data:`PAIR_BATCH`.
+
+        Each scheduling quantum is generated in batches rather than
+        whole (quanta run to tens of thousands of references), which
+        keeps the pairs in flight small.
+        """
         params = self.params
         scheduler = random.Random((self.seed * 1_000_003) ^ segment)
         # Pids recycle across segments: like the paper's 23 traces, all
@@ -160,10 +194,11 @@ class AtumWorkload:
                 process = users[scheduler.randrange(len(users))]
                 quantum = max(1, int(scheduler.expovariate(1.0) * params.switch_interval))
             quantum = min(quantum, total - produced)
-            for _ in range(quantum):
-                kind, address = process.next_reference()
-                yield Reference(kind, address)
             produced += quantum
+            while quantum > PAIR_BATCH:
+                yield process.references(PAIR_BATCH)
+                quantum -= PAIR_BATCH
+            yield process.references(quantum)
 
     def scaled(self, fraction: float) -> "AtumWorkload":
         """A shorter workload with the same shape (for fast benchmarks).

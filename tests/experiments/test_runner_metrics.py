@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cache.hierarchy import clear_miss_stream_cache
 from repro.errors import SweepPointError
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -138,6 +139,27 @@ class TestProvenanceEmission:
         assert manifest["config"]["points"][0]["l1"] == "4K-16"
         assert manifest["failures"] == []
         assert "sweep" in manifest["phases"]
+
+    def test_sweep_manifest_records_the_parents_captures(self, tmp_path):
+        """The parent's L1 captures land in the sweep's own registry,
+        so its manifest says what they cost."""
+        clear_miss_stream_cache()
+        runner = ParallelSweepRunner(
+            small_workload(), processes=2,
+            metrics=MetricsRegistry(), tracer=Tracer(),
+            obs_dir=tmp_path,
+        )
+        try:
+            outcome = runner.run_points([
+                SweepPoint("4K-16", "64K-32", 4),
+                SweepPoint("8K-16", "64K-32", 4),
+            ])
+        finally:
+            clear_miss_stream_cache()
+        assert outcome.ok
+        metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+        assert metrics["counters"]["miss_stream.cache_misses"] == 2
+        assert metrics["histograms"]["miss_stream.capture_seconds"]["count"] == 2
 
     def test_sweep_trace_is_one_tree_across_the_pool(self, tmp_path):
         """Worker spans, a retried attempt included, nest under one sweep."""

@@ -81,6 +81,19 @@ class TestDeterminism:
         b = ProcessModel(4, seed=11)
         assert refs(a, 200) != refs(b, 200)
 
+    @pytest.mark.parametrize("shared_fraction", [0.0, 0.2])
+    def test_batch_boundaries_do_not_change_the_stream(self, shared_fraction):
+        """The model's state carries across ``references`` calls, so
+        any split of a run gives the same pairs as one call."""
+        params = ProcessParameters(shared_fraction=shared_fraction)
+        whole = ProcessModel(3, seed=11, params=params).references(6_000)
+        model = ProcessModel(3, seed=11, params=params)
+        pieces = []
+        for count in (1, 7, 1024, 0, 2500, 1):
+            pieces += model.references(count)
+        pieces += refs(model, 6_000 - len(pieces))
+        assert pieces == whole
+
 
 class TestAddressSpace:
     def test_addresses_within_process_space(self):
