@@ -184,22 +184,6 @@ class DirectMappedCache:
                 addresses.append(self.mapper.rebuild(index, tag))
         return addresses
 
-    def flush_dirty(self) -> List[MemoryRequest]:
-        """Write back every dirty block and invalidate the cache.
-
-        Not used by the paper's cold-start protocol, but provided for
-        warm-cache experiments.
-        """
-        requests = []
-        for index in range(self.num_lines):
-            tag = self._tags[index]
-            if tag is not None and self._dirty[index]:
-                address = self.mapper.rebuild(index, tag)
-                requests.append(MemoryRequest(RequestKind.WRITE_BACK, address))
-            self._tags[index] = None
-            self._dirty[index] = False
-        return requests
-
     def _block_start(self, address: int) -> int:
         return (address >> self.mapper.block_bits) << self.mapper.block_bits
 

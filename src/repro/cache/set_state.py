@@ -149,13 +149,6 @@ class CacheSet:
         self._mru.clear()
         self._index.clear()
 
-    def mru_distance(self, tag: int) -> Optional[int]:
-        """1-based recency rank of ``tag`` (1 = most recent), or ``None``."""
-        frame = self._index.get(tag)
-        if frame is None:
-            return None
-        return self._mru.index(frame) + 1
-
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` if internal state is inconsistent."""
         valid = set(self.valid_frames())

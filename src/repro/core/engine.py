@@ -43,11 +43,10 @@ legacy observer path — the randomized differential test in
 ``tests/core/test_engine_differential.py`` enforces that, and the
 legacy path remains the reference implementation.
 
-Schemes the engine has no analytic model for (exact classes only;
-subclasses and e.g. :class:`~repro.core.banked.BankedLookup` included)
-fall back to a generic per-access ``lookup()`` over a single shared
-snapshot, so an engine-instrumented cache accepts any scheme the
-observer path does.
+The engine models exact instances of the four paper schemes only;
+account any other scheme (a subclass, or e.g.
+:class:`~repro.core.banked.BankedLookup`) through a
+:class:`~repro.cache.observers.ProbeObserver`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
-from repro.core.probes import ProbeAccumulator, SetView
+from repro.core.probes import ProbeAccumulator
 from repro.core.schemes import LookupScheme
 from repro.core.traditional import TraditionalLookup
 from repro.errors import ConfigurationError
@@ -67,7 +66,6 @@ _TRADITIONAL = 0
 _NAIVE = 1
 _MRU = 2
 _PARTIAL = 3
-_GENERIC = 4
 
 #: Indices into the engine's shared counter list.
 _READIN_HITS = 0
@@ -301,7 +299,6 @@ class FusedProbeEngine:
         self._mru_reduced: List[EngineChannel] = []
         self._partial: List[_PartialGroup] = []
         self._partial_by_scheme: Dict[int, _PartialGroup] = {}
-        self._generic: List[EngineChannel] = []
         self._distances: List[MruDistanceStats] = []
         # Which facts observe() must compute.
         self._need_distance = False
@@ -321,9 +318,13 @@ class FusedProbeEngine:
         """Account for ``scheme``; returns the channel with its accumulator.
 
         The same scheme instance may be added under several labels; its
-        per-access probe computation is shared. Exact instances of the
-        four paper schemes use the analytic fast path; subclasses and
-        unknown schemes fall back to a generic ``lookup()`` call.
+        per-access probe computation is shared.
+
+        Raises:
+            ConfigurationError: If ``scheme`` is not an exact instance
+                of one of the four paper schemes (account it through a
+                :class:`~repro.cache.observers.ProbeObserver` instead),
+                or its associativity or label does not fit.
         """
         if scheme.associativity != self.associativity:
             raise ConfigurationError(
@@ -369,11 +370,11 @@ class FusedProbeEngine:
             if not writeback_optimization:
                 group.needs_wb_lookup = True
         else:
-            channel = EngineChannel(
-                self, label, scheme, writeback_optimization, _GENERIC
+            raise ConfigurationError(
+                f"the fused engine has no model for {kind.__name__}; "
+                "account it through a ProbeObserver"
             )
-            self._generic.append(channel)
-        if not writeback_optimization and channel.kind != _GENERIC:
+        if not writeback_optimization:
             self._need_wb_facts = True
         self.channels[label] = channel
         self._rebuild_observe()
@@ -412,7 +413,6 @@ class FusedProbeEngine:
         track_updates = self._track_updates
         mru_reduced = tuple(self._mru_reduced)
         partial_groups = tuple(self._partial)
-        generic = tuple(self._generic)
         # The overwhelmingly common roster has exactly one partial
         # configuration; specialize away the group loop for it, and —
         # when it is the default single-subset, default-slicing,
@@ -543,21 +543,6 @@ class FusedProbeEngine:
                     else:
                         group.miss_probes += group.outcome(tags, tag, frame)
 
-            if generic:
-                view = SetView(tags=tuple(tags), mru_order=tuple(mru))
-                for channel in generic:
-                    acc = channel._accumulator
-                    if is_writeback and channel.writeback_optimization:
-                        acc.record_writeback(0)
-                        continue
-                    outcome = channel.scheme.lookup(view, tag)
-                    if is_writeback:
-                        acc.record_writeback(outcome.probes)
-                    elif outcome.hit:
-                        acc.record_hit(outcome.probes)
-                    else:
-                        acc.record_miss(outcome.probes)
-
         #: The engine's only ``observe`` is this per-roster closure; it
         #: is a plain function attribute, so calls skip bound-method
         #: allocation too.
@@ -567,8 +552,7 @@ class FusedProbeEngine:
         """Fold the shared-fact histograms into every accumulator.
 
         Idempotent and cheap (``O(channels × a)``); safe to call at any
-        point during a replay — generic-fallback channels account per
-        access and are left untouched.
+        point during a replay.
         """
         a = self.associativity
         counts = self._counts

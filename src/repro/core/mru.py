@@ -69,18 +69,6 @@ class MRULookup(LookupScheme):
         probes = self.LIST_LOOKUP_PROBES + self.associativity
         return LookupOutcome(hit=False, frame=None, probes=probes)
 
-    def hit_distance(self, view: SetView, tag: int) -> Optional[int]:
-        """1-based position of ``tag`` in the search order, or ``None``.
-
-        With a full list this is the MRU distance used for the ``f_i``
-        distributions in Figure 5 (right).
-        """
-        for index, frame in enumerate(self.search_order(view)):
-            stored = view.tags[frame]
-            if stored is not None and stored == tag:
-                return index + 1
-        return None
-
     def __repr__(self) -> str:
         return (
             f"MRULookup(associativity={self.associativity}, "

@@ -19,11 +19,6 @@ from repro.experiments.runner import (
     SchemeResult,
     SweepPoint,
 )
-from repro.experiments.sweeps import (
-    associativity_sweep,
-    capacity_sweep,
-    miss_ratio_curve,
-)
 from repro.experiments.tables import build_table1, build_table2, build_table3, build_table4
 from repro.experiments.figures import (
     build_figure3,
@@ -40,7 +35,6 @@ __all__ = [
     "SchemeResult",
     "SweepPoint",
     "TABLE4_CONFIGS",
-    "associativity_sweep",
     "build_figure3",
     "build_figure4",
     "build_figure5",
@@ -49,8 +43,6 @@ __all__ = [
     "build_table2",
     "build_table3",
     "build_table4",
-    "capacity_sweep",
     "default_workload",
-    "miss_ratio_curve",
     "parse_geometry",
 ]

@@ -206,9 +206,3 @@ class SweepOutcome:
     def completed(self) -> int:
         """Number of points that produced a result."""
         return sum(1 for result in self.results if result is not None)
-
-    def raise_if_failed(self) -> "SweepOutcome":
-        """Raise the first failure as its exception; returns self if ok."""
-        if self.failures:
-            raise self.failures[0].to_exception()
-        return self

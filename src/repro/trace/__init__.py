@@ -1,25 +1,9 @@
-"""Trace substrate: reference types, I/O, generators, and the
+"""Trace substrate: reference types, ``din`` file I/O, and the
 ATUM-like synthetic multiprogrammed workload that stands in for the
 paper's (unavailable) ATUM traces.
 """
 
-from repro.trace.binary import read_binary, write_binary
 from repro.trace.dinero import read_din, write_din
-from repro.trace.filters import (
-    align_to_blocks,
-    filter_address_range,
-    filter_kinds,
-    insert_flushes,
-    interleave,
-    skip,
-    take,
-)
-from repro.trace.generators import (
-    loop_trace,
-    random_trace,
-    sequential_trace,
-    stack_distance_trace,
-)
 from repro.trace.reference import AccessKind, Reference
 from repro.trace.synthetic import AtumWorkload, SegmentParameters
 from repro.trace.stats import TraceStatistics, summarize_trace
@@ -30,20 +14,7 @@ __all__ = [
     "Reference",
     "SegmentParameters",
     "TraceStatistics",
-    "align_to_blocks",
-    "filter_address_range",
-    "filter_kinds",
-    "insert_flushes",
-    "interleave",
-    "loop_trace",
-    "random_trace",
-    "read_binary",
     "read_din",
-    "sequential_trace",
-    "skip",
-    "stack_distance_trace",
     "summarize_trace",
-    "take",
-    "write_binary",
     "write_din",
 ]

@@ -3,12 +3,12 @@
 Usage::
 
     repro-trace generate --out wl.din.gz --segments 2 --refs 50000
-    repro-trace convert wl.din.gz wl.rpt.gz
-    repro-trace stats wl.rpt.gz --block 32
+    repro-trace convert wl.din wl.din.gz
+    repro-trace stats wl.din.gz --block 32
     repro-trace head wl.din.gz -n 10
 
-Formats are selected by extension: ``.din``/``.din.gz`` is the classic
-dinero text format, ``.rpt``/``.rpt.gz`` the compact binary format.
+Traces are dinero text files: ``.din``, or ``.din.gz`` for gzip. Any
+other extension is rejected.
 """
 
 from __future__ import annotations
@@ -18,40 +18,26 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, console_script
-from repro.trace.binary import read_binary, write_binary
 from repro.trace.dinero import read_din, write_din
 from repro.trace.reference import Reference
 from repro.trace.stats import summarize_trace
 from repro.trace.synthetic import AtumWorkload
 
 
-def _strip_gz(path: Path) -> str:
-    name = path.name
-    if name.endswith(".gz"):
-        name = name[: -len(".gz")]
-    return name
+def _check_din(path: Path) -> Path:
+    if not path.name.endswith((".din", ".din.gz")):
+        raise ConfigurationError(
+            f"unknown trace format for {path.name!r}; use .din or .din.gz"
+        )
+    return path
 
 
 def _reader(path: Path) -> Iterator[Reference]:
-    name = _strip_gz(path)
-    if name.endswith(".din"):
-        return read_din(path)
-    if name.endswith(".rpt"):
-        return read_binary(path)
-    raise ConfigurationError(
-        f"unknown trace format for {path.name!r}; use .din[.gz] or .rpt[.gz]"
-    )
+    return read_din(_check_din(path))
 
 
 def _writer(trace: Iterable[Reference], path: Path) -> int:
-    name = _strip_gz(path)
-    if name.endswith(".din"):
-        return write_din(trace, path)
-    if name.endswith(".rpt"):
-        return write_binary(trace, path)
-    raise ConfigurationError(
-        f"unknown trace format for {path.name!r}; use .din[.gz] or .rpt[.gz]"
-    )
+    return write_din(trace, _check_din(path))
 
 
 def _cmd_generate(args) -> int:

@@ -93,34 +93,20 @@ def _parse_line(line_number: int, stripped: str) -> "Reference | None":
     return Reference(kind, address)
 
 
-def read_din(path: PathOrFile, errors: str = "raise") -> Iterator[Reference]:
+def read_din(path: PathOrFile) -> Iterator[Reference]:
     """Lazily parse a ``din`` trace from ``path``.
 
     Args:
         path: File path (gzip if it ends in ``.gz``) or open text
             handle.
-        errors: ``"raise"`` (default) aborts on the first bad record;
-            ``"skip"`` drops bad records and keeps going — each skip
-            increments the ``trace.din.skipped_records`` counter in
-            the process-global metrics registry and logs a debug
-            event, so defensive ingestion stays observable.
 
     Raises:
         TraceFormatError: With the offending line number — on
             malformed lines, unknown access types, negative addresses,
-            or an unreadable (e.g. truncated gzip) stream. Stream-level
-            corruption is never skippable.
+            or an unreadable (e.g. truncated gzip) stream.
     """
-    if errors not in ("raise", "skip"):
-        raise TraceFormatError(
-            f"errors mode must be 'raise' or 'skip', got {errors!r}"
-        )
-    from repro.obs.log import log
-    from repro.obs.metrics import get_metrics
-
     handle = _open_text(path, "r")
     close = isinstance(path, (str, Path))
-    skipped = get_metrics().counter("trace.din.skipped_records")
     try:
         lines = enumerate(handle, start=1)
         while True:
@@ -135,14 +121,7 @@ def read_din(path: PathOrFile, errors: str = "raise") -> Iterator[Reference]:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            try:
-                reference = _parse_line(line_number, stripped)
-            except TraceFormatError as exc:
-                if errors == "raise":
-                    raise
-                skipped.inc()
-                log.debug("trace.din.skip", reason=str(exc))
-                continue
+            reference = _parse_line(line_number, stripped)
             yield FLUSH if reference is None else reference
     finally:
         if close:

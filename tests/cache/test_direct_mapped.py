@@ -98,15 +98,6 @@ class TestFlush:
         requests = cache.access(load(0x00))
         assert [r.kind for r in requests] == [RequestKind.READ_IN]
 
-    def test_flush_dirty_writes_back_dirty_blocks_only(self):
-        cache = DirectMappedCache(256, 16)
-        cache.access(store(0x00))
-        cache.access(load(0x20))
-        requests = cache.flush_dirty()
-        assert [r.kind for r in requests] == [RequestKind.WRITE_BACK]
-        assert requests[0].address == 0x00
-        assert not cache.contains(0x20)
-
 
 class TestGeometry:
     def test_num_lines(self):

@@ -50,16 +50,6 @@ class TestBasics:
         with pytest.raises(SimulationError):
             CacheSet(2).lru_frame()
 
-    def test_mru_distance(self):
-        s = CacheSet(4)
-        s.install(0, 100)
-        s.install(1, 200)
-        s.install(2, 300)
-        assert s.mru_distance(300) == 1
-        assert s.mru_distance(200) == 2
-        assert s.mru_distance(100) == 3
-        assert s.mru_distance(999) is None
-
 
 class TestDirtyBits:
     def test_clean_by_default(self):

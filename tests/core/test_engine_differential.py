@@ -7,8 +7,9 @@ actual ``lookup()`` per access and is the reference implementation.
 These tests drive both over identical randomized request streams and
 assert *exact* integer equality of every accumulator field, the MRU
 hit-distance histogram, and the cache statistics — across
-associativities, tag transforms, subset counts, reduced MRU lists, the
-generic fallback, and both write-back-optimization settings.
+associativities, tag transforms, subset counts, reduced MRU lists, and
+both write-back-optimization settings. The engine models only exact
+instances of the four paper schemes and rejects any other scheme.
 """
 
 import random
@@ -36,7 +37,7 @@ ACCUMULATOR_FIELDS = (
 
 
 def full_roster(associativity):
-    """Every scheme family the engine models, plus the generic fallback."""
+    """Every scheme family the engine models."""
     a = associativity
     roster = [
         ("traditional", TraditionalLookup(a)),
@@ -54,7 +55,6 @@ def full_roster(associativity):
             "partial/full",
             PartialCompareLookup(a, tag_bits=16, partial_bits=16, subsets=a),
         ),
-        ("banked", BankedLookup(a)),
     ]
     if a > 2:
         roster.append(("mru/m2", MRULookup(a, list_length=2)))
@@ -175,6 +175,13 @@ def test_engine_rejects_mismatched_associativity():
     cache = SetAssociativeCache(16 * 1024, 32, 8)
     with pytest.raises(ConfigurationError):
         cache.attach_engine(engine)
+
+
+def test_engine_rejects_schemes_it_has_no_model_for():
+    engine = FusedProbeEngine(4)
+    with pytest.raises(ConfigurationError, match="ProbeObserver"):
+        engine.add_scheme(BankedLookup(4))
+    assert engine.channels == {}
 
 
 def test_engine_rejects_duplicate_labels_and_engines():

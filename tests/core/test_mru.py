@@ -46,13 +46,6 @@ class TestFullMRU:
         v = view([10, None, 30, None], mru=[2, 0])
         assert scheme.lookup(v, 10).probes == 3
 
-    def test_hit_distance(self):
-        scheme = MRULookup(4)
-        v = view([10, 20, 30, 40], mru=[3, 2, 1, 0])
-        assert scheme.hit_distance(v, 40) == 1
-        assert scheme.hit_distance(v, 10) == 4
-        assert scheme.hit_distance(v, 99) is None
-
 
 class TestReducedMRU:
     def test_list_length_validation(self):

@@ -154,15 +154,10 @@ class TestSweepOutcome:
         assert outcome.completed() == 2
         assert outcome.ok  # no failure records yet
 
-    def test_raise_if_failed(self):
+    def test_failure_makes_outcome_not_ok(self):
         failure = PointFailure(
             key=1, kind="raise", error_type="ValueError", message="x"
         )
         outcome = SweepOutcome(results=[None], failures=[failure])
         assert not outcome.ok
-        with pytest.raises(SweepPointError):
-            outcome.raise_if_failed()
-
-    def test_raise_if_failed_returns_self_when_ok(self):
-        outcome = SweepOutcome(results=["a"])
-        assert outcome.raise_if_failed() is outcome
+        assert outcome.completed() == 0

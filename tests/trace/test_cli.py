@@ -1,9 +1,12 @@
 """Tests for the repro-trace CLI."""
 
+import sys
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.trace.cli import main
+from repro.trace.cli import main, run
+from repro.trace.dinero import read_din
 
 
 @pytest.fixture
@@ -20,12 +23,10 @@ class TestGenerate:
         assert din_path.stat().st_size > 0
 
     def test_gzip_output(self, tmp_path):
-        path = tmp_path / "t.rpt.gz"
+        path = tmp_path / "t.din.gz"
         assert main(["generate", "--out", str(path), "--refs", "100",
                      "--segments", "1"]) == 0
-        from repro.trace.binary import read_binary
-
-        assert sum(1 for _ in read_binary(path)) == 100
+        assert sum(1 for _ in read_din(path)) == 100
 
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -33,13 +34,24 @@ class TestGenerate:
 
 
 class TestConvert:
-    def test_din_to_binary_roundtrip(self, din_path, tmp_path, capsys):
-        out = tmp_path / "t.rpt"
-        assert main(["convert", str(din_path), str(out)]) == 0
-        from repro.trace.binary import read_binary
-        from repro.trace.dinero import read_din
+    def test_din_to_gzip_roundtrip(self, din_path, tmp_path, capsys):
+        gzipped = tmp_path / "t.din.gz"
+        plain = tmp_path / "back.din"
+        assert main(["convert", str(din_path), str(gzipped)]) == 0
+        assert main(["convert", str(gzipped), str(plain)]) == 0
+        assert list(read_din(gzipped)) == list(read_din(din_path))
+        assert plain.read_bytes() == din_path.read_bytes()
 
-        assert list(read_binary(out)) == list(read_din(din_path))
+    def test_non_din_extension_rejected(self, din_path, tmp_path,
+                                        monkeypatch, capsys):
+        args = ["convert", str(din_path), str(tmp_path / "t.rpt")]
+        with pytest.raises(ConfigurationError, match=r"\.din or \.din\.gz"):
+            main(args)
+        monkeypatch.setattr(sys, "argv", ["repro-trace"] + args)
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "t.rpt").exists()
 
 
 class TestStats:

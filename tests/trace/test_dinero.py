@@ -86,40 +86,7 @@ class TestParsing:
         with pytest.raises(TraceFormatError, match="negative"):
             self.parse("0 -10\n")
 
-
-class TestSkipMode:
-    @pytest.fixture(autouse=True)
-    def isolated_metrics(self):
-        from repro.obs.metrics import MetricsRegistry, set_metrics
-
-        self.metrics = MetricsRegistry()
-        previous = set_metrics(self.metrics)
-        yield
-        set_metrics(previous)
-
-    def skipped(self):
-        counters = self.metrics.snapshot()["counters"]
-        return counters.get("trace.din.skipped_records", 0)
-
-    def test_bad_records_dropped_and_counted(self):
-        text = "0 10\n9 20\n1 zzz\n0 -4\n2 30\n"
-        refs = list(read_din(io.StringIO(text), errors="skip"))
-        assert refs == [
-            Reference(AccessKind.LOAD, 0x10),
-            Reference(AccessKind.INSTRUCTION, 0x30),
-        ]
-        assert self.skipped() == 3
-
-    def test_clean_trace_skips_nothing(self):
-        refs = list(read_din(io.StringIO("0 10\n4 0\n"), errors="skip"))
-        assert refs == [Reference(AccessKind.LOAD, 0x10), FLUSH]
-        assert self.skipped() == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(TraceFormatError, match="errors mode"):
-            list(read_din(io.StringIO(""), errors="ignore"))
-
-    def test_truncated_gzip_fatal_even_in_skip_mode(self, tmp_path):
+    def test_truncated_gzip_unreadable(self, tmp_path):
         path = tmp_path / "trace.din.gz"
         write_din(
             [Reference(AccessKind.LOAD, i) for i in range(500)], path
@@ -127,4 +94,4 @@ class TestSkipMode:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceFormatError, match="unreadable"):
-            list(read_din(path, errors="skip"))
+            list(read_din(path))
