@@ -100,7 +100,8 @@ class InvalidationInjector:
             frame = valid[self._rng.randrange(len(valid))]
             tag = cache_set.tag_at(frame)
             address = l2.mapper.rebuild(set_index, tag)
-            cache_set.invalidate(frame)
+            # Through the cache, so an attached engine hears of it too.
+            l2.invalidate(address)
             self.stats.invalidations += 1
             if self.l1 is not None:
                 for offset in range(0, l2.block_size, self.l1.block_size):

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Tuple
 
 from repro.cache.associative_l1 import AssociativeL1Cache
 from repro.cache.direct_mapped import DirectMappedCache, RequestKind
+from repro.cache.hash_rehash import HashRehashCache
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.cache.stream import PackedMissStream
@@ -276,13 +277,23 @@ def clear_miss_stream_cache() -> None:
 
 
 def replay_miss_stream(
-    stream: PackedMissStream, l2: SetAssociativeCache
+    stream: PackedMissStream, l2: "SetAssociativeCache | HashRehashCache"
 ) -> None:
     """Feed a captured miss stream into an (instrumented) L2 cache,
-    cold-starting it at each flush."""
+    cold-starting it at each flush.
+
+    A :class:`SetAssociativeCache` services each cold-start segment in
+    one loop (:meth:`SetAssociativeCache.replay`); any other L2, such
+    as a :class:`~repro.cache.hash_rehash.HashRehashCache`, gets one
+    ``read_in`` or ``write_back`` call per request.
+    """
+    inline = isinstance(l2, SetAssociativeCache)
     for index, (codes, addresses) in enumerate(stream.segments()):
         if index:
             l2.invalidate_all()
+        if inline:
+            l2.replay(codes, addresses)
+            continue
         for code, address in zip(codes, addresses):
             if code == 0:
                 l2.read_in(address)

@@ -6,17 +6,19 @@ observer per access, each over a freshly allocated
 :class:`~repro.core.probes.SetView` snapshot — ``O(observers × a)``
 Python work plus several object allocations on every L2 request. But
 the schemes' probe counts are all pure functions of a handful of
-*shared lookup facts* about the pre-update set state:
+*shared lookup facts* about the pre-update set state, which the cache
+computes anyway and hands over with each access:
 
-- the hit frame (ground truth, one O(1) tag-index lookup);
-- the hit frame's MRU distance (one C-level ``list.index``);
-- per partial-compare configuration, the partial-match pattern up to
-  the hit frame.
+- the set index and the hit frame (ground truth, one O(1) tag-index
+  lookup);
+- the hit frame's MRU rank (one C-level ``list.index``, which the
+  cache's MRU touch reuses);
+- on a miss, the victim frame the fill will take.
 
-:class:`FusedProbeEngine` computes those facts exactly once per access,
-accumulates them into *histograms* (hits by frame, hits by MRU
-distance), and derives every scheme's probe totals analytically when
-:meth:`~FusedProbeEngine.finalize` folds the histograms out:
+:class:`FusedProbeEngine` accumulates those facts into *histograms*
+(hits by frame, hits by MRU rank) and derives every scheme's probe
+totals analytically when :meth:`~FusedProbeEngine.finalize` folds the
+histograms out:
 
 ======================  ================================================
 scheme                  probes per access
@@ -26,22 +28,33 @@ naive                   hit at frame ``f`` → ``f + 1``; miss → ``a``
 mru (list length m)     hit at distance ``d ≤ m`` → ``1 + d``; hit in
                         the unlisted tail → ``1 + m + tail_rank + 1``;
                         miss → ``1 + a``
-partial (s subsets)     one step-one probe per subset reached, plus one
-                        step-two probe per partial match scanned (none
+partial (s subsets)     step-one probes (hit at frame ``f`` →
+                        ``f // (a/s) + 1``; miss → ``s``) plus the
+                        number of matching comparator fields up to the
+                        hit frame, or in the whole set on a miss (none
                         when the partial width equals the tag width)
 ======================  ================================================
 
-Only the partial-compare schemes (whose probes depend on the full set
-contents) and reduced-MRU tail hits need any per-access arithmetic at
-all; everything else is a histogram increment. ``observe`` itself is a
-closure rebuilt whenever the channel roster changes, with every counter
-and histogram captured in its cells — no per-access attribute chasing
-or bound-method allocation. The engine reads live set state (zero-copy:
-the cache passes its internal tag and MRU lists by reference) and
-allocates nothing per access. It is required to be bit-identical to the
-legacy observer path — the randomized differential test in
-``tests/core/test_engine_differential.py`` enforces that, and the
-legacy path remains the reference implementation.
+The step-two probes of the partial compare are the one fact that
+depends on the full set contents, and the engine finds them the way
+the hardware does, word-parallel: one int per set packs, for every
+partial-compare configuration, a ``k + 1``-bit chunk per frame holding
+the ``k``-bit field that frame's comparator reads under an empty-frame
+flag bit. One XOR with the incoming tag's *spread word* (its
+comparator field at every frame, memoized per tag) and one zero-chunk
+test leave a bit for each valid frame whose field matches, in every
+configuration at once. A hit's own frame always matches and is
+counted at finalize; a masked popcount per configuration counts the
+other matches, and runs only when there is one. A miss writes the
+incoming chunks over the victim's.
+
+``observe`` itself is a closure built when the engine is attached,
+with every counter, histogram, packed word and mask captured in its
+cells — no per-access attribute chasing or bound-method allocation. It
+is required to be bit-identical to the legacy observer path — the
+randomized differential test in ``tests/core/test_engine_differential.py``
+enforces that, and the legacy path remains the reference
+implementation.
 
 The engine models exact instances of the four paper schemes only;
 account any other scheme (a subclass, or e.g.
@@ -51,7 +64,7 @@ account any other scheme (a subclass, or e.g.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
@@ -73,6 +86,11 @@ _READIN_MISSES = 1
 _WB_HITS = 2
 _WB_MISSES = 3
 _UPDATES = 4
+
+#: Indices into a partial group's ``step_two`` totals.
+_STEP_TWO_HITS = 0
+_STEP_TWO_MISSES = 1
+_STEP_TWO_WBS = 2
 
 
 class EngineChannel:
@@ -161,113 +179,89 @@ class _PartialGroup:
     Aliased labels (the runner attaches the same
     :class:`~repro.core.partial.PartialCompareLookup` instance under
     both ``partial`` and ``partial/<transform>/t<width>``) share a
-    single probe computation per access; the running probe totals live
-    here and are folded into each channel at finalize.
+    single probe computation per access. ``step_two`` holds the
+    running step-two probe totals of read-in hits, read-in misses and
+    write-backs, leaving out each hit's probe of its own frame:
+    finalize adds those and the step-one probes from the shared
+    counters and frame histograms, and folds the totals into each
+    channel.
     """
 
     __slots__ = (
-        "scheme", "channels", "subsets", "shifts", "full_width",
-        "tag_mask", "field_mask", "transform", "default_slicing",
-        "needs_wb_lookup", "hit_probes", "miss_probes", "wb_probes",
+        "scheme", "channels", "subsets", "subset_size", "full_width",
+        "needs_wb_lookup", "step_two",
     )
 
     def __init__(self, scheme: PartialCompareLookup) -> None:
         self.scheme = scheme
         self.channels: List[EngineChannel] = []
         self.subsets = scheme.subsets
-        # Bit offset of the field each in-subset comparator position
-        # reads under default slicing.
-        self.shifts = tuple(
-            position * scheme.partial_bits
-            for position in range(scheme.subset_size)
-        )
+        self.subset_size = scheme.subset_size
+        # At full width step one compares whole tags: no step two.
         self.full_width = scheme._full_width
-        self.tag_mask = scheme._tag_mask
-        self.field_mask = scheme._field_mask
-        self.transform = scheme.transform
-        self.default_slicing = scheme._default_slicing
         self.needs_wb_lookup = False
-        self.hit_probes = 0
-        self.miss_probes = 0
-        self.wb_probes = 0
+        self.step_two = [0, 0, 0]
 
-    def outcome(
-        self, tags: List[Optional[int]], tag: int, frame: Optional[int]
-    ) -> int:
-        """Probes this configuration spends on one lookup.
+    def spreader(self, copies: Sequence[int]) -> Callable[[int], int]:
+        """A function placing the comparator fields of a tag in a word.
 
-        Mirrors :meth:`PartialCompareLookup.lookup` exactly: one
-        step-one probe per subset reached, one step-two probe per
-        scanned partial match (unless the partial width covers the full
-        tag), stopping at the true match — which is the ground-truth
-        ``frame``, since step two compares complete tag values.
+        The field in-subset position ``p`` reads of ``tag`` — the value
+        of ``transform.compare_slice(tag & tag_mask, p)`` — is
+        multiplied by ``copies[p]``, whose set bits mark where it goes.
+        Under default slicing that is one transform and shifts.
         """
-        tag_mask = self.tag_mask
-        masked = tag & tag_mask
-        shifts = self.shifts
-        full_width = self.full_width
-        probes = 0
-        position = 0
-        if self.default_slicing:
-            # Fast path: the comparator at position p reads field p of
-            # the transformed tag, so the compare is a shift-and-mask
-            # over the (memoized) transform table.
-            apply = self.transform.apply
-            cache_get = self.transform._apply_cache.get
-            incoming = cache_get(masked)
-            if incoming is None:
-                incoming = apply(masked)
-            field_mask = self.field_mask
-            for _ in range(self.subsets):
-                probes += 1
-                for shift in shifts:
-                    stored = tags[position]
-                    if stored is not None:
-                        stored &= tag_mask
-                        transformed = cache_get(stored)
-                        if transformed is None:
-                            transformed = apply(stored)
-                        if not ((transformed ^ incoming) >> shift) & field_mask:
-                            if full_width:
-                                if position == frame:
-                                    return probes
-                            else:
-                                probes += 1
-                                if position == frame:
-                                    return probes
-                    position += 1
-            return probes
-        compare_slice = self.transform.compare_slice
-        subset_size = len(shifts)
-        for _ in range(self.subsets):
-            probes += 1
-            for pos in range(subset_size):
-                stored = tags[position]
-                if stored is not None and (
-                    compare_slice(stored & tag_mask, pos)
-                    == compare_slice(masked, pos)
-                ):
-                    if full_width:
-                        if position == frame:
-                            return probes
-                    else:
-                        probes += 1
-                        if position == frame:
-                            return probes
-                position += 1
-        return probes
+        scheme = self.scheme
+        tag_mask = scheme._tag_mask
+        transform = scheme.transform
+        if scheme._default_slicing:
+            apply = transform.apply
+            field_mask = scheme._field_mask
+            shifted = tuple(
+                (p * scheme.partial_bits, copy) for p, copy in enumerate(copies)
+            )
+
+            def spread(tag: int) -> int:
+                stored = apply(tag & tag_mask)
+                word = 0
+                for shift, copy in shifted:
+                    word |= (stored >> shift & field_mask) * copy
+                return word
+
+            return spread
+        compare_slice = transform.compare_slice
+        positioned = tuple(enumerate(copies))
+
+        def spread_sliced(tag: int) -> int:
+            masked = tag & tag_mask
+            word = 0
+            for position, copy in positioned:
+                word |= compare_slice(masked, position) * copy
+            return word
+
+        return spread_sliced
+
+    def step_one(self, frame_hist: List[int]) -> int:
+        """Step-one probes of the hits in ``frame_hist``: one per subset
+        reached (a miss reaches all ``s``)."""
+        size = self.subset_size
+        return sum(
+            (frame // size + 1) * n for frame, n in enumerate(frame_hist) if n
+        )
 
 
 class FusedProbeEngine:
     """Single-pass probe accounting for many schemes at once.
 
-    Attach to a :class:`~repro.cache.set_associative.SetAssociativeCache`
-    via :meth:`~repro.cache.set_associative.SetAssociativeCache.attach_engine`;
-    the cache then calls :meth:`observe` once per access with zero-copy
-    references to the pre-update set state and the ground-truth hit
-    frame it computed anyway. Read results through the channels'
-    ``accumulator`` (auto-finalizing) or call :meth:`finalize` after
-    the replay.
+    Register schemes with :meth:`add_scheme` (and the MRU distance
+    histogram with :meth:`add_mru_distance`), then attach the engine to
+    one :class:`~repro.cache.set_associative.SetAssociativeCache` via
+    :meth:`~repro.cache.set_associative.SetAssociativeCache.attach_engine`,
+    which fixes the roster and builds the packed comparator words from
+    the sets' current tags. The cache then calls :meth:`observe` once
+    per access with the shared facts, and :meth:`invalidate` /
+    :meth:`invalidate_all` whenever frames empty. Read results through
+    the channels' ``accumulator`` (auto-finalizing) or call
+    :meth:`finalize` after the replay.
 
     Engines hold closures and are not picklable; ship plain results
     across process boundaries instead, as the sweep workers of
@@ -287,7 +281,7 @@ class FusedProbeEngine:
         # Shared-fact counters (see the _READIN_HITS.._UPDATES indices)
         # and histograms over pre-update state: read-in hits by frame
         # index / by 0-based MRU rank, then write-back hits likewise
-        # (folded out only for channels modelling un-optimized
+        # (kept only when some channel models un-optimized
         # write-backs).
         self._counts = [0, 0, 0, 0, 0]
         self._frame_hist = [0] * associativity
@@ -301,13 +295,19 @@ class FusedProbeEngine:
         self._partial_by_scheme: Dict[int, _PartialGroup] = {}
         self._distances: List[MruDistanceStats] = []
         # Which facts observe() must compute.
-        self._need_distance = False
         self._need_wb_facts = False
         self._track_updates = False
+        # Packed comparator words, one per set (empty when no
+        # configuration needs step-two scoring), and the masks that
+        # empty a frame's chunks; built by bind().
+        self._bound = False
+        self._words: List[int] = []
+        self._empty = 0
+        self._frame_bits: List[int] = []
+        self._keep: List[int] = []
         # Counter values already published to a metrics registry, so
         # repeated publish_metrics calls only add the delta.
         self._published_counts = [0, 0, 0, 0, 0]
-        self._rebuild_observe()
 
     def add_scheme(
         self,
@@ -324,8 +324,10 @@ class FusedProbeEngine:
             ConfigurationError: If ``scheme`` is not an exact instance
                 of one of the four paper schemes (account it through a
                 :class:`~repro.cache.observers.ProbeObserver` instead),
-                or its associativity or label does not fit.
+                its associativity or label does not fit, or the engine
+                is already attached to a cache.
         """
+        self._check_unbound()
         if scheme.associativity != self.associativity:
             raise ConfigurationError(
                 f"scheme for associativity {scheme.associativity} attached "
@@ -355,7 +357,6 @@ class FusedProbeEngine:
             self._analytic.append(channel)
             if scheme.list_length < self.associativity:
                 self._mru_reduced.append(channel)
-            self._need_distance = True
         elif kind is PartialCompareLookup:
             channel = EngineChannel(
                 self, label, scheme, writeback_optimization, _PARTIAL
@@ -377,111 +378,189 @@ class FusedProbeEngine:
         if not writeback_optimization:
             self._need_wb_facts = True
         self.channels[label] = channel
-        self._rebuild_observe()
         return channel
 
     def add_mru_distance(self) -> MruDistanceStats:
-        """Track the MRU hit-distance histogram; returns the stats object."""
+        """Track the MRU hit-distance histogram; returns the stats object.
+
+        Raises:
+            ConfigurationError: If the engine is already attached.
+        """
+        self._check_unbound()
         stats = MruDistanceStats(self.associativity)
         self._distances.append(stats)
-        self._need_distance = True
         self._track_updates = True
-        self._rebuild_observe()
         return stats
 
     def accumulator(self, label: str) -> ProbeAccumulator:
         """The accumulator of the channel registered under ``label``."""
         return self.channels[label].accumulator
 
-    def _rebuild_observe(self) -> None:
-        """Specialize ``observe`` for the current channel roster.
+    def _check_unbound(self) -> None:
+        if self._bound:
+            raise ConfigurationError(
+                "the engine is attached to a cache; register every "
+                "scheme before attaching it"
+            )
 
-        The closure captures every counter, histogram, and channel
-        family in its cells, so the per-access path does no ``self``
-        attribute lookups and no bound-method allocation. Rebuilt on
-        every roster change; the accounting state itself (lists and
-        channel objects) is shared, so rebuilding mid-replay loses
-        nothing.
+    def bind(self, sets: Sequence) -> None:
+        """Start accounting for the cache whose sets are ``sets``.
+
+        Called once, by
+        :meth:`~repro.cache.set_associative.SetAssociativeCache.attach_engine`:
+        fixes the roster, lays out the packed comparator words, builds
+        each set's word from its current tags, and builds
+        :meth:`observe`.
+
+        Raises:
+            ConfigurationError: If the engine is already attached.
         """
+        self._check_unbound()
+        self._bound = True
+        a = self.associativity
+        # Every configuration that needs step-two scoring takes a
+        # (k + 1)-bit chunk per frame: the frame's comparator field,
+        # then the empty flag. Configurations sit side by side.
+        scored = [group for group in self._partial if not group.full_width]
+        spreaders = []
+        layout = []
+        empty = low = 0
+        frame_bits = [0] * a
+        ahead_of = [0] * a
+        offset = 0
+        for group in scored:
+            width = group.scheme.partial_bits
+            size = group.subset_size
+            # A field times copies[p] lands in the chunk of every frame
+            # at subset position p (the chunks are wider than a field,
+            # so the copies never carry into each other).
+            copies = [0] * size
+            ahead = []
+            flags = 0
+            for frame in range(a):
+                ahead.append(flags)
+                ahead_of[frame] |= flags
+                flag = 1 << (offset + width)
+                flags |= flag
+                low |= (flag - 1) ^ ((1 << offset) - 1)
+                frame_bits[frame] |= (flag << 1) - (1 << offset)
+                copies[frame % size] |= 1 << offset
+                offset += width + 1
+            empty |= flags
+            spreaders.append(group.spreader(copies))
+            layout.append((group, tuple(ahead), flags))
+        spreads: Dict[int, int] = {}
+
+        def spread_of(tag: int) -> int:
+            """``tag``'s comparator field at every frame (memoized)."""
+            spread = 0
+            for spreader in spreaders:
+                spread |= spreader(tag)
+            spreads[tag] = spread
+            return spread
+
+        words: List[int] = []
+        if scored:
+            for cache_set in sets:
+                word = empty
+                for frame in range(a):
+                    stored = cache_set.tag_at(frame)
+                    if stored is not None:
+                        bits = frame_bits[frame]
+                        word = word & ~bits | spread_of(stored) & bits
+                words.append(word)
+        self._words = words
+        self._empty = empty
+        self._frame_bits = frame_bits
+        self._keep = [~bits for bits in frame_bits]
+
         counts = self._counts
         frame_hist = self._frame_hist
         dist_hist = self._dist_hist
         wb_frame_hist = self._wb_frame_hist
         wb_dist_hist = self._wb_dist_hist
-        need_distance = self._need_distance
         need_wb_facts = self._need_wb_facts
         track_updates = self._track_updates
         mru_reduced = tuple(self._mru_reduced)
-        partial_groups = tuple(self._partial)
-        # The overwhelmingly common roster has exactly one partial
-        # configuration; specialize away the group loop for it, and —
-        # when it is the default single-subset, default-slicing,
-        # reduced-width shape — inline the whole scan so the hot path
-        # makes no call at all.
-        single = partial_groups[0] if len(partial_groups) == 1 else None
-        single_outcome = single.outcome if single is not None else None
-        single_wb = single.needs_wb_lookup if single is not None else False
-        fast_partial = (
-            single is not None
-            and single.default_slicing
-            and single.subsets == 1
-            and not single.full_width
+        keep = tuple(self._keep)
+        frame_bits = tuple(frame_bits)
+        ahead_of = tuple(ahead_of)
+        spread_get = spreads.get
+        readin_scoring = tuple(
+            (group.step_two, ahead, flags) for group, ahead, flags in layout
         )
-        if fast_partial:
-            p_tag_mask = single.tag_mask
-            p_field_mask = single.field_mask
-            p_pairs = tuple(enumerate(single.shifts))
-            p_apply = single.transform.apply
-            p_cache_get = single.transform._apply_cache.get
-        else:
-            p_tag_mask = p_field_mask = 0
-            p_pairs = ()
-            p_apply = p_cache_get = None
+        wb_scoring = tuple(
+            (group.step_two, ahead, flags)
+            for group, ahead, flags in layout
+            if group.needs_wb_lookup
+        )
+        packed = bool(scored)
 
         def observe(
-            tags: List[Optional[int]],
+            index: int,
             mru: List[int],
             tag: int,
             is_writeback: bool,
             frame: Optional[int],
+            rank: Optional[int],
+            victim: Optional[int],
         ) -> None:
             """Account one access against pre-update set state.
 
-            ``tags`` and ``mru`` are read-only borrows of the set's
-            live state; ``frame`` is the ground-truth hit frame
-            (``None`` on a miss).
+            ``index`` is the set and ``mru`` a read-only borrow of its
+            live recency list. On a hit, ``frame`` is the ground-truth
+            hit frame and ``rank`` its 0-based MRU rank; on a miss both
+            are ``None`` and ``victim`` is the frame the fill takes.
             """
-            hit = frame is not None
-            if track_updates and (not mru or tags[mru[0]] != tag):
-                counts[_UPDATES] += 1
-            distance = 0
-            if is_writeback:
-                if hit:
-                    counts[_WB_HITS] += 1
-                    if need_wb_facts:
-                        wb_frame_hist[frame] += 1
-                        if need_distance:
-                            rank = mru.index(frame)
-                            distance = rank + 1
-                            wb_dist_hist[rank] += 1
-                else:
+            if frame is None:
+                if track_updates:
+                    counts[_UPDATES] += 1
+                if is_writeback:
                     counts[_WB_MISSES] += 1
-            elif hit:
+                    scoring = wb_scoring
+                    slot = _STEP_TWO_WBS
+                else:
+                    counts[_READIN_MISSES] += 1
+                    scoring = readin_scoring
+                    slot = _STEP_TWO_MISSES
+                if packed:
+                    spread = spread_get(tag)
+                    if spread is None:
+                        spread = spread_of(tag)
+                    word = words[index]
+                    if scoring:
+                        # One bit per valid frame whose field matches.
+                        x = word ^ spread
+                        zero = empty & ~(((x & low) + low) | x)
+                        if zero:
+                            for step_two, _, flags in scoring:
+                                step_two[slot] += (zero & flags).bit_count()
+                    words[index] = word & keep[victim] | spread & frame_bits[victim]
+                return
+
+            if track_updates and rank:
+                counts[_UPDATES] += 1
+            if is_writeback:
+                counts[_WB_HITS] += 1
+                if not need_wb_facts:
+                    return
+                wb_frame_hist[frame] += 1
+                wb_dist_hist[rank] += 1
+                scoring = wb_scoring
+                slot = _STEP_TWO_WBS
+            else:
                 counts[_READIN_HITS] += 1
                 frame_hist[frame] += 1
-                if need_distance:
-                    rank = mru.index(frame)
-                    distance = rank + 1
-                    dist_hist[rank] += 1
-            else:
-                counts[_READIN_MISSES] += 1
+                dist_hist[rank] += 1
+                scoring = readin_scoring
+                slot = _STEP_TWO_HITS
 
             # Hits past a reduced MRU list: the probe count depends on
             # which frames the listed head names, so account per access.
-            if distance and mru_reduced:
+            if mru_reduced:
                 for channel in mru_reduced:
                     m = channel.list_length
-                    if distance <= m or (
+                    if rank < m or (
                         is_writeback and channel.writeback_optimization
                     ):
                         continue
@@ -495,58 +574,36 @@ class FusedProbeEngine:
                     else:
                         channel.tail_hit_probes += probes
 
-            if fast_partial:
-                if not is_writeback or single_wb:
-                    # One subset, one step-one probe, then a step-two
-                    # probe per partial match, stopping at the true hit
-                    # frame (which always partial-matches).
-                    masked = tag & p_tag_mask
-                    incoming = p_cache_get(masked)
-                    if incoming is None:
-                        incoming = p_apply(masked)
-                    probes = 1
-                    for position, shift in p_pairs:
-                        stored = tags[position]
-                        if stored is not None:
-                            stored &= p_tag_mask
-                            transformed = p_cache_get(stored)
-                            if transformed is None:
-                                transformed = p_apply(stored)
-                            if not (
-                                ((transformed ^ incoming) >> shift)
-                                & p_field_mask
-                            ):
-                                probes += 1
-                                if position == frame:
-                                    break
-                    if is_writeback:
-                        single.wb_probes += probes
-                    elif hit:
-                        single.hit_probes += probes
-                    else:
-                        single.miss_probes += probes
-            elif single is not None:
-                if is_writeback:
-                    if single_wb:
-                        single.wb_probes += single_outcome(tags, tag, frame)
-                elif hit:
-                    single.hit_probes += single_outcome(tags, tag, frame)
-                else:
-                    single.miss_probes += single_outcome(tags, tag, frame)
-            elif partial_groups:
-                for group in partial_groups:
-                    if is_writeback:
-                        if group.needs_wb_lookup:
-                            group.wb_probes += group.outcome(tags, tag, frame)
-                    elif hit:
-                        group.hit_probes += group.outcome(tags, tag, frame)
-                    else:
-                        group.miss_probes += group.outcome(tags, tag, frame)
+            # Step two scans the partial matches up to the hit frame.
+            # The hit frame always matches (finalize counts it); only
+            # false matches ahead of it need counting here.
+            if scoring:
+                spread = spread_get(tag)
+                if spread is None:
+                    spread = spread_of(tag)
+                x = words[index] ^ spread
+                zero = ahead_of[frame] & ~(((x & low) + low) | x)
+                if zero:
+                    for step_two, ahead, _ in scoring:
+                        step_two[slot] += (zero & ahead[frame]).bit_count()
 
-        #: The engine's only ``observe`` is this per-roster closure; it
-        #: is a plain function attribute, so calls skip bound-method
-        #: allocation too.
+        #: The engine's only ``observe`` is this closure; it is a plain
+        #: function attribute, so calls skip bound-method allocation too.
         self.observe = observe
+
+    def invalidate(self, index: int, frame: int) -> None:
+        """Mark ``frame`` of set ``index`` empty (a dropped block)."""
+        words = self._words
+        if words:
+            words[index] = (
+                words[index] & self._keep[frame]
+                | self._empty & self._frame_bits[frame]
+            )
+
+    def invalidate_all(self) -> None:
+        """Mark every frame empty (the cold-start flush)."""
+        words = self._words
+        words[:] = [self._empty] * len(words)
 
     def finalize(self) -> None:
         """Fold the shared-fact histograms into every accumulator.
@@ -613,15 +670,25 @@ class FusedProbeEngine:
             )
 
         for group in self._partial:
+            hit_probes, miss_probes, wb_probes = group.step_two
+            if not group.full_width:
+                # The step-two probe of each hit's own frame.
+                hit_probes += readin_hits
+                wb_probes += wb_hits
+            hit_probes += group.step_one(frame_hist)
+            miss_probes += group.subsets * readin_misses
+            wb_probes += (
+                group.step_one(self._wb_frame_hist) + group.subsets * wb_misses
+            )
             for channel in group.channels:
                 acc = channel._accumulator
                 acc.hit_accesses = readin_hits
-                acc.hit_probes = group.hit_probes
+                acc.hit_probes = hit_probes
                 acc.miss_accesses = readin_misses
-                acc.miss_probes = group.miss_probes
+                acc.miss_probes = miss_probes
                 acc.writeback_accesses = writebacks
                 acc.writeback_probes = (
-                    0 if channel.writeback_optimization else group.wb_probes
+                    0 if channel.writeback_optimization else wb_probes
                 )
 
         accesses = readin_hits + readin_misses + writebacks

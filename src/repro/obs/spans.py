@@ -200,19 +200,14 @@ class _ActiveSpan:
             self.attrs["error_type"] = exc_type.__name__
         tracer = self._tracer
         tracer._stack_var.reset(self._stack_token)
+        # Positional arguments, in field order: every sweep task pays
+        # this call, and keyword parsing is most of its cost.
         tracer._record(
             SpanRecord(
-                name=self.name,
-                path=self._path,
-                depth=self._depth,
-                start=self._wall0 - tracer._epoch,
-                wall_seconds=wall,
-                cpu_seconds=cpu,
-                attrs=self.attrs,
-                index=0,  # assigned under the tracer lock
-                trace_id=self.trace_id,
-                span_id=self.span_id,
-                parent_span_id=self.parent_span_id,
+                self.name, self._path, self._depth,
+                self._wall0 - tracer._epoch, wall, cpu, self.attrs,
+                0,  # index: assigned under the tracer lock
+                self.trace_id, self.span_id, self.parent_span_id,
             )
         )
 
@@ -254,11 +249,13 @@ class Tracer:
             self.records.append(record)
         return record
 
-    def adopt(self, records: Iterable[Dict[str, Any]]) -> int:
+    def adopt(self, records: Iterable[Any]) -> int:
         """Fold another process's span records into this tracer.
 
-        Takes :meth:`SpanRecord.to_dict` dicts (the pool executor
-        ships them back from workers) and re-indexes them locally.
+        Takes :class:`SpanRecord` objects — the pool executor ships a
+        worker's records back as they are (they pickle), and this
+        tracer takes them over — or their :meth:`SpanRecord.to_dict`
+        dicts, and re-indexes them locally.
         When the calling thread has a span open on this tracer, every
         record joins that span's trace and each shipped root (no
         ``parent_span_id``) becomes its child; with none open, the
@@ -271,7 +268,10 @@ class Tracer:
         host = stack[-1] if stack else None
         count = 0
         for data in records:
-            record = SpanRecord.from_dict(data)
+            if isinstance(data, SpanRecord):
+                record = data
+            else:
+                record = SpanRecord.from_dict(data)
             if host is not None:
                 record.trace_id = host.trace_id
                 if record.parent_span_id is None:

@@ -87,8 +87,10 @@ def _guarded_call(task: tuple) -> tuple:
     The task records on a fresh tracer, inside a ``pool_task`` span
     tagged ``key``, ``attempt``, and ``worker_pid`` (and stamped
     ``error``/``error_type`` on a raise). ``spans`` is that tracer's
-    records as dicts, shipped back in the result for the parent's
-    :meth:`~repro.obs.spans.Tracer.adopt` to hang under its open span.
+    list of :class:`~repro.obs.spans.SpanRecord`, shipped back in the
+    result for the parent's :meth:`~repro.obs.spans.Tracer.adopt` to
+    hang under its open span. Every sweep task pays this wrapper, so
+    the records travel as they are, with no dict round trip.
     """
     worker, key, payload, attempt = task
     # A fresh tracer per task: only this task's spans travel back.
@@ -107,7 +109,7 @@ def _guarded_call(task: tuple) -> tuple:
             value = worker(payload)
             if plan is not None:
                 value = plan.transform(key, attempt, value)
-        return ("ok", value, [record.to_dict() for record in tracer.records])
+        return ("ok", value, tracer.records)
     except Exception as exc:
         return (
             "err",
@@ -117,7 +119,7 @@ def _guarded_call(task: tuple) -> tuple:
                 "traceback": traceback.format_exc(),
                 "worker_pid": os.getpid(),
             },
-            [record.to_dict() for record in tracer.records],
+            tracer.records,
         )
     finally:
         set_tracer(previous_tracer)
@@ -357,10 +359,10 @@ class ResilientPoolExecutor:
                     tag, value = "err", _parent_side_error(exc)
                     # Show the rejection in the trace as a worker
                     # raise would: on the attempt's pool_task span.
-                    for data in spans:
-                        if data["parent_span_id"] is None:
-                            data["attrs"]["error"] = True
-                            data["attrs"]["error_type"] = value["error_type"]
+                    for record in spans:
+                        if record.parent_span_id is None:
+                            record.attrs["error"] = True
+                            record.attrs["error_type"] = value["error_type"]
             self.tracer.adopt(spans)
         except BrokenProcessPool:
             self._pool_incident(task, pending, in_flight, report)

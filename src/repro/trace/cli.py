@@ -51,8 +51,26 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _same_file(first: Path, second: Path) -> bool:
+    """Whether two paths name one file, however spelled or linked."""
+    if first.resolve() == second.resolve():
+        return True
+    try:
+        return first.samefile(second)
+    except OSError:
+        return False
+
+
 def _cmd_convert(args) -> int:
-    written = _writer(_reader(Path(args.source)), Path(args.dest))
+    source, dest = Path(args.source), Path(args.dest)
+    # The reader is lazy and the writer truncates its file first, so
+    # converting a trace onto itself would empty it.
+    if _same_file(source, dest):
+        raise ConfigurationError(
+            f"convert destination {args.dest!r} is the source trace; "
+            "write to another path"
+        )
+    written = _writer(_reader(source), dest)
     print(f"converted {args.source} -> {args.dest} ({written} records)")
     return 0
 

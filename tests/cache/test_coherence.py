@@ -5,7 +5,11 @@ import pytest
 from repro.cache.coherence import InvalidationInjector, run_with_invalidations
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import capture_miss_stream
+from repro.cache.observers import ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
+from repro.core.engine import FusedProbeEngine
+from repro.core.naive import NaiveLookup
+from repro.core.partial import PartialCompareLookup
 from repro.errors import ConfigurationError
 from repro.trace.synthetic import AtumWorkload
 
@@ -113,3 +117,40 @@ class TestFootnoteOne:
             stream, noisy, InvalidationInjector(noisy, rate=0.2, seed=1)
         )
         assert noisy.stats.readin_misses > quiet.stats.readin_misses
+
+    def test_engine_accounts_like_observers_under_invalidations(self, stream):
+        """The injector drops blocks through the cache, so an attached
+        engine's packed comparator words stay current: its probe totals
+        equal those of observers replaying the same stream with the
+        same invalidations."""
+
+        def schemes():
+            return [
+                ("naive", NaiveLookup(4)),
+                ("partial", PartialCompareLookup(4, tag_bits=16)),
+                ("partial/none", PartialCompareLookup(4, transform="none")),
+            ]
+
+        def replay(l2):
+            injector = InvalidationInjector(l2, rate=0.2, seed=23)
+            return run_with_invalidations(stream, l2, injector, sample_every=500)
+
+        observed = SetAssociativeCache(16 * 1024, 32, 4)
+        observers = {
+            label: ProbeObserver(scheme, label=label)
+            for label, scheme in schemes()
+        }
+        observed.attach_all(observers.values())
+        fused = SetAssociativeCache(16 * 1024, 32, 4)
+        engine = FusedProbeEngine(4)
+        channels = {
+            label: engine.add_scheme(scheme, label=label)
+            for label, scheme in schemes()
+        }
+        fused.attach_engine(engine)
+
+        assert replay(fused) == replay(observed)
+        assert fused.stats == observed.stats
+        for label, observer in observers.items():
+            assert channels[label].accumulator == observer.accumulator, label
+        assert observers["partial"].accumulator.hit_probes > 0

@@ -1,19 +1,24 @@
 """Property-based system tests: random request streams through the L2
 must preserve accounting identities, the stack-simulator oracle must
-agree with the explicit cache on every stream, and the segment-wise
-stream readers must equal their per-event reference loops."""
+agree with the explicit cache on every stream, the segment-wise
+stream readers must equal their per-event reference loops, and the
+L2's inlined replay loop must equal its per-request path."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.coherence import InvalidationInjector, run_with_invalidations
 from repro.cache.hierarchy import replay_miss_stream
-from repro.cache.observers import ProbeObserver
+from repro.cache.observers import MruDistanceObserver, ProbeObserver
+from repro.cache.replacement import make_replacement
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stack import StackSimulator
 from repro.cache.stream import PackedMissStream
+from repro.core.engine import FusedProbeEngine
+from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
+from repro.core.traditional import TraditionalLookup
 
 
 @st.composite
@@ -172,3 +177,133 @@ def test_segment_readers_match_per_event_reference(stream, assoc):
         sample_every=3,
     )
     assert stats == expected_stats
+
+
+@st.composite
+def scattered_request_streams(draw):
+    """Like :func:`request_streams`, but each pool block lands on a
+    scattered block number, so tags differ in many bits and the
+    partial-compare fields both match and miss."""
+    stream = PackedMissStream()
+    block_pool = draw(st.integers(2, 48))
+    length = draw(st.integers(1, 160))
+    for _ in range(length):
+        roll = draw(st.integers(0, 24))
+        if roll == 0:
+            stream.append_flush()
+        else:
+            code = 1 if roll <= 6 else 0
+            block = draw(st.integers(0, block_pool - 1))
+            stream.append(code, ((block * 0x9E3779B1) & 0xFFFFFF) * 32)
+    stream.processor_references = length * 5
+    return stream
+
+
+def replay_roster(associativity):
+    """Every scheme family the fused engine models, for ``a`` frames."""
+    a = associativity
+    roster = [
+        ("traditional", TraditionalLookup(a)),
+        ("naive", NaiveLookup(a)),
+        ("mru", MRULookup(a)),
+        ("mru/m1", MRULookup(a, list_length=1)),
+        ("partial", PartialCompareLookup(a, tag_bits=16)),
+        ("partial/swap", PartialCompareLookup(a, tag_bits=16, transform="swap")),
+        ("partial/t32", PartialCompareLookup(a, tag_bits=32, transform="none")),
+    ]
+    if a >= 2:
+        roster.append((
+            "partial/s2",
+            PartialCompareLookup(a, tag_bits=16, subsets=2, transform="improved"),
+        ))
+    return roster
+
+
+def set_state(cache):
+    """Every per-set field the replay writes, set by set."""
+    return [
+        (s._tags, s._mru, s._dirty, s._index, s._arrival, s._clock)
+        for s in cache.sets
+    ]
+
+
+@given(
+    stream=scattered_request_streams(),
+    assoc=st.sampled_from([1, 2, 4, 8, 16]),
+    num_sets=st.sampled_from([1, 2, 4]),
+    policy=st.sampled_from(["lru", "fifo", "random"]),
+    fill=st.sampled_from(["first", "random"]),
+    instrumented=st.booleans(),
+    writeback_optimization=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_replay_loop_matches_per_request_path(
+    stream, assoc, num_sets, policy, fill, instrumented,
+    writeback_optimization,
+):
+    """``SetAssociativeCache.replay`` (what ``replay_miss_stream`` runs)
+    leaves the cache, the replacement randomness and an attached
+    engine exactly as ``read_in``/``write_back`` per request do, and
+    tells the eviction listener the same evictions; the loop's
+    observers agree with both engines."""
+
+    def l2():
+        cache = SetAssociativeCache(
+            num_sets * 32 * assoc, 32, assoc,
+            replacement=make_replacement(policy, seed=11, fill=fill),
+        )
+        channels = {}
+        distance = None
+        if instrumented:
+            engine = FusedProbeEngine(assoc)
+            for label, scheme in replay_roster(assoc):
+                channels[label] = engine.add_scheme(
+                    scheme,
+                    writeback_optimization=writeback_optimization,
+                    label=label,
+                )
+            distance = engine.add_mru_distance()
+            cache.attach_engine(engine)
+        evictions = []
+        cache.eviction_listener = lambda *args: evictions.append(args)
+        return cache, channels, distance, evictions
+
+    replayed, replayed_channels, replayed_distance, replayed_evictions = l2()
+    reference, reference_channels, reference_distance, reference_evictions = (
+        l2()
+    )
+    observers = {}
+    if instrumented:
+        for label, scheme in replay_roster(assoc):
+            observers[label] = ProbeObserver(
+                scheme, writeback_optimization=writeback_optimization,
+            )
+        distance_observer = MruDistanceObserver(assoc)
+        replayed.attach_all(list(observers.values()) + [distance_observer])
+
+    replay_miss_stream(stream, replayed)
+    reference_replay_miss_stream(inline_events(stream), reference)
+
+    assert replayed.stats == reference.stats
+    assert set_state(replayed) == set_state(reference)
+    assert replayed_evictions == reference_evictions
+    for cache_set in replayed.sets:
+        cache_set.check_invariants()
+    # The fill randomness advanced identically.
+    assert (
+        replayed.replacement._fill_rng.getstate()
+        == reference.replacement._fill_rng.getstate()
+    )
+    if not instrumented:
+        return
+    assert replayed.engine._words == reference.engine._words
+    for label, channel in replayed_channels.items():
+        expected = reference_channels[label].accumulator
+        assert channel.accumulator == expected, label
+        assert observers[label].accumulator == expected, label
+    for field in ("hits", "accesses", "updates", "counts"):
+        assert (
+            getattr(replayed_distance, field)
+            == getattr(reference_distance, field)
+            == getattr(distance_observer, field)
+        ), field

@@ -8,7 +8,8 @@ These tests drive both over identical randomized request streams and
 assert *exact* integer equality of every accumulator field, the MRU
 hit-distance histogram, and the cache statistics — across
 associativities, tag transforms, subset counts, reduced MRU lists, and
-both write-back-optimization settings. The engine models only exact
+both write-back-optimization settings, per request and through
+``replay_miss_stream``'s inlined loop. The engine models only exact
 instances of the four paper schemes and rejects any other scheme.
 """
 
@@ -16,6 +17,8 @@ import random
 
 import pytest
 
+from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.hierarchy import capture_miss_stream, replay_miss_stream
 from repro.cache.observers import MruDistanceObserver, ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.banked import BankedLookup
@@ -25,6 +28,8 @@ from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
 from repro.core.traditional import TraditionalLookup
 from repro.errors import ConfigurationError
+from repro.experiments.runner import _scheme_plan
+from repro.trace.synthetic import AtumWorkload
 
 ACCUMULATOR_FIELDS = (
     "hit_accesses",
@@ -120,7 +125,7 @@ def assert_identical(legacy, fused, legacy_accs, channels,
     assert fused.stats.__dict__ == legacy.stats.__dict__
 
 
-@pytest.mark.parametrize("associativity", [2, 4, 8])
+@pytest.mark.parametrize("associativity", [2, 4, 8, 16])
 @pytest.mark.parametrize("writeback_optimization", [True, False])
 def test_engine_matches_observers_exactly(associativity, writeback_optimization):
     pieces = drive_both(
@@ -136,7 +141,7 @@ def test_engine_matches_across_cold_start_flushes():
 
 
 def test_engine_matches_on_single_partial_fast_path():
-    """The inlined single-group scan agrees with the reference too."""
+    """A roster with one partial configuration agrees too."""
 
     def roster(a):
         return [
@@ -148,6 +153,55 @@ def test_engine_matches_on_single_partial_fast_path():
     for wb_opt in (True, False):
         pieces = drive_both(roster, 4, wb_opt, seed=5 if wb_opt else 6)
         assert_identical(*pieces)
+
+
+@pytest.mark.parametrize("associativity", [1, 2, 4, 8, 16])
+def test_runner_roster_through_replay_miss_stream(associativity):
+    """The runner's scheme plan over a captured three-segment stream,
+    replayed by ``replay_miss_stream`` (the cache's inlined loop):
+    the engine matches the observers exactly."""
+    a = associativity
+    workload = AtumWorkload(segments=3, references_per_segment=3000, seed=41)
+    stream = capture_miss_stream(workload.pairs(), DirectMappedCache(4096, 16))
+    assert stream.n_flushes == 2
+
+    def plan():
+        return _scheme_plan(
+            a, 16, ("xor", "none", "improved", "swap"),
+            [m for m in (1, 2) if m < a], (32,),
+        )
+
+    for writeback_optimization in (True, False):
+        legacy = SetAssociativeCache(16 * 1024, 32, a)
+        legacy_accs = {}
+        for label, scheme in plan():
+            observer = ProbeObserver(
+                scheme, writeback_optimization=writeback_optimization,
+            )
+            legacy.attach(observer)
+            legacy_accs[label] = observer.accumulator
+        distance_observer = MruDistanceObserver(a)
+        legacy.attach(distance_observer)
+
+        fused = SetAssociativeCache(16 * 1024, 32, a)
+        engine = FusedProbeEngine(a)
+        channels = {
+            label: engine.add_scheme(
+                scheme, writeback_optimization=writeback_optimization,
+                label=label,
+            )
+            for label, scheme in plan()
+        }
+        distance_stats = engine.add_mru_distance()
+        fused.attach_engine(engine)
+
+        replay_miss_stream(stream, legacy)
+        replay_miss_stream(stream, fused)
+        assert fused.stats.accesses == stream.n_events
+        assert_identical(
+            legacy, fused, legacy_accs, channels,
+            distance_observer, distance_stats,
+        )
 
 
 def test_engine_shares_aliased_partial_scheme():
@@ -193,6 +247,46 @@ def test_engine_rejects_duplicate_labels_and_engines():
     cache.attach_engine(engine)
     with pytest.raises(ConfigurationError):
         cache.attach_engine(FusedProbeEngine(4))
+
+
+def test_engine_roster_is_fixed_once_attached():
+    """The packed words are laid out at attach: a later scheme, a later
+    distance histogram or a second cache is refused."""
+    engine = FusedProbeEngine(4)
+    engine.add_scheme(PartialCompareLookup(4, tag_bits=16))
+    SetAssociativeCache(16 * 1024, 32, 4).attach_engine(engine)
+    with pytest.raises(ConfigurationError, match="before attaching"):
+        engine.add_scheme(NaiveLookup(4))
+    with pytest.raises(ConfigurationError, match="before attaching"):
+        engine.add_mru_distance()
+    with pytest.raises(ConfigurationError):
+        SetAssociativeCache(16 * 1024, 32, 4).attach_engine(engine)
+    assert list(engine.channels) == ["partial"]
+
+
+def test_engine_attached_to_a_warm_cache_packs_its_tags():
+    """Attaching to a cache that already holds blocks builds the packed
+    words from its tags, so accounting from there on matches observers
+    attached at the same moment."""
+    rng = random.Random(12)
+    addresses = [rng.randrange(0, 1 << 22) & ~31 for _ in range(3000)]
+    legacy = SetAssociativeCache(16 * 1024, 32, 8)
+    fused = SetAssociativeCache(16 * 1024, 32, 8)
+    for address in addresses[:1000]:
+        legacy.read_in(address)
+        fused.read_in(address)
+    observer = ProbeObserver(PartialCompareLookup(8, tag_bits=16))
+    legacy.attach(observer)
+    engine = FusedProbeEngine(8)
+    channel = engine.add_scheme(PartialCompareLookup(8, tag_bits=16))
+    fused.attach_engine(engine)
+    for address in addresses[1000:]:
+        legacy.read_in(address)
+        fused.read_in(address)
+    for field in ACCUMULATOR_FIELDS:
+        assert getattr(channel.accumulator, field) == getattr(
+            observer.accumulator, field
+        ), field
 
 
 def test_engine_accumulator_reads_are_live():

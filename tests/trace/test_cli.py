@@ -53,6 +53,21 @@ class TestConvert:
         assert exit_info.value.code == 2
         assert not (tmp_path / "t.rpt").exists()
 
+    def test_converting_onto_the_source_is_rejected(self, din_path, tmp_path,
+                                                   monkeypatch, capsys):
+        before = din_path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.din").symlink_to(din_path)
+        for dest in (str(din_path), "./t.din", "sub/../t.din", "link.din"):
+            args = ["convert", str(din_path), dest]
+            with pytest.raises(ConfigurationError, match="is the source"):
+                main(args)
+            monkeypatch.setattr(sys, "argv", ["repro-trace"] + args)
+            with pytest.raises(SystemExit) as exit_info:
+                run()
+            assert exit_info.value.code == 2
+            assert din_path.read_bytes() == before
+
 
 class TestStats:
     def test_summary_printed(self, din_path, capsys):
