@@ -44,29 +44,3 @@ def once(benchmark, fn, *args, **kwargs):
 
     benchmark.extra_info["environment"] = environment_fingerprint()
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def timed(benchmark, fn, *args, repeats=5, warmup=1, **kwargs):
-    """Statistically time ``fn``: the bench-suite face of ``measure()``.
-
-    For benchmarks cheap enough to repeat, this replaces best-of-N
-    with the harness from :mod:`repro.obs.bench` — warmup rounds, N
-    timed repeats, median/MAD and a bootstrap confidence interval of
-    the median — and records the full statistics (plus the environment
-    fingerprint) in pytest-benchmark's ``extra_info``, so saved
-    benchmark JSON carries noise-aware stats, not one best-of-N
-    number. One extra pedantic round keeps pytest-benchmark's own
-    reporting populated.
-
-    Returns the :class:`repro.obs.bench.TimingResult`, whose
-    ``last_result`` is ``fn``'s final return value.
-    """
-    from repro.obs.bench import environment_fingerprint, measure
-
-    stats = measure(
-        lambda: fn(*args, **kwargs), repeats=repeats, warmup=warmup
-    )
-    benchmark.extra_info["timing"] = stats.to_dict()
-    benchmark.extra_info["environment"] = environment_fingerprint()
-    benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    return stats

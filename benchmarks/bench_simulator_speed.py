@@ -8,16 +8,14 @@ The instrumented L2 benchmark accounts naive, MRU, and partial-compare
 probes through the fused engine (the default instrumentation path; see
 ``docs/performance.md``); ``test_l2_replay_throughput_legacy_observers``
 keeps the per-observer reference path on the same stream for
-comparison. The two replay benchmarks go through ``timed()`` — the
-statistical harness of ``repro.obs.bench`` — so their saved
-``extra_info`` carries median/MAD and a bootstrap CI of the median.
-The end-to-end benchmark of paper-artifact builds is
-``benchmarks/pipeline/``.
+comparison. The three replay benchmarks run three timed rounds after
+one warmup round; pytest-benchmark reports their median, IQR and
+standard deviation. These benchmarks write nothing to ``results/``
+and gate nothing. The end-to-end benchmark of paper-artifact builds
+is ``benchmarks/pipeline/``.
 """
 
 import pytest
-
-from _bench_utils import timed
 
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
@@ -74,8 +72,8 @@ def test_l2_replay_throughput_bare(benchmark, stream):
         replay_miss_stream(stream, l2)
         return l2.stats.accesses
 
-    stats = timed(benchmark, run, repeats=3)
-    assert stats.last_result == len(stream)
+    accesses = benchmark.pedantic(run, rounds=3, warmup_rounds=1, iterations=1)
+    assert accesses == len(stream)
 
 
 def test_l2_replay_throughput_instrumented(benchmark, stream):
@@ -90,8 +88,8 @@ def test_l2_replay_throughput_instrumented(benchmark, stream):
         engine.finalize()
         return l2.stats.accesses
 
-    stats = timed(benchmark, run, repeats=3)
-    assert stats.last_result == len(stream)
+    accesses = benchmark.pedantic(run, rounds=3, warmup_rounds=1, iterations=1)
+    assert accesses == len(stream)
 
 
 def test_l2_replay_throughput_legacy_observers(benchmark, stream):
@@ -107,5 +105,5 @@ def test_l2_replay_throughput_legacy_observers(benchmark, stream):
         replay_miss_stream(stream, l2)
         return l2.stats.accesses
 
-    stats = timed(benchmark, run, repeats=3)
-    assert stats.last_result == len(stream)
+    accesses = benchmark.pedantic(run, rounds=3, warmup_rounds=1, iterations=1)
+    assert accesses == len(stream)

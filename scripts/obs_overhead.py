@@ -5,12 +5,12 @@ The contract is that the tracing layer is effectively free: a replay
 run as one sweep point — inside an ``l2_replay`` span, called through
 the pool's real per-task wrapper
 (:func:`repro.resilience.executor._guarded_call`: a fresh tracer and
-a ``pool_task`` span, the span records shipped back as dicts), and
-adopted by the parent tracer under an open ``sweep`` span — must
-replay the benchmark workload at no less than ``(1 - max_regression)``
-of the bare throughput. Both arms run in-process: the bare arm models
-no pool either, and in a real sweep the span dicts ride the result
-pickle the pool makes anyway.
+a ``pool_task`` span, the ``SpanRecord`` objects shipped back as they
+are), and adopted by the parent tracer under an open ``sweep`` span —
+must replay the benchmark workload at no less than
+``(1 - max_regression)`` of the bare throughput. Both arms run
+in-process: the bare arm models no pool either, and in a real sweep
+the span records ride the result pickle the pool makes anyway.
 
 Both configurations replay the same L1-filtered miss stream through
 an uninstrumented L2 (the *cheapest* replay, so the overhead fraction

@@ -13,10 +13,10 @@ The package answers four questions about every run:
   provenance manifests (config hash, workload seed, code identity,
   per-phase timings, metric snapshot) validated by
   :mod:`repro.obs.validate`.
-- **How long did it take?** — :mod:`repro.obs.bench`: a statistical
-  timing harness (warmup, repeats, median/MAD, bootstrap CIs), with
-  per-phase attribution across traces by
-  :mod:`repro.obs.trace_report` (``repro-trace-report``).
+- **Which phase got slower, and on which host?** — per-phase
+  attribution across traces by :mod:`repro.obs.trace_report`
+  (``repro-trace-report``); :mod:`repro.obs.bench` names the
+  measuring host and gives bootstrap CIs of medians.
 
 Plus the shared plumbing: :mod:`repro.obs.jsonl` (the line-delimited
 sink/reader), :mod:`repro.obs.log` (the structured, env-controlled
@@ -30,12 +30,7 @@ finalize, workers at shard end). ``repro.obs`` imports nothing from
 the rest of the package, so any module can depend on it.
 """
 
-from repro.obs.bench import (
-    TimingResult,
-    bootstrap_ci,
-    environment_fingerprint,
-    measure,
-)
+from repro.obs.bench import bootstrap_ci, environment_fingerprint
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.log import StructuredLogger, log
 from repro.obs.manifest import (
@@ -72,7 +67,6 @@ __all__ = [
     "RunManifest",
     "SpanRecord",
     "StructuredLogger",
-    "TimingResult",
     "Tracer",
     "bootstrap_ci",
     "config_hash",
@@ -82,7 +76,6 @@ __all__ = [
     "get_tracer",
     "git_sha",
     "log",
-    "measure",
     "progress_enabled",
     "read_jsonl",
     "set_metrics",

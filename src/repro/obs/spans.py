@@ -121,28 +121,6 @@ class SpanRecord:
             "parent_span_id": self.parent_span_id,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpanRecord":
-        """Rebuild a record from its :meth:`to_dict` form.
-
-        Tolerates legacy records without the causal-identity fields
-        (they come back as ``None``) so traces written before span ids
-        existed still load.
-        """
-        return cls(
-            name=data["name"],
-            path=data["path"],
-            depth=data["depth"],
-            start=data["start"],
-            wall_seconds=data["wall_seconds"],
-            cpu_seconds=data["cpu_seconds"],
-            attrs=dict(data.get("attrs") or {}),
-            index=data.get("index", 0),
-            trace_id=data.get("trace_id"),
-            span_id=data.get("span_id"),
-            parent_span_id=data.get("parent_span_id"),
-        )
-
     def __repr__(self) -> str:
         return (
             f"SpanRecord(path={self.path!r}, "
@@ -249,13 +227,13 @@ class Tracer:
             self.records.append(record)
         return record
 
-    def adopt(self, records: Iterable[Any]) -> int:
+    def adopt(self, records: Iterable[SpanRecord]) -> int:
         """Fold another process's span records into this tracer.
 
         Takes :class:`SpanRecord` objects — the pool executor ships a
-        worker's records back as they are (they pickle), and this
-        tracer takes them over — or their :meth:`SpanRecord.to_dict`
-        dicts, and re-indexes them locally.
+        worker's records back as they are (they pickle) — and takes
+        them over, re-indexing them locally and setting their trace
+        and parent ids in place.
         When the calling thread has a span open on this tracer, every
         record joins that span's trace and each shipped root (no
         ``parent_span_id``) becomes its child; with none open, the
@@ -267,11 +245,7 @@ class Tracer:
         stack = self._stack_var.get()
         host = stack[-1] if stack else None
         count = 0
-        for data in records:
-            if isinstance(data, SpanRecord):
-                record = data
-            else:
-                record = SpanRecord.from_dict(data)
+        for record in records:
             if host is not None:
                 record.trace_id = host.trace_id
                 if record.parent_span_id is None:

@@ -13,10 +13,13 @@ package makes partial failure the normal, handled case:
   recovers from ``BrokenProcessPool``, reaps hung workers, and
   re-queues only in-flight work;
 - :mod:`repro.resilience.checkpoint` — the crash-safe JSONL
-  :class:`SweepCheckpoint` behind ``repro-sweep --resume``;
-- :mod:`repro.resilience.faults` — deterministic fault injectors
-  (raise / hang / exit / corrupt) with which the test suite proves
-  the guarantees.
+  :class:`SweepCheckpoint` behind ``repro-sweep --resume``.
+
+The test suite proves these guarantees on real pools with the fault
+injectors of ``tests/faultkit.py`` (raise / hang / exit / corrupt in
+a worker; crash / torn / enospc on the disk), installed through the
+executor's ``fault_plan`` and :func:`repro.storage.io.set_io`. No
+shipped tool injects faults.
 
 See ``docs/resilience.md`` for the full story.
 """

@@ -21,10 +21,12 @@ Durability discipline:
   dropped by rewriting the file via write-temp-then-rename — the
   standard atomic-replace idiom — before appending resumes;
 - all I/O goes through :func:`repro.storage.io.get_io`, so a test
-  can crash a checkpointed sweep at every write, fsync, and rename
-  it performs; disk-level write
+  can install the fault injector of ``tests/faultkit.py`` with
+  :func:`repro.storage.io.set_io` and crash a checkpointed sweep at
+  every write, fsync, and rename it performs; disk-level write
   failures (``ENOSPC``, ``EIO``) surface as the typed
-  :class:`~repro.errors.StorageError`;
+  :class:`~repro.errors.StorageError`, which ``repro-sweep`` reports
+  as one error line and exit 2;
 - the header pins a ``config_hash`` of the sweep's workload identity,
   so resuming against the wrong workload raises
   :class:`~repro.errors.CheckpointError` instead of silently merging

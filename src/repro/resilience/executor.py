@@ -21,9 +21,9 @@ not as the end of the run:
 
 Tasks are only submitted while a worker slot is free, so submission
 time approximates start time and the timeout is a genuine per-task
-wall-clock budget. Fault injection (:mod:`repro.resilience.faults`)
-hooks into the worker guard, so every path above is testable on a
-real pool.
+wall-clock budget. The tests drive every path above on a real pool
+through one seam, :data:`fault_plan`, which the worker guard consults
+around each task.
 """
 
 from __future__ import annotations
@@ -41,8 +41,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs.log import log
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.spans import Tracer, get_tracer, set_tracer
-from repro.resilience import faults
 from repro.resilience.policy import FailurePolicy, PointFailure, RetryPolicy
+
+
+#: The fault plan the worker guard consults, or ``None``. Only tests set
+#: it (``tests/faultkit.py``), before the pool starts, so that forked
+#: workers inherit it; its ``before(key, attempt)`` runs ahead of each
+#: task and ``transform(key, attempt, value)`` on each result.
+fault_plan: Any = None
 
 
 def _attr_value(key: Any) -> Any:
@@ -77,12 +83,12 @@ def _reset_worker_signals() -> None:
 def _guarded_call(task: tuple) -> tuple:
     """Worker-side wrapper: structured errors instead of raw raises.
 
-    Runs any active fault-injection plan around the real worker
-    function and returns ``("ok", value, spans)`` or
+    Runs the worker function, inside :data:`fault_plan` when a test
+    installed one, and returns ``("ok", value, spans)`` or
     ``("err", record, spans)`` — so an ordinary exception costs one
-    task, not the whole pool. Injected ``exit`` faults and real worker
-    deaths bypass this (there is nothing to return from a dead
-    process) and surface to the parent as ``BrokenProcessPool``.
+    task, not the whole pool. Worker deaths, real or injected, bypass
+    this (there is nothing to return from a dead process) and surface
+    to the parent as ``BrokenProcessPool``.
 
     The task records on a fresh tracer, inside a ``pool_task`` span
     tagged ``key``, ``attempt``, and ``worker_pid`` (and stamped
@@ -103,7 +109,7 @@ def _guarded_call(task: tuple) -> tuple:
             attempt=attempt,
             worker_pid=os.getpid(),
         ):
-            plan = faults.active_plan()
+            plan = fault_plan
             if plan is not None:
                 plan.before(key, attempt)
             value = worker(payload)
@@ -227,7 +233,7 @@ class ResilientPoolExecutor:
         self.on_failure = on_failure
         self.validator = validator
         # Fork where available: workers inherit memoized miss streams
-        # and any activated fault plan.
+        # and a test's fault plan.
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -1,4 +1,4 @@
-"""Storage integrity layer: durable I/O, record framing, fault injection.
+"""Storage integrity layer: durable I/O and record framing.
 
 Every recovery path in the resilience stack ultimately trusts the
 disk: sweep checkpoints and obs traces are read back and folded into
@@ -7,12 +7,10 @@ earned instead of assumed:
 
 - :mod:`repro.storage.io` — the durable-write primitives
   (write/fsync/atomic-replace/directory-fsync) every storage writer in
-  the repository routes through, with a process-wide injection point;
-- :mod:`repro.storage.faultio` — :class:`~repro.storage.faultio.FaultingIO`,
-  a deterministic crash/corruption injector over those primitives
-  (torn writes, short writes, lost un-fsync'd data at a chosen crash
-  point, ``ENOSPC``, ``EIO``), driven by the ``REPRO_IO_FAULTS``
-  mini-language in the style of :mod:`repro.resilience.faults`;
+  the repository routes through, with a process-wide injection point,
+  :func:`~repro.storage.io.set_io`, where tests install the storage
+  fault injector of ``tests/faultkit.py`` (torn writes, lost
+  un-fsync'd data at a chosen crash point, ``ENOSPC``);
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
   envelopes for JSONL stores, with transparent reads of legacy
   unframed lines.
@@ -22,28 +20,12 @@ Layering: these modules depend only on the standard library,
 not depend on the rest of the package) may import them.
 """
 
-from repro.storage.faultio import (
-    FaultingIO,
-    InjectedCrashError,
-    IOFaultPlan,
-    IOFaultSpec,
-    activate_io_plan,
-    deactivate_io_plan,
-    parse_io_plan,
-)
 from repro.storage.framing import frame_line, parse_framed_line
 from repro.storage.io import StorageIO, get_io
 
 __all__ = [
-    "FaultingIO",
-    "InjectedCrashError",
-    "IOFaultPlan",
-    "IOFaultSpec",
     "StorageIO",
-    "activate_io_plan",
-    "deactivate_io_plan",
     "frame_line",
     "get_io",
     "parse_framed_line",
-    "parse_io_plan",
 ]

@@ -3,10 +3,10 @@
 Every storage writer in the repository — sweep checkpoints, the obs
 trace and manifest writers — performs its opens, writes, fsyncs, and
 atomic replaces through the :class:`StorageIO` instance returned by
-:func:`get_io`. In normal operation that instance is a zero-overhead
-passthrough to the operating system; under test it is a
-:class:`~repro.storage.faultio.FaultingIO` that can tear a write,
-exhaust the disk, or crash the "machine" at a chosen point.
+:func:`get_io`. That instance is a passthrough to the operating
+system unless a test installs another with :func:`set_io`: the fake
+in ``tests/faultkit.py`` can tear a write, exhaust the disk, or crash
+the "machine" at a chosen point.
 
 The module also provides the durability idioms themselves, so every
 writer spells them identically:
@@ -45,10 +45,9 @@ PathLike = Union[str, "os.PathLike[str]"]
 class StorageIO:
     """Passthrough durable-I/O primitives; the default implementation.
 
-    :class:`~repro.storage.faultio.FaultingIO` subclasses this and
-    overrides each primitive to consult its fault plan first, so the
-    writers threaded through :func:`get_io` need no fault-awareness of
-    their own.
+    A test's fault injector subclasses this and overrides each
+    primitive to consult its fault plan first, so the writers threaded
+    through :func:`get_io` need no fault-awareness of their own.
     """
 
     def open(self, path: PathLike, mode: str = "r", **kwargs: Any) -> IO:
@@ -89,11 +88,10 @@ class StorageIO:
             os.close(fd)
 
 
-#: The passthrough singleton (faults inert).
+#: The passthrough singleton.
 _PASSTHROUGH = StorageIO()
 
-#: Explicitly installed override (a FaultingIO, usually); ``None``
-#: defers to the ``REPRO_IO_FAULTS`` environment variable.
+#: The instance :func:`set_io` installed, or ``None`` for the passthrough.
 _INSTALLED: Optional[StorageIO] = None
 
 
@@ -106,21 +104,9 @@ def set_io(io: Optional[StorageIO]) -> None:
 def get_io() -> StorageIO:
     """The active storage-I/O implementation.
 
-    An explicitly :func:`set_io`-installed instance wins (this is what
-    :func:`repro.storage.faultio.activate_io_plan` does); otherwise
-    the ``REPRO_IO_FAULTS`` environment variable is consulted — parsed
-    lazily and cached per spec string, so a plan's ordinal counters
-    survive across calls in one process while spawned workers and
-    subprocesses still pick the variable up on first use. Returns the
-    inert passthrough when neither is set.
+    The instance :func:`set_io` installed, else the passthrough.
     """
-    if _INSTALLED is not None:
-        return _INSTALLED
-    # Imported lazily: faultio subclasses StorageIO from this module.
-    from repro.storage.faultio import io_from_environment
-
-    env_io = io_from_environment()
-    return env_io if env_io is not None else _PASSTHROUGH
+    return _INSTALLED if _INSTALLED is not None else _PASSTHROUGH
 
 
 def wrap_os_error(exc: OSError, action: str) -> StorageError:

@@ -13,11 +13,12 @@ from repro.experiments.runner import (
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
-from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.policy import RetryPolicy, SweepOutcome
-from repro.storage.faultio import (
+from tests import faultkit
+from tests.faultkit import (
+    FaultPlan,
+    FaultSpec,
     InjectedCrashError,
     IOFaultPlan,
     IOFaultSpec,
@@ -45,10 +46,10 @@ FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 @pytest.fixture(autouse=True)
 def clean_plan():
-    faults.deactivate()
+    faultkit.deactivate()
     deactivate_io_plan()
     yield
-    faults.deactivate()
+    faultkit.deactivate()
     deactivate_io_plan()
 
 
@@ -101,7 +102,7 @@ class TestResilientPathEquivalence:
 
 class TestInjectedFailures:
     def test_transient_crash_retried_and_bit_identical(self, baseline):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
@@ -113,7 +114,7 @@ class TestInjectedFailures:
     def test_persistent_crash_collected_others_unharmed(
         self, baseline, tmp_path
     ):
-        faults.activate(FaultPlan([FaultSpec("raise", at=1)]))
+        faultkit.activate(FaultPlan([FaultSpec("raise", at=1)]))
         runner = make_runner(obs_dir=tmp_path)
         outcome = runner.run_points(
             POINTS, failure_policy="retry_then_collect", retry=FAST
@@ -136,7 +137,7 @@ class TestInjectedFailures:
         assert manifest.failures[0]["traceback"]
 
     def test_worker_exit_recreates_pool(self, baseline):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("exit", at=2, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
@@ -146,7 +147,7 @@ class TestInjectedFailures:
         assert_matches_baseline(outcome, baseline)
 
     def test_hung_point_reaped_and_retried(self, baseline):
-        faults.activate(
+        faultkit.activate(
             FaultPlan(
                 [FaultSpec("hang", at=0, attempts=frozenset({1}), seconds=120)]
             )
@@ -160,7 +161,7 @@ class TestInjectedFailures:
         assert_matches_baseline(outcome, baseline)
 
     def test_corrupt_payload_rejected_not_merged(self, baseline):
-        faults.activate(FaultPlan([FaultSpec("corrupt", at=0)]))
+        faultkit.activate(FaultPlan([FaultSpec("corrupt", at=0)]))
         outcome = make_runner().run_points(POINTS, failure_policy="collect")
         assert outcome.results[0] is None
         (failure,) = outcome.failures
@@ -169,7 +170,7 @@ class TestInjectedFailures:
         assert_matches_baseline(outcome, baseline, skip={0})
 
     def test_transient_corruption_retried_clean(self, baseline):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("corrupt", at=0, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
@@ -179,7 +180,7 @@ class TestInjectedFailures:
         assert_matches_baseline(outcome, baseline)
 
     def test_fail_fast_raises_and_records(self):
-        faults.activate(FaultPlan([FaultSpec("raise", at=0)]))
+        faultkit.activate(FaultPlan([FaultSpec("raise", at=0)]))
         runner = make_runner()
         with pytest.raises(SweepPointError) as excinfo:
             runner.run_points(POINTS, failure_policy="fail_fast")
@@ -192,12 +193,12 @@ class TestCheckpointResume:
         self, baseline, tmp_path
     ):
         path = tmp_path / "sweep.ckpt"
-        faults.activate(FaultPlan([FaultSpec("raise", at=2)]))
+        faultkit.activate(FaultPlan([FaultSpec("raise", at=2)]))
         interrupted = make_runner().run_points(
             POINTS, failure_policy="collect", checkpoint=path
         )
         assert interrupted.completed() == len(POINTS) - 1
-        faults.deactivate()
+        faultkit.deactivate()
         metrics = MetricsRegistry()
         resumed = make_runner(metrics=metrics).run_points(
             POINTS, failure_policy="collect", checkpoint=path

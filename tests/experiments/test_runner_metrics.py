@@ -24,10 +24,10 @@ from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.obs.validate import validate_manifest_file, validate_trace_file
-from repro.resilience import faults
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.policy import RetryPolicy
 from repro.trace.synthetic import AtumWorkload
+from tests import faultkit
+from tests.faultkit import FaultPlan, FaultSpec
 
 
 def small_workload():
@@ -172,7 +172,7 @@ class TestProvenanceEmission:
             SweepPoint("4K-16", "64K-32", 2),
             SweepPoint("4K-16", "64K-32", 4),
         ]
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
         )
         try:
@@ -180,7 +180,7 @@ class TestProvenanceEmission:
                 points, retry=RetryPolicy(max_attempts=2, base_delay=0.01)
             )
         finally:
-            faults.deactivate()
+            faultkit.deactivate()
         assert outcome.ok
         records = list(read_jsonl(tmp_path / "trace.jsonl"))
         by_id = {record["span_id"]: record for record in records}

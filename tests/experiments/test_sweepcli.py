@@ -11,20 +11,28 @@ import pytest
 from repro.experiments.sweepcli import EXIT_PARTIAL, main
 from repro.obs.jsonl import read_jsonl
 from repro.obs.validate import validate_manifest_file, validate_trace_file
-from repro.resilience import faults
-from repro.resilience.faults import ENV_VAR
+from tests import faultkit
+from tests.faultkit import FaultPlan, FaultSpec, IOFaultSpec
 
 from .test_resilient_sweep import flip_byte, middle_of_line
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+
+#: A ``repro-sweep`` child that installs one storage fault first.
+IO_FAULT_CHILD = (
+    "from tests.faultkit import IOFaultPlan, IOFaultSpec, activate_io_plan\n"
+    "activate_io_plan(IOFaultPlan([{spec!r}]))\n"
+    "from repro.experiments.sweepcli import run\n"
+    "run()\n"
+)
 
 
 @pytest.fixture(autouse=True)
-def clean_plan(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    faults.deactivate()
+def clean_plan():
+    faultkit.deactivate()
     yield
-    faults.deactivate()
+    faultkit.deactivate()
 
 
 def base_args(tmp_path, *extra):
@@ -44,20 +52,27 @@ def read_out(tmp_path, name="results.json"):
     return json.loads((tmp_path / name).read_text())
 
 
-def run_sweep_cli(tmp_path, args, **env):
+def run_sweep_cli(tmp_path, args, io_fault=None, **env):
     """``repro-sweep`` in a subprocess: ``PYTHONPATH=src`` plus ``env``.
 
-    No ``REPRO_*`` variable of the calling process leaks through.
+    With ``io_fault`` (an :class:`~tests.faultkit.IOFaultSpec`), the
+    child installs that storage fault before it runs the CLI, with the
+    repository root on its path too. No ``REPRO_*`` variable of the
+    calling process leaks through.
     """
     child_env = {
         key: value
         for key, value in os.environ.items()
         if not key.startswith("REPRO_")
     }
-    child_env["PYTHONPATH"] = str(SRC)
+    child_env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT)])
     child_env.update(env)
+    if io_fault is None:
+        entry = ["-m", "repro.experiments.sweepcli"]
+    else:
+        entry = ["-c", IO_FAULT_CHILD.format(spec=io_fault)]
     return subprocess.run(
-        [sys.executable, "-m", "repro.experiments.sweepcli", *args],
+        [sys.executable, *entry, *args],
         cwd=tmp_path,
         env=child_env,
         capture_output=True,
@@ -196,10 +211,8 @@ class TestUsageErrors:
 
 
 class TestFailurePaths:
-    def test_injected_failure_yields_partial_exit(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_VAR, "raise@0")
+    def test_injected_failure_yields_partial_exit(self, tmp_path):
+        faultkit.activate(FaultPlan([FaultSpec("raise", at=0)]))
         code = main(
             base_args(tmp_path, "--failure-policy", "collect")
         )
@@ -210,10 +223,10 @@ class TestFailurePaths:
         (failure,) = payload["failures"]
         assert failure["error_type"] == "InjectedFaultError"
 
-    def test_transient_failure_retried_to_success(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_VAR, "raise@0:attempts=1")
+    def test_transient_failure_retried_to_success(self, tmp_path):
+        faultkit.activate(
+            FaultPlan([FaultSpec("raise", at=0, attempts=frozenset({1}))])
+        )
         code = main(
             base_args(tmp_path, "--failure-policy", "retry_then_collect")
         )
@@ -221,6 +234,29 @@ class TestFailurePaths:
         payload = read_out(tmp_path)
         assert payload["retries"] >= 1
         assert payload["failures"] == []
+
+
+class TestNoEnvironmentFaults:
+    def test_retired_fault_variables_change_nothing(self, tmp_path):
+        """The shipped CLI has no environment-driven fault path."""
+
+        def sweep(name, **env):
+            result = run_sweep_cli(
+                tmp_path,
+                base_args(
+                    tmp_path, "--checkpoint", f"{name}.ckpt",
+                    "--out", f"{name}.json",
+                ),
+                **env,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout, read_out(tmp_path, f"{name}.json")
+
+        assert sweep(
+            "env",
+            REPRO_FAULTS="raise@0",
+            REPRO_IO_FAULTS="torn@write:path=.ckpt,nth=3",
+        ) == sweep("plain")
 
 
 class TestStorageFaults:
@@ -235,13 +271,54 @@ class TestStorageFaults:
                 tmp_path, "--checkpoint", "spool/sweep.ckpt",
                 "--out", str(tmp_path / "crashed.json"),
             ),
-            REPRO_IO_FAULTS="torn@write:path=.ckpt,nth=3",
+            io_fault=IOFaultSpec("torn", "write", path=".ckpt", nth=3),
         )
         assert crashed.returncode != 0
         assert "InjectedCrashError" in crashed.stderr
         # Resume with no repair step: load() drops the torn tail and
         # record() steals the dead process's lock.
         checkpoint = str(tmp_path / "spool" / "sweep.ckpt")
+        assert (
+            main(
+                base_args(
+                    tmp_path, "--checkpoint", checkpoint, "--resume",
+                    "--out", str(tmp_path / "res.json"),
+                )
+            )
+            == 0
+        )
+        baseline = read_out(tmp_path, "base.json")
+        resumed = read_out(tmp_path, "res.json")
+        assert resumed.pop("resumed") == 1
+        assert baseline.pop("resumed") == 0
+        assert resumed == baseline
+
+    def test_full_disk_while_checkpointing_exits_2_and_resumes(
+        self, tmp_path
+    ):
+        baseline_out = str(tmp_path / "base.json")
+        assert main(base_args(tmp_path, "--out", baseline_out)) == 0
+        # Write 1 is the header's temp file, write 2 the first append;
+        # the disk is full at the second append.
+        full = run_sweep_cli(
+            tmp_path,
+            base_args(
+                tmp_path, "--checkpoint", "spool/sweep.ckpt",
+                "--out", str(tmp_path / "full.json"),
+            ),
+            io_fault=IOFaultSpec("enospc", "write", path=".ckpt", nth=3),
+        )
+        assert full.returncode == 2, full.stderr
+        errors = [
+            line for line in full.stderr.splitlines()
+            if line.startswith("error ")
+        ]
+        assert len(errors) == 1, full.stderr
+        assert "checkpoint spool/sweep.ckpt" in errors[0]
+        assert "No space left on device" in errors[0]
+        spool = tmp_path / "spool"
+        assert [path.name for path in spool.iterdir()] == ["sweep.ckpt"]
+        checkpoint = str(spool / "sweep.ckpt")
         assert (
             main(
                 base_args(
@@ -312,7 +389,7 @@ class TestInterrupt:
         previous = signal_module.getsignal(signum)
         # Point 1 hangs far longer than the test: the signal always
         # lands mid-sweep, after point 0 has been checkpointed.
-        monkeypatch.setenv(ENV_VAR, "hang@1:seconds=300")
+        faultkit.activate(FaultPlan([FaultSpec("hang", at=1, seconds=300)]))
         checkpoint = tmp_path / "sweep.ckpt"
         thread = self._interrupt_when_checkpointed(checkpoint, signum)
         code = main(
@@ -328,12 +405,10 @@ class TestInterrupt:
         assert len(SweepCheckpoint(checkpoint).load()) >= 1
         assert signal_module.getsignal(signum) == previous
 
-    def test_resume_finishes_an_interrupted_sweep(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resume_finishes_an_interrupted_sweep(self, tmp_path):
         import signal as signal_module
 
-        monkeypatch.setenv(ENV_VAR, "hang@1:seconds=300")
+        faultkit.activate(FaultPlan([FaultSpec("hang", at=1, seconds=300)]))
         checkpoint = tmp_path / "sweep.ckpt"
         thread = self._interrupt_when_checkpointed(
             checkpoint, signal_module.SIGTERM
@@ -349,7 +424,7 @@ class TestInterrupt:
             == EXIT_PARTIAL
         )
         thread.join(timeout=10.0)
-        monkeypatch.delenv(ENV_VAR)
+        faultkit.deactivate()
         code = main(
             base_args(
                 tmp_path, "--checkpoint", str(checkpoint), "--resume"

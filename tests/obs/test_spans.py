@@ -3,7 +3,7 @@
 import threading
 
 from repro.obs.jsonl import read_jsonl
-from repro.obs.spans import SpanRecord, Tracer, get_tracer, set_tracer, span
+from repro.obs.spans import Tracer, get_tracer, set_tracer, span
 from repro.obs.validate import validate_span
 
 
@@ -156,25 +156,6 @@ class TestCausalIdentity:
         assert record.span_id is not None
         assert record.parent_span_id is None
 
-    def test_record_round_trips_through_dict(self):
-        tracer = Tracer()
-        with tracer.span("a", key="v"):
-            pass
-        record = tracer.records[0]
-        rebuilt = SpanRecord.from_dict(record.to_dict())
-        assert rebuilt.to_dict() == record.to_dict()
-
-    def test_from_dict_tolerates_legacy_records(self):
-        legacy = {
-            "name": "a", "path": "a", "depth": 0, "start": 0.0,
-            "wall_seconds": 0.1, "cpu_seconds": 0.1, "attrs": {},
-            "index": 0,
-        }
-        record = SpanRecord.from_dict(legacy)
-        assert record.trace_id is None
-        assert record.span_id is None
-        assert record.parent_span_id is None
-
 
 class TestThreadIsolation:
     def test_two_threads_interleave_without_cross_parenting(self):
@@ -219,12 +200,14 @@ class TestSyntheticSpans:
         with worker.span("pool_task", attempt=1):
             with worker.span("l2_replay", l2="64K-32"):
                 pass
+        # Adoption sets the trace and parent ids in place: snapshot
+        # what was shipped first.
         shipped = [r.to_dict() for r in worker.records]
         parent = Tracer()
         with parent.span("local"):
             pass
         with parent.span("sweep") as sweep:
-            assert parent.adopt(shipped) == 2
+            assert parent.adopt(worker.records) == 2
         records = parent.snapshot_records()
         assert [r.index for r in records] == [0, 1, 2, 3]
         by_name = {r.name: r for r in records}
@@ -251,7 +234,7 @@ class TestSyntheticSpans:
         parent = Tracer()
         with parent.span("local"):
             pass
-        assert parent.adopt(shipped) == 2
+        assert parent.adopt(worker.records) == 2
         adopted = parent.snapshot_records()[1:]
         assert [r.index for r in adopted] == [1, 2]
         for record, data in zip(adopted, shipped):

@@ -312,9 +312,9 @@ class TestLockTakeoverIdentity:
 class TestCrashMidAppend:
     """Two-process power-failure regression: the full recovery story.
 
-    A child process appends records under an injected torn write
-    (``REPRO_IO_FAULTS``, inherited through the environment) and dies
-    mid-append, exactly as a machine losing power. The parent then
+    A child process installs a torn-write fault from
+    ``tests/faultkit.py``, appends records, and dies mid-append,
+    exactly as a machine losing power. The parent then
     resumes with no repair step: ``load()`` compacts the torn tail,
     the surviving prefix loads exactly, and the successor's
     ``record()`` steals the dead holder's lock and completes the
@@ -322,6 +322,7 @@ class TestCrashMidAppend:
     """
 
     def test_torn_append_resume(self, tmp_path):
+        import os
         import subprocess
         import sys
         from pathlib import Path
@@ -330,21 +331,26 @@ class TestCrashMidAppend:
         script = (
             "import sys\n"
             "from repro.resilience.checkpoint import SweepCheckpoint\n"
+            "from tests.faultkit import (\n"
+            "    IOFaultPlan, IOFaultSpec, activate_io_plan,\n"
+            ")\n"
+            # nth=1 is the header's atomic temp write; nth=2 the first
+            # append; the crash tears the second append.
+            "activate_io_plan(IOFaultPlan(\n"
+            "    [IOFaultSpec('torn', 'write', path='.ckpt', nth=3)]\n"
+            "))\n"
             "checkpoint = SweepCheckpoint(sys.argv[1], config_hash='h')\n"
             "checkpoint.record('sig-a', {'misses': 1})\n"
             "checkpoint.record('sig-b', {'misses': 2})\n"
             "checkpoint.record('sig-c', {'misses': 3})\n"
         )
-        src = str(Path(__file__).resolve().parents[2] / "src")
+        root = Path(__file__).resolve().parents[2]
         child = subprocess.run(
             [sys.executable, "-c", script, str(path)],
             capture_output=True,
             env={
-                "PYTHONPATH": src,
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
                 "PATH": "/usr/bin:/bin",
-                # nth=1 is the header's atomic temp write; nth=2 the
-                # first append; the crash tears the second append.
-                "REPRO_IO_FAULTS": "torn@write:path=.ckpt,nth=3",
             },
             text=True,
             timeout=60,

@@ -5,10 +5,10 @@ import pytest
 from repro.errors import SweepPointError, SweepTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
-from repro.resilience import faults
 from repro.resilience.executor import ResilientPoolExecutor
-from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.policy import FailurePolicy, RetryPolicy
+from tests import faultkit
+from tests.faultkit import FaultPlan, FaultSpec
 
 
 def double(payload):
@@ -25,9 +25,9 @@ def picky(payload):
 
 @pytest.fixture(autouse=True)
 def clean_plan():
-    faults.deactivate()
+    faultkit.deactivate()
     yield
-    faults.deactivate()
+    faultkit.deactivate()
 
 
 FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
@@ -102,7 +102,7 @@ class TestWorkerExceptions:
 
 class TestInjectedFaults:
     def test_transient_raise_retried_to_success(self):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
         )
         metrics = MetricsRegistry()
@@ -116,7 +116,7 @@ class TestInjectedFaults:
         assert metrics.snapshot()["counters"]["resilience.retries"] == 1
 
     def test_worker_death_recovered(self):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("exit", at=2, attempts=frozenset({1}))])
         )
         executor = make(failure_policy="retry_then_collect")
@@ -125,7 +125,7 @@ class TestInjectedFaults:
         assert report.pool_restarts >= 1
 
     def test_persistent_worker_death_collected_as_crash(self):
-        faults.activate(FaultPlan([FaultSpec("exit", at=0)]))
+        faultkit.activate(FaultPlan([FaultSpec("exit", at=0)]))
         executor = make(failure_policy="retry_then_collect", processes=1)
         report = executor.run([(0, 0), (1, 1)])
         assert report.results == {1: 2}
@@ -134,7 +134,7 @@ class TestInjectedFaults:
         assert failure.error_type == "BrokenProcessPool"
 
     def test_hang_reaped_by_timeout_then_retried(self):
-        faults.activate(
+        faultkit.activate(
             FaultPlan(
                 [FaultSpec("hang", at=0, attempts=frozenset({1}), seconds=60)]
             )
@@ -149,7 +149,7 @@ class TestInjectedFaults:
         assert report.pool_restarts >= 1
 
     def test_persistent_hang_becomes_timeout_failure(self):
-        faults.activate(FaultPlan([FaultSpec("hang", at=0, seconds=60)]))
+        faultkit.activate(FaultPlan([FaultSpec("hang", at=0, seconds=60)]))
         executor = make(
             failure_policy="collect",
             retry=RetryPolicy(max_attempts=1, timeout=0.5),
@@ -200,7 +200,7 @@ class TestTracePropagation:
         assert len(span_ids) == len(set(span_ids)) == 4
 
     def test_retry_produces_attempt_tagged_child_spans(self):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("raise", at=0, attempts=frozenset({1}))])
         )
         report, tracer, request = self.run_traced(
@@ -247,7 +247,7 @@ def traced_worker(payload):
 
 class TestValidator:
     def test_corrupt_result_rejected_not_merged(self):
-        faults.activate(FaultPlan([FaultSpec("corrupt", at=0)]))
+        faultkit.activate(FaultPlan([FaultSpec("corrupt", at=0)]))
 
         def validator(key, value):
             if not isinstance(value, int):
@@ -265,7 +265,7 @@ class TestValidator:
         assert counters["resilience.invalid_results"] == 1
 
     def test_transient_corruption_retried_clean(self):
-        faults.activate(
+        faultkit.activate(
             FaultPlan([FaultSpec("corrupt", at=0, attempts=frozenset({1}))])
         )
 

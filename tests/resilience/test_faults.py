@@ -1,27 +1,18 @@
-"""Deterministic fault injection: spec matching, parsing, activation."""
+"""The worker fault fakes of ``tests/faultkit.py``: selection and firing."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.resilience import faults
-from repro.resilience.faults import (
-    CORRUPTED,
-    ENV_VAR,
-    FaultPlan,
-    FaultSpec,
-    InjectedFaultError,
-    parse_plan,
-    parse_spec,
-    transient,
-)
+from repro.resilience import executor
+from tests import faultkit
+from tests.faultkit import CORRUPTED, FaultPlan, FaultSpec, InjectedFaultError
 
 
 @pytest.fixture(autouse=True)
-def clean_plan(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    faults.deactivate()
+def clean_plan():
+    faultkit.deactivate()
     yield
-    faults.deactivate()
+    faultkit.deactivate()
 
 
 class TestFaultSpec:
@@ -29,40 +20,15 @@ class TestFaultSpec:
         with pytest.raises(ConfigurationError, match="fault kind"):
             FaultSpec("meltdown")
 
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultSpec("raise", probability=0.0)
-        with pytest.raises(ConfigurationError):
-            FaultSpec("raise", probability=1.5)
-
     def test_key_selector(self):
         spec = FaultSpec("raise", at=2)
-        assert spec.matches(2, 1, 1)
-        assert not spec.matches(3, 1, 1)
+        assert spec.matches(2, 1)
+        assert not spec.matches(3, 1)
 
     def test_attempt_selector(self):
         spec = FaultSpec("raise", attempts=frozenset({1}))
-        assert spec.matches(0, 1, 1)
-        assert not spec.matches(0, 2, 2)
-
-    def test_nth_selector(self):
-        spec = FaultSpec("raise", nth=3)
-        assert not spec.matches(0, 1, 2)
-        assert spec.matches(0, 1, 3)
-
-    def test_probability_is_deterministic(self):
-        spec = FaultSpec("raise", probability=0.5, seed=9)
-        draws = [spec.matches(key, 1, 1) for key in range(64)]
-        assert draws == [
-            FaultSpec("raise", probability=0.5, seed=9).matches(key, 1, 1)
-            for key in range(64)
-        ]
-        assert any(draws) and not all(draws)
-
-    def test_transient_restricts_to_first_attempt(self):
-        spec = transient(FaultSpec("raise", at=1))
-        assert spec.matches(1, 1, 1)
-        assert not spec.matches(1, 2, 2)
+        assert spec.matches(0, 1)
+        assert not spec.matches(0, 2)
 
 
 class TestFaultPlan:
@@ -77,161 +43,21 @@ class TestFaultPlan:
         assert plan.transform(0, 1, "real") == CORRUPTED
         assert plan.transform(1, 1, "real") == "real"
 
-    def test_custom_corruptor(self):
-        plan = FaultPlan(
-            [FaultSpec("corrupt", corruptor=lambda value: value * -1)]
-        )
-        assert plan.transform(0, 1, 5) == -5
-
-    def test_calls_counter_feeds_nth(self):
-        plan = FaultPlan([FaultSpec("raise", nth=2)])
-        plan.before(0, 1)
-        with pytest.raises(InjectedFaultError):
-            plan.before(0, 2)
-
-    def test_extend_chains(self):
-        plan = FaultPlan().extend(FaultSpec("raise", at=7))
-        assert len(plan.specs) == 1
-
 
 class TestActivation:
     def test_inert_by_default(self):
-        assert faults.active_plan() is None
-
-    def test_activate_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "raise@9")
-        plan = faults.activate(FaultPlan([FaultSpec("hang", at=0)]))
-        assert faults.active_plan() is plan
-        faults.deactivate()
-        env_plan = faults.active_plan()
-        assert env_plan is not None
-        assert env_plan.specs[0].kind == "raise"
-
-    def test_env_parsed_fresh_each_call(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "raise@1")
-        first = faults.active_plan()
-        second = faults.active_plan()
-        assert first is not second  # each worker gets its own counter
-
-
-class TestSpecLanguage:
-    def test_minimal(self):
-        spec = parse_spec("raise")
-        assert spec.kind == "raise" and spec.at is None
-
-    def test_key(self):
-        assert parse_spec("exit@3").at == 3
-
-    def test_options(self):
-        spec = parse_spec("hang@4:seconds=60,attempts=1+2,seed=5")
-        assert spec.kind == "hang"
-        assert spec.at == 4
-        assert spec.seconds == 60.0
-        assert spec.attempts == frozenset({1, 2})
-        assert spec.seed == 5
-
-    def test_exit_code_and_probability(self):
-        spec = parse_spec("exit:code=7,p=0.25")
-        assert spec.exit_code == 7
-        assert spec.probability == 0.25
-
-    def test_nth(self):
-        assert parse_spec("raise:nth=2").nth == 2
-
-    def test_plan_is_semicolon_separated(self):
-        plan = parse_plan("raise@2:attempts=1; hang@4:seconds=60")
-        assert [spec.kind for spec in plan.specs] == ["raise", "hang"]
-
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            "warp@1",            # unknown kind
-            "raise@xyz",         # non-integer key
-            "raise:bogus=1",     # unknown option
-            "hang:seconds=abc",  # bad value
-        ],
-    )
-    def test_bad_specs_rejected(self, raw):
-        with pytest.raises(ConfigurationError):
-            parse_spec(raw)
+        assert executor.fault_plan is None
 
 
 class TestSpecEdgeCases:
-    def test_empty_plan_string_is_inert(self):
-        plan = parse_plan("")
-        assert plan.specs == []
-        plan.before(0, 1)  # no spec, no fault
-        assert plan.transform(0, 1, "x") == "x"
-
-    def test_whitespace_and_empty_segments_skipped(self):
-        plan = parse_plan(" ; raise@1 ;; ")
-        assert [spec.kind for spec in plan.specs] == ["raise"]
-
-    def test_empty_spec_segment_alone_rejected(self):
-        # parse_spec itself (unlike parse_plan, which filters empties)
-        # must not silently accept an empty action.
-        with pytest.raises(ConfigurationError, match="fault kind"):
-            parse_spec("")
-
     def test_unknown_action_names_the_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            parse_spec("explode@1")
+            FaultSpec("explode", at=1)
         assert "raise" in str(excinfo.value)
 
     def test_duplicate_point_attempt_first_spec_wins(self):
-        # Two specs matching the same (point, attempt): deterministic
-        # resolution is declaration order, so the first firing spec
-        # decides the outcome regardless of duplicates after it.
-        plan = parse_plan("raise@1;exit@1:code=9")
+        # Two specs matching the same (point, attempt): declaration
+        # order decides, so the raise fires and the exit never runs.
+        plan = FaultPlan([FaultSpec("raise", at=1), FaultSpec("exit", at=1)])
         with pytest.raises(InjectedFaultError):
             plan.before(1, 1)
-
-    def test_duplicate_corrupt_specs_first_wins(self):
-        first = FaultSpec("corrupt", at=1, corruptor=lambda r: "first")
-        second = FaultSpec("corrupt", at=1, corruptor=lambda r: "second")
-        plan = FaultPlan([first, second])
-        assert plan.transform(1, 1, "real") == "first"
-
-    def test_duplicate_attempt_values_in_spec_collapse(self):
-        spec = parse_spec("raise@1:attempts=1+1+2")
-        assert spec.attempts == frozenset({1, 2})
-
-    def test_spec_round_trips_across_a_spawned_process(self, tmp_path):
-        """The env-var plan parses identically in a fresh interpreter."""
-        import json
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        raw = "raise@2:attempts=1+3,seed=5;hang@4:seconds=60;exit@0:code=7"
-        script = (
-            "import json\n"
-            "from repro.resilience.faults import active_plan\n"
-            "plan = active_plan()\n"
-            "print(json.dumps([\n"
-            "    {'kind': s.kind, 'at': s.at,\n"
-            "     'attempts': sorted(s.attempts) if s.attempts else None,\n"
-            "     'seed': s.seed, 'seconds': s.seconds,\n"
-            "     'exit_code': s.exit_code}\n"
-            "    for s in plan.specs\n"
-            "]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env={ENV_VAR: raw, "PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        specs = json.loads(result.stdout)
-        assert specs == [
-            {"kind": "raise", "at": 2, "attempts": [1, 3], "seed": 5,
-             "seconds": 3600.0, "exit_code": 1},
-            {"kind": "hang", "at": 4, "attempts": None, "seed": 0,
-             "seconds": 60.0, "exit_code": 1},
-            {"kind": "exit", "at": 0, "attempts": None, "seed": 0,
-             "seconds": 3600.0, "exit_code": 7},
-        ]

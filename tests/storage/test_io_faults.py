@@ -1,22 +1,14 @@
-"""The I/O fault shim: spec parsing, plans, and crash semantics."""
+"""Durable-write primitives and the storage fault fake under them.
+
+``repro.storage.io``'s seam and atomic writes, and the crash
+semantics of ``tests/faultkit.py``'s :class:`FaultingIO` that the
+checkpoint scenario tests rely on.
+"""
 
 import errno
-import os
 
 import pytest
 
-from repro.storage.faultio import (
-    ENV_VAR,
-    FaultingIO,
-    InjectedCrashError,
-    IOFaultPlan,
-    IOFaultSpec,
-    activate_io_plan,
-    deactivate_io_plan,
-    io_from_environment,
-    parse_io_plan,
-    parse_io_spec,
-)
 from repro.storage.io import (
     StorageIO,
     atomic_write_bytes,
@@ -25,79 +17,52 @@ from repro.storage.io import (
     get_io,
     set_io,
 )
+from tests.faultkit import (
+    FaultingIO,
+    InjectedCrashError,
+    IOFaultPlan,
+    IOFaultSpec,
+    deactivate_io_plan,
+)
 
 
 @pytest.fixture(autouse=True)
-def clean_io(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def clean_io():
     deactivate_io_plan()
     yield
     deactivate_io_plan()
 
 
-class TestSpecParsing:
-    def test_minimal_spec(self):
-        spec = parse_io_spec("crash@write")
-        assert (spec.kind, spec.op, spec.nth) == ("crash", "write", 1)
-
-    def test_full_spec(self):
-        spec = parse_io_spec("torn@write:path=.ckpt,nth=3,keep=7")
-        assert spec.path == ".ckpt"
-        assert spec.nth == 3
-        assert spec.keep == 7
-
-    def test_missing_op_rejected(self):
-        with pytest.raises(ValueError, match="must name an op"):
-            parse_io_spec("crash")
-
+class TestSpecValidation:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            parse_io_spec("meltdown@write")
+        with pytest.raises(ValueError, match="fault kind"):
+            IOFaultSpec("meltdown", "write")
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="op"):
-            parse_io_spec("crash@reticulate")
+        with pytest.raises(ValueError, match="fault op"):
+            IOFaultSpec("crash", "reticulate")
 
     def test_torn_requires_write_op(self):
         with pytest.raises(ValueError, match="write"):
-            parse_io_spec("torn@fsync")
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError, match="unknown option"):
-            parse_io_spec("crash@write:color=red")
-
-    def test_non_integer_nth_rejected(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            parse_io_spec("crash@write:nth=soon")
-
-    def test_plan_splits_on_semicolons(self):
-        plan = parse_io_plan("crash@write ; enospc@open:path=.json")
-        assert [s.kind for s in plan.specs] == ["crash", "enospc"]
-
-    def test_empty_plan(self):
-        assert parse_io_plan("").specs == []
+            IOFaultSpec("torn", "fsync")
 
 
 class TestPlanSelection:
     def test_nth_counts_matching_ops_only(self):
-        plan = IOFaultPlan([IOFaultSpec("eio", "write", nth=2)])
+        plan = IOFaultPlan([IOFaultSpec("enospc", "write", nth=2)])
         assert plan.select("open", "f") is None
         assert plan.select("write", "f") is None
         assert plan.select("write", "f") is not None
 
     def test_path_substring_filter(self):
-        plan = IOFaultPlan([IOFaultSpec("eio", "write", path=".ckpt")])
+        plan = IOFaultPlan([IOFaultSpec("enospc", "write", path=".ckpt")])
         assert plan.select("write", "/tmp/history.json") is None
         assert plan.select("write", "/tmp/sweep.ckpt") is not None
 
     def test_each_spec_fires_exactly_once(self):
-        plan = IOFaultPlan([IOFaultSpec("eio", "write")])
+        plan = IOFaultPlan([IOFaultSpec("enospc", "write")])
         assert plan.select("write", "f") is not None
         assert plan.select("write", "f") is None
-
-    def test_star_op_matches_all(self):
-        plan = IOFaultPlan([IOFaultSpec("crash", "*")])
-        assert plan.select("fsync_dir", "d") is not None
 
 
 class TestFaultingIOErrors:
@@ -107,25 +72,6 @@ class TestFaultingIOErrors:
         with pytest.raises(OSError) as excinfo:
             io.write(handle, "data")
         assert excinfo.value.errno == errno.ENOSPC
-
-    def test_eio_on_fsync(self, tmp_path):
-        io = FaultingIO(IOFaultPlan([IOFaultSpec("eio", "fsync")]))
-        handle = io.open(tmp_path / "f", "w")
-        io.write(handle, "data")
-        with pytest.raises(OSError) as excinfo:
-            io.fsync(handle)
-        assert excinfo.value.errno == errno.EIO
-
-    def test_short_write_keeps_prefix_and_survives(self, tmp_path):
-        io = FaultingIO(IOFaultPlan([IOFaultSpec("short", "write", keep=3)]))
-        handle = io.open(tmp_path / "f", "w")
-        with pytest.raises(OSError) as excinfo:
-            io.write(handle, "abcdef")
-        assert excinfo.value.errno == errno.EIO
-        # The process survives; later I/O works.
-        io.write(handle, "-tail")
-        handle.close()
-        assert (tmp_path / "f").read_text() == "abc-tail"
 
 
 class TestCrashSemantics:
@@ -198,25 +144,6 @@ class TestActivation:
     def test_default_is_passthrough(self):
         assert isinstance(get_io(), StorageIO)
         assert not isinstance(get_io(), FaultingIO)
-
-    def test_activate_accepts_mini_language(self):
-        io = activate_io_plan("eio@write:path=.ckpt")
-        assert get_io() is io
-        assert io.plan.specs[0].path == ".ckpt"
-        deactivate_io_plan()
-        assert not isinstance(get_io(), FaultingIO)
-
-    def test_environment_plan_installs(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "eio@open:path=test-env-one")
-        io = get_io()
-        assert isinstance(io, FaultingIO)
-
-    def test_environment_plan_counters_persist(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "eio@write:nth=2,path=test-env-two")
-        first = io_from_environment()
-        first.plan.select("write", "test-env-two")
-        # The same instance comes back: ordinals keep counting.
-        assert io_from_environment() is first
 
 
 class TestAtomicWrites:
