@@ -19,7 +19,9 @@ from repro.cache.hierarchy import (
     InclusionStats,
     TwoLevelHierarchy,
     cached_miss_stream,
+    cached_miss_streams,
     capture_miss_stream,
+    capture_miss_streams,
     clear_miss_stream_cache,
     replay_miss_stream,
 )
@@ -68,7 +70,9 @@ __all__ = [
     "StackSimulator",
     "TwoLevelHierarchy",
     "cached_miss_stream",
+    "cached_miss_streams",
     "capture_miss_stream",
+    "capture_miss_streams",
     "clear_miss_stream_cache",
     "make_replacement",
     "node_workloads",

@@ -11,14 +11,16 @@ L1 pass can be done once per L1 configuration and its *miss stream*
 segments at flush offsets: a
 :class:`~repro.cache.stream.PackedMissStream`) replayed into many
 instrumented L2 configurations. This is what makes the full Table 4
-sweep affordable.
+sweep affordable. The L1s are independent of each other too, so one
+pass over the generated trace captures every L1 a caller asks for
+(:func:`capture_miss_streams`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.cache.associative_l1 import AssociativeL1Cache
 from repro.cache.direct_mapped import DirectMappedCache, RequestKind
@@ -190,14 +192,13 @@ def capture_miss_stream(
     :class:`~repro.trace.reference.Reference`, or a pair from
     :meth:`~repro.trace.synthetic.AtumWorkload.pairs`. A
     :class:`DirectMappedCache` (the paper's L1) runs the whole trace
-    inline (:meth:`DirectMappedCache.capture`); any other L1, such as
-    an :class:`AssociativeL1Cache`, goes through its own ``access()``
-    one reference at a time.
+    inline, as the one batch of a :func:`capture_miss_streams` pass;
+    any other L1, such as an :class:`AssociativeL1Cache`, goes through
+    its own ``access()`` one reference at a time.
     """
-    stream = PackedMissStream()
     if isinstance(l1, DirectMappedCache):
-        l1.capture(trace, stream)
-        return stream
+        return capture_miss_streams([trace], [l1])[0]
+    stream = PackedMissStream()
     for kind, address in trace:
         if kind is AccessKind.FLUSH:
             l1.invalidate_all()
@@ -209,16 +210,43 @@ def capture_miss_stream(
     return stream
 
 
+def capture_miss_streams(
+    batches: Iterable[Iterable], l1s: Sequence[DirectMappedCache]
+) -> List[PackedMissStream]:
+    """Capture every L1 in ``l1s`` in one pass over ``batches``.
+
+    Each batch holds items that unpack as ``(kind, address)``, such as
+    the lists :meth:`~repro.trace.synthetic.AtumWorkload.batches`
+    yields. Every L1 runs each batch inline
+    (:meth:`DirectMappedCache.capture`, which continues from the
+    cache's state and appends to its stream's columns in place) before
+    the next batch is read, so the trace is generated once however
+    many L1s it feeds, and no batch outlives its turn.
+
+    Returns:
+        One stream per L1, in the order of ``l1s``, each equal to
+        :func:`capture_miss_stream` of the whole trace into that L1.
+    """
+    streams = [PackedMissStream() for _ in l1s]
+    feeds = [(l1.capture, stream) for l1, stream in zip(l1s, streams)]
+    for batch in batches:
+        for capture, stream in feeds:
+            capture(batch, stream)
+    return streams
+
+
 #: Process-wide miss-stream cache, content-addressed by
 #: (workload identity, L1 capacity, L1 block size). Values are
 #: (stream, L1 read-in miss ratio) pairs.
 _MISS_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
 
 
-def cached_miss_stream(
-    workload, capacity_bytes: int, block_size: int, tracer=None, metrics=None
-) -> Tuple[PackedMissStream, float]:
-    """Captured L1 request stream for ``workload``, memoized process-wide.
+def cached_miss_streams(
+    workload, geometries: Sequence[Tuple[int, int]], tracer=None, metrics=None
+) -> List[Tuple[PackedMissStream, float]]:
+    """Captured L1 request streams for ``workload``, memoized
+    process-wide: one ``(stream, l1_readin_miss_ratio)`` entry per
+    ``(capacity_bytes, block_size)`` of ``geometries``, in order.
 
     The L1 pass is the expensive, L2-independent step of every sweep;
     this keys captured streams by (workload identity, L1 geometry) so
@@ -226,49 +254,63 @@ def cached_miss_stream(
     :class:`~repro.experiments.runner.ExperimentRunner` instances —
     never re-simulate the L1 for a workload they have already seen.
     The memo is the one place a captured stream lives: a sweep captures
-    each L1 in the parent before its pool forks, so the workers inherit
+    its L1s in the parent before its pool forks, so the workers inherit
     every stream they replay.
 
+    The geometries the memo lacks are captured together, in one pass
+    over ``workload.batches()`` (:func:`capture_miss_streams`). Their
+    L1s are built first, so a geometry that makes no valid
+    :class:`DirectMappedCache` raises
+    :class:`~repro.errors.ConfigurationError` before any capture.
     ``workload`` is an :class:`~repro.trace.synthetic.AtumWorkload` (or
-    any object with its ``cache_key()`` and ``pairs()``): the key
-    content-addresses the stream, and the capture reads the pairs.
+    any object with its ``cache_key()`` and ``batches()``).
 
-    Memo behavior is published to ``metrics`` (default: the process
-    metrics registry) as ``miss_stream.cache_hits`` /
-    ``miss_stream.cache_misses``, and each capture — the expensive
-    phase — runs under an ``l1_capture`` span on ``tracer`` (default:
-    the process-global tracer) with its wall time recorded in the
-    ``miss_stream.capture_seconds`` histogram. Instrumentation wraps
-    the whole capture, never the per-reference loop.
+    Published to ``metrics`` (default: the process metrics registry):
+    ``miss_stream.cache_hits`` / ``miss_stream.cache_misses``, one per
+    geometry asked for, and the pass's wall time in the
+    ``miss_stream.capture_seconds`` histogram, whose count is thus the
+    number of trace passes. Each pass runs under one ``l1_capture``
+    span on ``tracer`` (default: the process-global tracer) whose
+    ``capacity_bytes`` and ``block_size`` list the L1s it filled.
+    Instrumentation wraps the whole pass, never the per-reference loop.
 
     Returns:
-        ``(stream, l1_readin_miss_ratio)``. The stream is shared;
-        callers must treat it as immutable.
+        The entries, in the order of ``geometries``. The streams are
+        shared; callers must treat them as immutable.
     """
-    key = (
-        (type(workload).__qualname__,) + tuple(workload.cache_key()),
-        capacity_bytes,
-        block_size,
-    )
-    entry = _MISS_STREAM_CACHE.get(key)
+    identity = (type(workload).__qualname__,) + tuple(workload.cache_key())
+    keys = [(identity, capacity, block) for capacity, block in geometries]
+    missing = [key for key in dict.fromkeys(keys) if key not in _MISS_STREAM_CACHE]
+    l1s = [DirectMappedCache(capacity, block) for _, capacity, block in missing]
     metrics = metrics if metrics is not None else get_metrics()
-    if entry is not None:
-        metrics.counter("miss_stream.cache_hits").inc()
-        return entry
-    metrics.counter("miss_stream.cache_misses").inc()
-    tracer = tracer if tracer is not None else get_tracer()
-    l1 = DirectMappedCache(capacity_bytes, block_size)
-    start = time.perf_counter()
-    with tracer.span(
-        "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
-    ):
-        stream = capture_miss_stream(workload.pairs(), l1)
-    metrics.histogram("miss_stream.capture_seconds").observe(
-        time.perf_counter() - start
-    )
-    entry = (stream, l1.stats.readin_miss_ratio)
-    _MISS_STREAM_CACHE[key] = entry
-    return entry
+    if len(keys) > len(missing):
+        metrics.counter("miss_stream.cache_hits").inc(len(keys) - len(missing))
+    if missing:
+        metrics.counter("miss_stream.cache_misses").inc(len(missing))
+        tracer = tracer if tracer is not None else get_tracer()
+        start = time.perf_counter()
+        with tracer.span(
+            "l1_capture",
+            capacity_bytes=[l1.capacity_bytes for l1 in l1s],
+            block_size=[l1.block_size for l1 in l1s],
+        ):
+            streams = capture_miss_streams(workload.batches(), l1s)
+        metrics.histogram("miss_stream.capture_seconds").observe(
+            time.perf_counter() - start
+        )
+        for key, l1, stream in zip(missing, l1s, streams):
+            _MISS_STREAM_CACHE[key] = (stream, l1.stats.readin_miss_ratio)
+    return [_MISS_STREAM_CACHE[key] for key in keys]
+
+
+def cached_miss_stream(
+    workload, capacity_bytes: int, block_size: int, tracer=None, metrics=None
+) -> Tuple[PackedMissStream, float]:
+    """:func:`cached_miss_streams` for one L1 geometry: its
+    ``(stream, l1_readin_miss_ratio)`` entry."""
+    return cached_miss_streams(
+        workload, [(capacity_bytes, block_size)], tracer=tracer, metrics=metrics
+    )[0]
 
 
 def clear_miss_stream_cache() -> None:

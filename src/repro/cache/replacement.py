@@ -57,16 +57,17 @@ class ReplacementPolicy(ABC):
         self._fill_rng = random.Random(self.seed)
 
     def victim(self, cache_set: CacheSet) -> int:
-        """Frame to fill: an invalid frame if any, else :meth:`evict_from`."""
+        """Frame to fill: an invalid frame if any, else :meth:`evict_from`.
+
+        A full set goes straight to :meth:`evict_from` without listing
+        its frames; only a filling set draws from the fill RNG.
+        """
+        if cache_set.is_full():
+            return self.evict_from(cache_set)
         if self.fill == "first":
-            empty = cache_set.first_invalid_frame()
-            if empty is not None:
-                return empty
-        else:
-            empties = cache_set.invalid_frames()
-            if empties:
-                return empties[self._fill_rng.randrange(len(empties))]
-        return self.evict_from(cache_set)
+            return cache_set.first_invalid_frame()
+        empties = cache_set.invalid_frames()
+        return empties[self._fill_rng.randrange(len(empties))]
 
     @abstractmethod
     def evict_from(self, cache_set: CacheSet) -> int:

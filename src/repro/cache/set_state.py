@@ -70,6 +70,10 @@ class CacheSet:
         """Frames currently holding a block, in frame order."""
         return [f for f, t in enumerate(self._tags) if t is not None]
 
+    def is_full(self) -> bool:
+        """Whether every frame holds a block."""
+        return len(self._mru) == len(self._tags)
+
     def first_invalid_frame(self) -> Optional[int]:
         """Lowest-numbered empty frame, or ``None`` if the set is full."""
         for frame, stored in enumerate(self._tags):

@@ -1,14 +1,17 @@
-"""Simulation runners: one L1 pass per L1 geometry, many instrumented
-L2 replays on top of it — serially or one sweep point per worker.
+"""Simulation runners: one trace pass for the L1 geometries a caller
+asks for, many instrumented L2 replays on top of each captured stream —
+serially or one sweep point per worker.
 
 Three layers keep the full Table 4 grid (8 configs x 3
 associativities x all schemes) affordable:
 
 - captured L1 miss streams are memoized process-wide, content-addressed
   by (workload identity, L1 geometry)
-  (:func:`~repro.cache.hierarchy.cached_miss_stream`), so L2-only
-  sweeps never re-simulate the L1, and a parallel sweep captures each
-  L1 once, in the parent, before its workers fork;
+  (:func:`~repro.cache.hierarchy.cached_miss_streams`), so L2-only
+  sweeps never re-simulate the L1, several L1s asked for together
+  share one pass over the generated trace, and a parallel sweep
+  captures all its L1s in that one pass, in the parent, before its
+  workers fork;
 - each replay uses the fused probe-accounting engine
   (:class:`~repro.core.engine.FusedProbeEngine`), computing every
   scheme's probes from one set of shared lookup facts per access;
@@ -31,7 +34,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.hierarchy import cached_miss_stream, replay_miss_stream
+from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.hierarchy import (
+    cached_miss_stream,
+    cached_miss_streams,
+    replay_miss_stream,
+)
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.cache.stream import PackedMissStream
@@ -314,17 +322,22 @@ class ExperimentRunner:
         self._results: Dict[tuple, ConfigResult] = {}
         self._run_log: List[Dict[str, Any]] = []
 
-    def miss_stream(self, l1: CacheGeometry) -> PackedMissStream:
+    def miss_stream(
+        self, l1: CacheGeometry, *also: CacheGeometry
+    ) -> PackedMissStream:
         """Captured L1 request stream for ``l1``.
 
         Content-addressed and memoized process-wide
-        (:func:`~repro.cache.hierarchy.cached_miss_stream`), so every
+        (:func:`~repro.cache.hierarchy.cached_miss_streams`), so every
         runner on the same workload shares one capture per L1 geometry.
+        The geometries in ``also`` are captured too, in the same pass
+        over the trace: a caller that reads several L1s names them all
+        in one call and the trace is generated once.
         """
-        return cached_miss_stream(
-            self.workload, l1.capacity_bytes, l1.block_size,
-            tracer=self.tracer, metrics=self.metrics,
-        )[0]
+        geometries = [(g.capacity_bytes, g.block_size) for g in (l1, *also)]
+        return cached_miss_streams(
+            self.workload, geometries, tracer=self.tracer, metrics=self.metrics,
+        )[0][0]
 
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""
@@ -471,12 +484,12 @@ class ParallelSweepRunner:
     :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
     retries with deterministic backoff, per-point wall-clock timeouts,
     worker-death recovery, and crash-safe checkpoint/resume — see
-    ``docs/resilience.md``. The parent captures each distinct L1 of the
-    submitted points once, inside its ``sweep`` span, before the pool
-    forks, so every worker inherits the streams it replays; results
-    come back in input order, so a parallel sweep is byte-identical to
-    running the points serially through an :class:`ExperimentRunner` —
-    only wall-clock changes.
+    ``docs/resilience.md``. The parent captures every distinct L1 of the
+    submitted points in one trace pass, inside its ``sweep`` span,
+    before the pool forks, so every worker inherits the streams it
+    replays; results come back in input order, so a parallel sweep is
+    byte-identical to running the points serially through an
+    :class:`ExperimentRunner` — only wall-clock changes.
 
     A failed point becomes a structured
     :class:`~repro.resilience.policy.PointFailure` naming the sweep
@@ -650,20 +663,25 @@ class ParallelSweepRunner:
         return outcome
 
     def _capture_l1s(self, labels) -> None:
-        """Capture each distinct L1 among ``labels`` once, before the
-        pool forks, so every worker inherits the process-wide memo and
-        none re-simulates an L1. A label that does not make a valid L1
-        is skipped; its point then fails in its worker as its own
+        """Capture every distinct L1 among ``labels`` in one trace pass,
+        before the pool forks, so every worker inherits the process-wide
+        memo and none re-simulates an L1. Each L1 is built first, and a
+        label that does not make a valid one is left out of the pass;
+        its point then fails in its worker as its own
         :class:`~repro.resilience.policy.PointFailure`.
         """
-        runner = ExperimentRunner(
-            self.workload, metrics=self.metrics, tracer=self.tracer
-        )
+        geometries = []
         for label in dict.fromkeys(labels):
             try:
-                runner.miss_stream(parse_geometry(label))
+                geometry = parse_geometry(label)
+                DirectMappedCache(geometry.capacity_bytes, geometry.block_size)
             except ConfigurationError:
                 continue
+            geometries.append(geometry)
+        if geometries:
+            ExperimentRunner(
+                self.workload, metrics=self.metrics, tracer=self.tracer
+            ).miss_stream(*geometries)
 
     def sweep_config_hash(self) -> str:
         """Content address of this sweep's identity (checkpoint key).

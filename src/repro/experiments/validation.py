@@ -79,11 +79,13 @@ def validate(runner: Optional[ExperimentRunner] = None) -> ValidationReport:
     _check(report, "analytic-tables", analytic_tables)
 
     def l1_calibration() -> str:
-        measured = {
-            label: runner.l1_miss_ratio(parse_geometry(label))
-            for label in ("4K-16", "16K-16", "16K-32")
-        }
         targets = {"4K-16": 0.1181, "16K-16": 0.0657, "16K-32": 0.0513}
+        geometries = [parse_geometry(label) for label in targets]
+        runner.miss_stream(*geometries)
+        measured = {
+            geometry.label: runner.l1_miss_ratio(geometry)
+            for geometry in geometries
+        }
         for label, target in targets.items():
             ratio = measured[label] / target
             assert 0.6 < ratio < 1.6, f"{label}: {measured[label]:.4f} vs {target}"

@@ -83,7 +83,8 @@ class AtumWorkload:
     Iterating the workload yields :class:`Reference` objects with a
     FLUSH sentinel between segments (and none before the first or after
     the last); :meth:`pairs` yields the same trace as ``(kind,
-    address)`` pairs.
+    address)`` pairs, and :meth:`batches` as the lists of pairs the
+    generator builds.
     """
 
     def __init__(
@@ -128,43 +129,47 @@ class AtumWorkload:
             self.params,
         )
 
-    def pairs(self) -> Iterator[Tuple[AccessKind, int]]:
-        """The trace as ``(kind, address)`` pairs, with
-        ``(AccessKind.FLUSH, 0)`` between cold-start segments.
+    def batches(self) -> Iterator[List[Tuple[AccessKind, int]]]:
+        """The trace as lists of at most :data:`PAIR_BATCH` ``(kind,
+        address)`` pairs, with a one-pair ``[(AccessKind.FLUSH, 0)]``
+        batch between cold-start segments.
 
-        The allocation-free form L1 capture reads
-        (:func:`~repro.cache.hierarchy.cached_miss_stream`); iterating
-        the workload wraps the same pairs in :class:`Reference` objects.
+        These are the lists the generator builds anyway, so reading
+        them costs no per-pair step: one trace pass feeds each batch to
+        every L1 it captures
+        (:func:`~repro.cache.hierarchy.capture_miss_streams`). Each
+        batch is a new list.
         """
         for segment in range(self.segments):
             if segment > 0 and self.cold_start:
-                yield _FLUSH_PAIR
-            for batch in self._batches(segment):
-                yield from batch
+                yield [_FLUSH_PAIR]
+            yield from self.segment_batches(segment)
+
+    def pairs(self) -> Iterator[Tuple[AccessKind, int]]:
+        """The trace as ``(kind, address)`` pairs, with
+        ``(AccessKind.FLUSH, 0)`` between cold-start segments: the
+        pairs of :meth:`batches`, one at a time."""
+        for batch in self.batches():
+            yield from batch
 
     def __iter__(self) -> Iterator[Reference]:
         for kind, address in self.pairs():
             yield Reference(kind, address)
 
-    def segment_references(self, segment: int) -> Iterator[Reference]:
-        """References of one segment (no FLUSH sentinel)."""
-        if not 0 <= segment < self.segments:
-            raise ConfigurationError(
-                f"segment {segment} out of range [0, {self.segments})"
-            )
-        return (
-            Reference(kind, address)
-            for batch in self._batches(segment)
-            for kind, address in batch
-        )
-
-    def _batches(self, segment: int) -> Iterator[List[Tuple[AccessKind, int]]]:
-        """One segment's pairs, in lists of at most :data:`PAIR_BATCH`.
+    def segment_batches(
+        self, segment: int
+    ) -> Iterator[List[Tuple[AccessKind, int]]]:
+        """One segment's pairs (no FLUSH sentinel), in lists of at most
+        :data:`PAIR_BATCH`.
 
         Each scheduling quantum is generated in batches rather than
         whole (quanta run to tens of thousands of references), which
         keeps the pairs in flight small.
         """
+        if not 0 <= segment < self.segments:
+            raise ConfigurationError(
+                f"segment {segment} out of range [0, {self.segments})"
+            )
         params = self.params
         scheduler = random.Random((self.seed * 1_000_003) ^ segment)
         # Pids recycle across segments: like the paper's 23 traces, all
@@ -243,10 +248,10 @@ def kind_mix(workload: AtumWorkload, sample: int = 20_000) -> dict:
     """Fractions of instruction/load/store references in a sample prefix."""
     counts = {AccessKind.INSTRUCTION: 0, AccessKind.LOAD: 0, AccessKind.STORE: 0}
     taken = 0
-    for ref in workload:
-        if ref.is_flush:
+    for kind, _ in workload.pairs():
+        if kind is AccessKind.FLUSH:
             continue
-        counts[ref.kind] += 1
+        counts[kind] += 1
         taken += 1
         if taken >= sample:
             break

@@ -6,7 +6,9 @@ and any other L1 through its own ``access()``. A one-way
 :class:`AssociativeL1Cache` is the same cache as the direct-mapped one,
 so the ``access()`` loop is the inline loop's oracle: over random
 traces and geometries both must record the same stream and end in the
-same state.
+same state. A capture per L1 is in turn the oracle of the one-pass
+capture (:func:`~repro.cache.hierarchy.capture_miss_streams`), which
+feeds each generated batch to several L1s.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cache.associative_l1 import AssociativeL1Cache
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.hierarchy import capture_miss_stream
+from repro.cache.hierarchy import capture_miss_stream, capture_miss_streams
 from repro.cache.stack import StackSimulator
 from repro.trace.reference import AccessKind, Reference
 from repro.trace.synthetic import AtumWorkload
@@ -94,6 +96,36 @@ def test_workload_pairs_capture_like_references(make_l1):
     from_pairs = capture_miss_stream(WORKLOAD.pairs(), make_l1())
     from_refs = capture_miss_stream(iter(WORKLOAD), make_l1())
     assert from_pairs.content_hash() == from_refs.content_hash()
+
+
+#: L1 geometries captured together: one, two and three L1s, out of
+#: size order, with one geometry asked for twice.
+ONE_PASS_L1S = {
+    "one": [(4096, 16)],
+    "two-unsorted": [(16384, 32), (4096, 16)],
+    "three-repeated": [(16384, 16), (4096, 16), (16384, 16)],
+    "three-unsorted": [(16384, 32), (4096, 16), (16384, 16)],
+}
+
+
+@pytest.mark.parametrize("workload", [WORKLOAD, WORKLOAD.warmed()],
+                         ids=["cold-start", "warmed"])
+@pytest.mark.parametrize("geometries", list(ONE_PASS_L1S.values()),
+                         ids=list(ONE_PASS_L1S))
+def test_one_pass_equals_a_capture_per_l1(workload, geometries):
+    l1s = [DirectMappedCache(*geometry) for geometry in geometries]
+    streams = capture_miss_streams(workload.batches(), l1s)
+    assert len(streams) == len(l1s)
+    for geometry, l1, stream in zip(geometries, l1s, streams):
+        alone = DirectMappedCache(*geometry)
+        expected = capture_miss_stream(workload.pairs(), alone)
+        assert stream.content_hash() == expected.content_hash()
+        assert l1.stats.readin_miss_ratio == alone.stats.readin_miss_ratio
+        assert stream.processor_references == expected.processor_references
+        assert stream.processor_references == len(workload)
+        assert stream.n_flushes == (
+            workload.segments - 1 if workload.cold_start else 0
+        )
 
 
 def test_two_way_l1_capture_of_a_workload():

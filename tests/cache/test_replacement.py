@@ -50,6 +50,21 @@ class TestLru:
         assert sequence(7) == sequence(7)
         assert sequence(7) != sequence(8)
 
+    def test_full_set_draws_no_fill_random_number(self):
+        """A full set goes straight to the LRU frame: the fill RNG is
+        untouched, so the fill sequence of the sets still filling does
+        not depend on how many misses hit full sets."""
+        policy = LruReplacement(fill="random", seed=3)
+        s = full_set([100, 200, 300, 400])
+        state = policy._fill_rng.getstate()
+        assert s.is_full()
+        assert policy.victim(s) == 0
+        assert policy._fill_rng.getstate() == state
+        s.invalidate(2)
+        assert not s.is_full()
+        assert policy.victim(s) == 2
+        assert policy._fill_rng.getstate() != state
+
 
 class TestFifo:
     def test_evicts_longest_resident(self):

@@ -18,6 +18,7 @@ import pytest
 import repro.cache.hierarchy as hierarchy
 from repro.cache.hierarchy import (
     cached_miss_stream,
+    cached_miss_streams,
     clear_miss_stream_cache,
     replay_miss_stream,
 )
@@ -180,9 +181,46 @@ def test_cached_miss_stream_is_shared():
     clear_miss_stream_cache()
 
 
+def test_cached_miss_streams_captures_only_what_it_lacks(monkeypatch):
+    """With 4K-16 memoized, asking for 4K-16 and 8K-16 makes one pass
+    that captures 8K-16 alone; asking again is all hits."""
+    passes = []
+    capture = hierarchy.capture_miss_streams
+
+    def recording(batches, l1s):
+        passes.append([l1.capacity_bytes for l1 in l1s])
+        return capture(batches, l1s)
+
+    monkeypatch.setattr(hierarchy, "capture_miss_streams", recording)
+    clear_miss_stream_cache()
+    workload = small_workload()
+    metrics, tracer = MetricsRegistry(), Tracer()
+    try:
+        held, _ = cached_miss_stream(workload, 4096, 16)
+        both = cached_miss_streams(
+            workload, [(4096, 16), (8192, 16)], tracer=tracer, metrics=metrics
+        )
+        assert passes == [[4096], [8192]]
+        again = cached_miss_streams(
+            workload, [(8192, 16), (4096, 16)], tracer=tracer, metrics=metrics
+        )
+    finally:
+        clear_miss_stream_cache()
+    assert passes == [[4096], [8192]]
+    assert both[0][0] is held
+    assert [entry[0] for entry in again] == [both[1][0], held]
+    snapshot = metrics.snapshot()
+    assert snapshot["counters"]["miss_stream.cache_misses"] == 1
+    assert snapshot["counters"]["miss_stream.cache_hits"] == 3
+    assert snapshot["histograms"]["miss_stream.capture_seconds"]["count"] == 1
+    (span,) = [r for r in tracer.records if r.name == "l1_capture"]
+    assert span.attrs["capacity_bytes"] == [8192]
+
+
 class TestCaptureOncePerL1:
-    """A sweep captures each L1 of its submitted points once, in the
-    parent, before the pool forks; workers replay the inherited memo."""
+    """A sweep captures all the L1s of its submitted points in one trace
+    pass, in the parent, before the pool forks; workers replay the
+    inherited memo."""
 
     POINTS = [
         SweepPoint(l1, "64K-32", a)
@@ -190,22 +228,24 @@ class TestCaptureOncePerL1:
     ]
 
     @pytest.fixture
-    def captures(self, tmp_path, monkeypatch):
-        """Every ``capture_miss_stream`` call as ``(pid, L1 capacity)``.
+    def passes(self, tmp_path, monkeypatch):
+        """Every ``capture_miss_streams`` pass as ``(pid, L1 capacity,
+        ...)``.
 
-        The wrapper appends to a file, so a capture in a forked worker,
+        The wrapper appends to a file, so a pass in a forked worker,
         which inherits the wrapper, is recorded too.
         """
-        log = tmp_path / "captures.log"
+        log = tmp_path / "passes.log"
         log.touch()
-        capture = hierarchy.capture_miss_stream
+        capture = hierarchy.capture_miss_streams
 
-        def recording(trace, l1):
+        def recording(batches, l1s):
+            fields = [os.getpid()] + [l1.capacity_bytes for l1 in l1s]
             with open(log, "a") as handle:
-                handle.write(f"{os.getpid()} {l1.capacity_bytes}\n")
-            return capture(trace, l1)
+                handle.write(" ".join(map(str, fields)) + "\n")
+            return capture(batches, l1s)
 
-        monkeypatch.setattr(hierarchy, "capture_miss_stream", recording)
+        monkeypatch.setattr(hierarchy, "capture_miss_streams", recording)
         clear_miss_stream_cache()
         yield lambda: [
             tuple(map(int, line.split()))
@@ -219,32 +259,56 @@ class TestCaptureOncePerL1:
             metrics=MetricsRegistry(), tracer=tracer,
         )
 
-    def test_each_l1_captured_once_in_the_parent(self, captures):
+    def test_each_l1_captured_once_in_the_parent(self, passes):
         tracer = Tracer()
         assert self.sweeper(tracer).run_points(self.POINTS).ok
-        parent = os.getpid()
-        assert sorted(captures()) == [(parent, 4096), (parent, 8192)]
+        assert passes() == [(os.getpid(), 4096, 8192)]
         (sweep,) = [r for r in tracer.records if r.name == "sweep"]
-        spans = [r for r in tracer.records if r.name == "l1_capture"]
-        assert sorted(r.attrs["capacity_bytes"] for r in spans) == [4096, 8192]
-        assert all(r.parent_span_id == sweep.span_id for r in spans)
+        (capture,) = [r for r in tracer.records if r.name == "l1_capture"]
+        assert capture.attrs["capacity_bytes"] == [4096, 8192]
+        assert capture.attrs["block_size"] == [16, 16]
+        assert capture.parent_span_id == sweep.span_id
 
-    def test_resumed_points_are_not_captured(self, captures, tmp_path):
+    def test_resumed_points_are_not_captured(self, passes, tmp_path):
         checkpoint = tmp_path / "sweep.ckpt"
         only_4k = [p for p in self.POINTS if p.l1 == "4K-16"]
         first = self.sweeper(Tracer()).run_points(
             only_4k, checkpoint=checkpoint
         )
         assert first.ok
+        assert passes() == [(os.getpid(), 4096)]
         clear_miss_stream_cache()
         rest = self.sweeper(Tracer()).run_points(
             self.POINTS, checkpoint=checkpoint
         )
         assert rest.ok and rest.resumed == len(only_4k)
-        assert captures()[1:] == [(os.getpid(), 8192)]
+        assert passes()[1:] == [(os.getpid(), 8192)]
         clear_miss_stream_cache()
-        again = self.sweeper(Tracer()).run_points(
+        tracer = Tracer()
+        again = self.sweeper(tracer).run_points(
             self.POINTS, checkpoint=checkpoint
         )
         assert again.ok and again.resumed == len(self.POINTS)
-        assert len(captures()) == 2
+        assert len(passes()) == 2
+        assert not [r for r in tracer.records if r.name == "l1_capture"]
+
+    def test_invalid_l1_fails_alone_and_the_rest_share_one_pass(
+        self, passes
+    ):
+        """``3K-16`` parses but makes no L1 (192 lines is not a power of
+        two): the parent leaves it out of its pass, and its point fails
+        in its worker as its own ``ConfigurationError``."""
+        points = [
+            SweepPoint(l1, "64K-32", 4) for l1 in ("4K-16", "3K-16", "8K-16")
+        ]
+        outcome = self.sweeper(Tracer()).run_points(
+            points, failure_policy="collect"
+        )
+        assert outcome.completed() == 2
+        assert outcome.results[0] is not None
+        assert outcome.results[1] is None
+        assert outcome.results[2] is not None
+        (failure,) = outcome.failures
+        assert failure.key == 1
+        assert failure.error_type == "ConfigurationError"
+        assert passes() == [(os.getpid(), 4096, 8192)]

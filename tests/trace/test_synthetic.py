@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.trace.reference import AccessKind
-from repro.trace.synthetic import AtumWorkload, SegmentParameters, kind_mix
+from repro.trace.synthetic import (
+    PAIR_BATCH,
+    AtumWorkload,
+    SegmentParameters,
+    kind_mix,
+)
 
 
 class TestStructure:
@@ -23,6 +28,16 @@ class TestStructure:
         assert flushes[0] == 50
         assert flushes[1] == 101
 
+    def test_batches_are_the_pairs(self):
+        """Batches of at most PAIR_BATCH pairs, a one-pair FLUSH batch
+        between segments, and together exactly :meth:`pairs`."""
+        wl = AtumWorkload(segments=3, references_per_segment=3_000, seed=5)
+        batches = list(wl.batches())
+        assert all(0 < len(batch) <= PAIR_BATCH for batch in batches)
+        flushes = [b for b in batches if (AccessKind.FLUSH, 0) in b]
+        assert flushes == [[(AccessKind.FLUSH, 0)]] * 2
+        assert [pair for batch in batches for pair in batch] == list(wl.pairs())
+
     def test_single_segment_has_no_flush(self):
         wl = AtumWorkload(segments=1, references_per_segment=50)
         assert not any(r.is_flush for r in wl)
@@ -38,7 +53,7 @@ class TestStructure:
     def test_segment_out_of_range(self):
         wl = AtumWorkload(segments=2, references_per_segment=10)
         with pytest.raises(ConfigurationError):
-            list(wl.segment_references(2))
+            list(wl.segment_batches(2))
 
 
 class TestDeterminism:
@@ -54,8 +69,9 @@ class TestDeterminism:
 
     def test_segments_differ_from_each_other(self):
         wl = AtumWorkload(segments=2, references_per_segment=500, seed=7)
-        seg0 = list(wl.segment_references(0))
-        seg1 = list(wl.segment_references(1))
+        seg0 = [pair for batch in wl.segment_batches(0) for pair in batch]
+        seg1 = [pair for batch in wl.segment_batches(1) for pair in batch]
+        assert len(seg0) == len(seg1) == 500
         assert seg0 != seg1
 
     def test_iteration_is_repeatable(self):

@@ -38,9 +38,10 @@ class TestWarmedWorkload:
         kernel_blocks = []
         for segment in range(2):
             blocks = {
-                r.address // 32
-                for r in wl.segment_references(segment)
-                if (r.address >> PROCESS_SPACE_BITS) == kernel_pid
+                address // 32
+                for batch in wl.segment_batches(segment)
+                for _, address in batch
+                if (address >> PROCESS_SPACE_BITS) == kernel_pid
             }
             kernel_blocks.append(blocks)
         assert kernel_blocks[0] & kernel_blocks[1]
