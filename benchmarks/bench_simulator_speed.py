@@ -40,7 +40,7 @@ def references(workload):
 
 @pytest.fixture(scope="module")
 def stream(workload):
-    miss_stream, _ = cached_miss_stream(workload, 4096, 16)
+    miss_stream = cached_miss_stream(workload, 4096, 16)
     return miss_stream
 
 

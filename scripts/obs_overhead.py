@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     workload = AtumWorkload(
         segments=1, references_per_segment=args.references, seed=21
     )
-    stream, _ = cached_miss_stream(workload, L1_CAPACITY, L1_BLOCK)
+    stream = cached_miss_stream(workload, L1_CAPACITY, L1_BLOCK)
     requests = len(stream)
     tracer = Tracer()
 

@@ -47,7 +47,6 @@ from repro.core import (
     PartialCompareLookup,
     SetView,
     TraditionalLookup,
-    build_scheme,
     make_transform,
 )
 from repro.errors import (
@@ -100,7 +99,6 @@ __all__ = [
     "TraditionalLookup",
     "TwoLevelHierarchy",
     "__version__",
-    "build_scheme",
     "capture_miss_stream",
     "make_transform",
     "replay_miss_stream",

@@ -236,17 +236,17 @@ def capture_miss_streams(
 
 
 #: Process-wide miss-stream cache, content-addressed by
-#: (workload identity, L1 capacity, L1 block size). Values are
-#: (stream, L1 read-in miss ratio) pairs.
-_MISS_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
+#: (workload identity, L1 capacity, L1 block size).
+_MISS_STREAM_CACHE: Dict[tuple, PackedMissStream] = {}
 
 
 def cached_miss_streams(
     workload, geometries: Sequence[Tuple[int, int]], tracer=None, metrics=None
-) -> List[Tuple[PackedMissStream, float]]:
+) -> List[PackedMissStream]:
     """Captured L1 request streams for ``workload``, memoized
-    process-wide: one ``(stream, l1_readin_miss_ratio)`` entry per
-    ``(capacity_bytes, block_size)`` of ``geometries``, in order.
+    process-wide: one stream per ``(capacity_bytes, block_size)`` of
+    ``geometries``, in order. Each stream carries its L1's read-in miss
+    ratio (:attr:`PackedMissStream.readin_miss_ratio`).
 
     The L1 pass is the expensive, L2-independent step of every sweep;
     this keys captured streams by (workload identity, L1 geometry) so
@@ -275,8 +275,8 @@ def cached_miss_streams(
     Instrumentation wraps the whole pass, never the per-reference loop.
 
     Returns:
-        The entries, in the order of ``geometries``. The streams are
-        shared; callers must treat them as immutable.
+        The streams, in the order of ``geometries``. They are shared;
+        callers must treat them as immutable.
     """
     identity = (type(workload).__qualname__,) + tuple(workload.cache_key())
     keys = [(identity, capacity, block) for capacity, block in geometries]
@@ -298,16 +298,14 @@ def cached_miss_streams(
         metrics.histogram("miss_stream.capture_seconds").observe(
             time.perf_counter() - start
         )
-        for key, l1, stream in zip(missing, l1s, streams):
-            _MISS_STREAM_CACHE[key] = (stream, l1.stats.readin_miss_ratio)
+        _MISS_STREAM_CACHE.update(zip(missing, streams))
     return [_MISS_STREAM_CACHE[key] for key in keys]
 
 
 def cached_miss_stream(
     workload, capacity_bytes: int, block_size: int, tracer=None, metrics=None
-) -> Tuple[PackedMissStream, float]:
-    """:func:`cached_miss_streams` for one L1 geometry: its
-    ``(stream, l1_readin_miss_ratio)`` entry."""
+) -> PackedMissStream:
+    """:func:`cached_miss_streams` for one L1 geometry: its stream."""
     return cached_miss_streams(
         workload, [(capacity_bytes, block_size)], tracer=tracer, metrics=metrics
     )[0]

@@ -17,9 +17,10 @@ Write-back accounting follows the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.cache.direct_mapped import RequestKind
+from repro.core.engine import MruDistanceStats
 from repro.core.probes import ProbeAccumulator, SetView
 from repro.core.schemes import LookupScheme
 
@@ -63,21 +64,17 @@ class ProbeObserver:
         return f"ProbeObserver(label={self.label!r}, scheme={self.scheme!r})"
 
 
-class MruDistanceObserver:
-    """Histogram of MRU hit distances on read-in hits (Figure 5, right).
+class MruDistanceObserver(MruDistanceStats):
+    """Histogram of MRU hit distances on read-in hits (Figure 5, right),
+    filled one access at a time.
 
     Distance ``i`` (1-based) means the hit was to the ``i``-th
     most-recently-used entry of the set; ``f_i`` is the histogram
-    normalized over read-in hits.
+    normalized over read-in hits. The counters,
+    :attr:`update_fraction` and :meth:`distribution` are those of
+    :class:`~repro.core.engine.MruDistanceStats`, which the fused
+    engine fills instead.
     """
-
-    def __init__(self, associativity: int) -> None:
-        self.associativity = associativity
-        self.counts: Dict[int, int] = {}
-        self.hits = 0
-        self.accesses = 0
-        self.updates = 0
-        self.label = "mru-distance"
 
     def observe(self, view: SetView, tag: int, kind: RequestKind) -> None:
         """Record the MRU distance of read-in hits, and — over *all*
@@ -104,19 +101,3 @@ class MruDistanceObserver:
                 self.hits += 1
                 self.counts[distance] = self.counts.get(distance, 0) + 1
                 return
-
-    @property
-    def update_fraction(self) -> float:
-        """``u``: fraction of accesses that rewrite the MRU list."""
-        if self.accesses == 0:
-            return 0.0
-        return self.updates / self.accesses
-
-    def distribution(self) -> List[float]:
-        """``f_i`` for ``i = 1..a``: P(hit at MRU distance i | hit)."""
-        if self.hits == 0:
-            return [0.0] * self.associativity
-        return [
-            self.counts.get(i, 0) / self.hits
-            for i in range(1, self.associativity + 1)
-        ]

@@ -98,6 +98,16 @@ class PackedMissStream:
         self._recount()
         return self._counts[1]
 
+    @property
+    def readin_miss_ratio(self) -> float:
+        """The L1's read-in miss ratio: its read-ins (one per L1 miss)
+        over the processor references (0.0 with no references) — the
+        same two counts :attr:`~repro.cache.stats.CacheStats.readin_miss_ratio`
+        divides for the L1 that captured the stream."""
+        if self.processor_references == 0:
+            return 0.0
+        return self.readins / self.processor_references
+
     # ------------------------------------------------------------------
     # Building
 

@@ -43,7 +43,7 @@ from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
 from repro.core.partial import PartialCompareLookup
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, build_scheme, register_scheme
+from repro.core.schemes import LookupScheme
 from repro.core.traditional import TraditionalLookup
 from repro.core.transforms import (
     BitSwapTransform,
@@ -71,7 +71,6 @@ __all__ = [
     "TagTransform",
     "TraditionalLookup",
     "XorLowTransform",
-    "build_scheme",
     "default_subsets",
     "expected_banked_hit_probes",
     "expected_banked_miss_probes",
@@ -85,5 +84,4 @@ __all__ = [
     "make_transform",
     "optimal_partial_width",
     "optimal_subsets",
-    "register_scheme",
 ]

@@ -15,7 +15,7 @@ naive and traditional rows of Table 1.
 from __future__ import annotations
 
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, register_scheme
+from repro.core.schemes import LookupScheme
 from repro.errors import ConfigurationError
 
 
@@ -72,6 +72,3 @@ def expected_banked_hit_probes(associativity: int, banks: int) -> float:
 def expected_banked_miss_probes(associativity: int, banks: int) -> float:
     """Miss cost: one probe per bank group."""
     return float(BankedLookup(associativity, banks).probes_per_scan)
-
-
-register_scheme(BankedLookup.name, BankedLookup)

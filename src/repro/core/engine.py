@@ -139,13 +139,13 @@ class EngineChannel:
 
 
 class MruDistanceStats:
-    """Engine-side MRU hit-distance histogram (Figure 5, right).
+    """MRU hit-distance histogram (Figure 5, right): ``counts`` by
+    1-based distance, read-in ``hits``, ``accesses`` and MRU-list
+    ``updates``.
 
-    Field-compatible with
-    :class:`~repro.cache.observers.MruDistanceObserver`: ``counts``,
-    ``hits``, ``accesses``, ``updates``, :meth:`distribution` and
-    :attr:`update_fraction` carry the same meanings, so result assembly
-    code can consume either.
+    The fused engine fills it in bulk;
+    :class:`~repro.cache.observers.MruDistanceObserver` extends it to
+    fill it one access at a time, so result assembly reads either.
     """
 
     def __init__(self, associativity: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, register_scheme
+from repro.core.schemes import LookupScheme
 from repro.errors import ConfigurationError
 
 
@@ -74,6 +74,3 @@ class MRULookup(LookupScheme):
             f"MRULookup(associativity={self.associativity}, "
             f"list_length={self.list_length})"
         )
-
-
-register_scheme(MRULookup.name, MRULookup)

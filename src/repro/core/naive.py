@@ -10,7 +10,7 @@ direct-mapped cache, but averages ``(a-1)/2 + 1`` probes on a hit and
 from __future__ import annotations
 
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, register_scheme
+from repro.core.schemes import LookupScheme
 
 
 class NaiveLookup(LookupScheme):
@@ -24,6 +24,3 @@ class NaiveLookup(LookupScheme):
             if stored is not None and stored == tag:
                 return LookupOutcome(hit=True, frame=probes - 1, probes=probes)
         return LookupOutcome(hit=False, frame=None, probes=self.associativity)
-
-
-register_scheme(NaiveLookup.name, NaiveLookup)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, register_scheme
+from repro.core.schemes import LookupScheme
 from repro.core.transforms import (
     TagTransform,
     XorLowTransform,
@@ -187,6 +187,3 @@ class PartialCompareLookup(LookupScheme):
             f"partial_bits={self.partial_bits}, "
             f"transform={self.transform.name!r})"
         )
-
-
-register_scheme(PartialCompareLookup.name, PartialCompareLookup)

@@ -1,4 +1,4 @@
-"""Base class and registry for set-associative lookup schemes.
+"""Base class for set-associative lookup schemes.
 
 A lookup scheme is a *pure* probe-counting model: given the state of a
 set (a :class:`~repro.core.probes.SetView`) and an incoming tag, it
@@ -12,7 +12,6 @@ paper) does not depend on the lookup implementation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List
 
 from repro.core.probes import LookupOutcome, SetView
 from repro.errors import ConfigurationError
@@ -27,7 +26,7 @@ def require_power_of_two(value: int, what: str) -> None:
 class LookupScheme(ABC):
     """One implementation of set-associative lookup (paper, Section 2)."""
 
-    #: Registry key; subclasses override.
+    #: Scheme name; subclasses override.
     name: str = "abstract"
 
     def __init__(self, associativity: int) -> None:
@@ -52,37 +51,3 @@ class LookupScheme(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(associativity={self.associativity})"
-
-
-SchemeFactory = Callable[..., LookupScheme]
-
-_SCHEMES: Dict[str, SchemeFactory] = {}
-
-
-def register_scheme(name: str, factory: SchemeFactory) -> None:
-    """Register a scheme factory under ``name`` for :func:`build_scheme`."""
-    if name in _SCHEMES:
-        raise ConfigurationError(f"scheme {name!r} already registered")
-    _SCHEMES[name] = factory
-
-
-def available_schemes() -> List[str]:
-    """Names accepted by :func:`build_scheme`."""
-    return sorted(_SCHEMES)
-
-
-def build_scheme(name: str, associativity: int, **kwargs) -> LookupScheme:
-    """Build a registered scheme by name.
-
-    Built-in names: ``traditional``, ``naive``, ``mru``, ``partial``.
-    Extra keyword arguments are passed to the scheme constructor (for
-    example ``list_length`` for ``mru``, or ``tag_bits`` / ``subsets`` /
-    ``transform`` for ``partial``).
-    """
-    try:
-        factory = _SCHEMES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {name!r}; choose from {available_schemes()}"
-        ) from None
-    return factory(associativity, **kwargs)

@@ -8,7 +8,7 @@ low-cost scheme is measured against.
 from __future__ import annotations
 
 from repro.core.probes import LookupOutcome, SetView
-from repro.core.schemes import LookupScheme, register_scheme
+from repro.core.schemes import LookupScheme
 
 
 class TraditionalLookup(LookupScheme):
@@ -20,6 +20,3 @@ class TraditionalLookup(LookupScheme):
         self._check_view(view)
         frame = view.find(tag)
         return LookupOutcome(hit=frame is not None, frame=frame, probes=1)
-
-
-register_scheme(TraditionalLookup.name, TraditionalLookup)

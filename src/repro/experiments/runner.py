@@ -35,11 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.hierarchy import (
-    cached_miss_stream,
-    cached_miss_streams,
-    replay_miss_stream,
-)
+from repro.cache.hierarchy import cached_miss_streams, replay_miss_stream
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.cache.stream import PackedMissStream
@@ -337,14 +333,11 @@ class ExperimentRunner:
         geometries = [(g.capacity_bytes, g.block_size) for g in (l1, *also)]
         return cached_miss_streams(
             self.workload, geometries, tracer=self.tracer, metrics=self.metrics,
-        )[0][0]
+        )[0]
 
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
-        """Miss ratio of the L1 geometry over the workload."""
-        return cached_miss_stream(
-            self.workload, l1.capacity_bytes, l1.block_size,
-            tracer=self.tracer, metrics=self.metrics,
-        )[1]
+        """Read-in miss ratio of the L1 geometry over the workload."""
+        return self.miss_stream(l1).readin_miss_ratio
 
     def run(
         self,
@@ -404,7 +397,7 @@ class ExperimentRunner:
 
         result = _assemble_result(
             l1, l2, associativity, cache.stats,
-            stream.processor_references, self.l1_miss_ratio(l1),
+            stream.processor_references, stream.readin_miss_ratio,
             accumulators, distance,
         )
         self._results[cache_key] = result
@@ -482,7 +475,7 @@ class ParallelSweepRunner:
 
     Each point is one task on a
     :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
-    retries with deterministic backoff, per-point wall-clock timeouts,
+    retries on the next free worker, per-point wall-clock timeouts,
     worker-death recovery, and crash-safe checkpoint/resume — see
     ``docs/resilience.md``. The parent captures every distinct L1 of the
     submitted points in one trace pass, inside its ``sweep`` span,

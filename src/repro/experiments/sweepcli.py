@@ -166,10 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="attempts per point under retry_then_collect",
     )
     parser.add_argument(
-        "--retry-base", type=float, default=0.5,
-        help="base backoff delay in seconds",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None,
         help="per-point wall-clock timeout in seconds",
     )
@@ -212,11 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         processes=args.processes,
         obs_dir=args.obs_dir,
     )
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        base_delay=args.retry_base,
-        timeout=args.timeout,
-    )
+    retry = RetryPolicy(max_attempts=args.max_attempts, timeout=args.timeout)
     previous_handlers = _install_signal_handlers()
     try:
         outcome = runner.run_points(

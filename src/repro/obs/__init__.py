@@ -3,8 +3,8 @@
 The package answers four questions about every run:
 
 - **Where did the time go?** — :mod:`repro.obs.spans`: nestable
-  wall+CPU tracing spans with a JSONL trace writer and an ASCII flame
-  summary.
+  wall+CPU tracing spans with a JSONL trace writer;
+  :mod:`repro.obs.trace_report` renders traces as an ASCII flame.
 - **What did the components do?** — :mod:`repro.obs.metrics`:
   a registry of counters, gauges, and histograms whose snapshots are
   plain dicts, mergeable across ``multiprocessing`` workers with the

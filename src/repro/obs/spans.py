@@ -25,7 +25,9 @@ Usage::
             ...
 
     get_tracer().write_jsonl("trace.jsonl")   # one record per span
-    print(get_tracer().flame())               # ASCII flame summary
+
+``repro-trace-report trace.jsonl`` renders that file as per-path
+totals and an ASCII flame (:mod:`repro.obs.trace_report`).
 
 A span that unwinds on an exception is still recorded, stamped with
 ``error=True`` and the exception type in its attributes.
@@ -289,37 +291,6 @@ class Tracer:
             Path(path),
             (record.to_dict() for record in self.snapshot_records()),
         )
-
-    def flame(self, width: int = 40) -> str:
-        """ASCII flame summary: wall time per span *path*, as bars.
-
-        Paths aggregate all spans sharing the same position in the
-        hierarchy; bars scale to the largest total. Example::
-
-            sweep                 ######################## 1.204s x1
-            sweep/l2_replay       ##########               0.512s x4
-        """
-        totals: Dict[str, List[float]] = {}
-        order: List[str] = []
-        records = self.snapshot_records()
-        for record in sorted(records, key=lambda r: (r.start, r.index)):
-            if record.path not in totals:
-                totals[record.path] = [0.0, 0]
-                order.append(record.path)
-            totals[record.path][0] += record.wall_seconds
-            totals[record.path][1] += 1
-        if not totals:
-            return "(no spans recorded)"
-        longest = max(len(path) for path in order)
-        peak = max(wall for wall, _ in totals.values()) or 1.0
-        lines = []
-        for path in order:
-            wall, count = totals[path]
-            bar = "#" * max(1, int(round(width * wall / peak)))
-            lines.append(
-                f"{path:<{longest}}  {bar:<{width}} {wall:8.3f}s x{count}"
-            )
-        return "\n".join(lines)
 
     def clear(self) -> None:
         """Drop every completed record (open spans are unaffected)."""

@@ -6,10 +6,9 @@ between two runs, where wall time diverges from CPU time (I/O,
 contention, or pool idling rather than compute), and what the merged
 shape of many runs looks like as one ASCII flame.
 
-Aggregation is by span *path* (``sweep/l2_replay``), the same key the
-single-tracer flame uses, so numbers line up with
-:meth:`repro.obs.spans.Tracer.flame` output. All input is the JSONL
-trace format written by :meth:`~repro.obs.spans.Tracer.write_jsonl`
+Aggregation is by span *path* (``sweep/l2_replay``, the
+:attr:`~repro.obs.spans.SpanRecord.path` of each record). All input is
+the JSONL trace format written by :meth:`~repro.obs.spans.Tracer.write_jsonl`
 and schema-checked by :mod:`repro.obs.validate`.
 
 Usage::
@@ -133,10 +132,11 @@ def wall_cpu_split(aggregate: Dict[str, Dict[str, float]]) -> Dict[str, float]:
 
 
 def flame(aggregate: Dict[str, Dict[str, float]], width: int = 40) -> str:
-    """ASCII flame of an aggregate: one bar per path, wall-scaled.
+    """ASCII flame of an aggregate (one run's, or several merged): one
+    bar per path, scaled to the largest wall total. At ``width=24``::
 
-    Same rendering contract as :meth:`repro.obs.spans.Tracer.flame`,
-    but over an (optionally merged, cross-run) aggregate.
+        sweep            ########################    1.204s x1
+        sweep/l2_replay  ##########                  0.512s x4
     """
     if not aggregate:
         return "(no spans recorded)"

@@ -1,17 +1,18 @@
 """repro.resilience — fault-tolerant sweep execution.
 
-The paper's headline numbers come from multi-hour parameter sweeps;
-one crashed worker must not throw away every completed point. This
+Sweeps are short: the whole paper at its own shape (23 segments of
+350k references) builds in under two minutes, and the pipeline
+benchmark's 24-point Table 4 sweep runs in about 1.1 s. Still, one
+crashed worker must not throw away every completed point. This
 package makes partial failure the normal, handled case:
 
-- :mod:`repro.resilience.policy` — :class:`RetryPolicy` (bounded
-  retries, exponential backoff, deterministic jitter, per-point
-  timeouts), :class:`FailurePolicy` (``fail_fast`` / ``collect`` /
-  ``retry_then_collect``), and the :class:`PointFailure` /
-  :class:`SweepOutcome` result types;
+- :mod:`repro.resilience.policy` — :class:`RetryPolicy` (the attempt
+  budget and per-point timeouts), :class:`FailurePolicy`
+  (``fail_fast`` / ``collect`` / ``retry_then_collect``), and the
+  :class:`PointFailure` / :class:`SweepOutcome` result types;
 - :mod:`repro.resilience.executor` — a process-pool executor that
-  recovers from ``BrokenProcessPool``, reaps hung workers, and
-  re-queues only in-flight work;
+  recovers from ``BrokenProcessPool``, reaps hung workers, re-queues
+  only in-flight work, and runs each retry on the next free worker;
 - :mod:`repro.resilience.checkpoint` — the crash-safe JSONL
   :class:`SweepCheckpoint` behind ``repro-sweep --resume``.
 

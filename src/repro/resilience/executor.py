@@ -15,9 +15,10 @@ not as the end of the run:
   killed (the only way to stop a hung worker), the overdue task is
   charged a :class:`~repro.errors.SweepTimeoutError`, and the
   *innocent* in-flight tasks are re-queued without losing an attempt;
-- **retries** follow a :class:`~repro.resilience.policy.RetryPolicy`
-  (bounded attempts, exponential backoff, deterministic jitter) under
-  the ``retry_then_collect`` failure policy.
+- **retries**: under the ``retry_then_collect`` failure policy a
+  failed attempt goes back on the queue and runs on the next free
+  worker, with no delay, until the task has used the
+  :class:`~repro.resilience.policy.RetryPolicy`'s ``max_attempts``.
 
 Tasks are only submitted while a worker slot is free, so submission
 time approximates start time and the timeout is a genuine per-task
@@ -134,16 +135,13 @@ def _guarded_call(task: tuple) -> tuple:
 class _Task:
     """Book-keeping for one queued/in-flight task."""
 
-    __slots__ = ("key", "payload", "attempt", "not_before", "deadline")
+    __slots__ = ("key", "payload", "attempt", "deadline")
 
     def __init__(self, key: Any, payload: Any) -> None:
         self.key = key
         self.payload = payload
         #: Attempts charged so far (incremented at submission).
         self.attempt = 0
-        #: Monotonic time before which this task must not be submitted
-        #: (backoff); 0.0 means immediately eligible.
-        self.not_before = 0.0
         #: Monotonic wall-clock deadline while in flight, or ``None``.
         self.deadline: Optional[float] = None
 
@@ -183,7 +181,7 @@ class ResilientPoolExecutor:
             in a pool process (must be picklable by reference).
         processes: Worker count; defaults to the CPU count, capped at
             the task count per :meth:`run`.
-        retry: Backoff/timeout parameters; defaults to
+        retry: Attempt budget and timeout; defaults to
             :class:`~repro.resilience.policy.RetryPolicy` defaults.
             Retries only happen under ``RETRY_THEN_COLLECT``; the
             ``timeout`` applies under every policy.
@@ -266,10 +264,7 @@ class ResilientPoolExecutor:
         try:
             self._ensure_pool()
             while pending or in_flight:
-                self._submit_ready(pending, in_flight, report)
-                if not in_flight:
-                    self._sleep_until_ready(pending)
-                    continue
+                self._submit_ready(pending, in_flight)
                 done = self._wait_one(in_flight)
                 for future in done:
                     if future in in_flight:
@@ -282,13 +277,10 @@ class ResilientPoolExecutor:
     # ------------------------------------------------------------------
     # scheduling
 
-    def _submit_ready(self, pending, in_flight, report) -> None:
-        """Fill free worker slots with backoff-eligible tasks."""
-        now = time.monotonic()
-        while len(in_flight) < self._pool_size:
-            task = self._next_ready(pending, now)
-            if task is None:
-                return
+    def _submit_ready(self, pending, in_flight) -> None:
+        """Fill free worker slots from the head of the queue."""
+        while pending and len(in_flight) < self._pool_size:
+            task = pending.popleft()
             task.attempt += 1
             future = self._submit(task)
             start = time.monotonic()
@@ -300,24 +292,6 @@ class ResilientPoolExecutor:
             in_flight[future] = task
             if self.on_submit is not None:
                 self.on_submit(task.key, task.attempt)
-
-    @staticmethod
-    def _next_ready(pending, now: float) -> Optional[_Task]:
-        """Pop the first task whose backoff has elapsed, if any."""
-        for index, task in enumerate(pending):
-            if task.not_before <= now:
-                del pending[index]
-                return task
-        return None
-
-    @staticmethod
-    def _sleep_until_ready(pending) -> None:
-        """Idle until the earliest backoff elapses (bounded naps)."""
-        now = time.monotonic()
-        earliest = min(task.not_before for task in pending)
-        delay = earliest - now
-        if delay > 0:
-            time.sleep(min(delay, 0.25))
 
     def _wait_one(self, in_flight):
         """Block for the next completion, bounded by the next deadline."""
@@ -448,7 +422,6 @@ class ResilientPoolExecutor:
         for task in innocents:
             # Not their fault: resubmit without charging the attempt.
             task.attempt -= 1
-            task.not_before = 0.0
             pending.append(task)
         for _, task in overdue:
             log.warning(
@@ -478,13 +451,10 @@ class ResilientPoolExecutor:
         if task.attempt < self.max_attempts:
             report.retries += 1
             self.metrics.counter("resilience.retries").inc()
-            delay = self.retry.delay(task.key, task.attempt)
-            task.not_before = time.monotonic() + delay
             log.debug(
                 "resilience.retry",
                 key=task.key,
                 attempt=task.attempt,
-                delay_s=round(delay, 3),
                 error=info.get("error_type"),
             )
             pending.append(task)

@@ -1,15 +1,16 @@
 """Execution policies for fault-tolerant sweeps.
 
-Large parameter sweeps treat partial failure as the normal case: a
-crashed worker, a hung replay, or one malformed point must not throw
-away hours of completed work. This module holds the *decisions* —
-what counts as retryable, how long to wait, when to give up — kept
-separate from the *mechanism* (:mod:`repro.resilience.executor`):
+A sweep treats partial failure as the normal case: a crashed worker,
+a hung replay, or one malformed point must not throw away the points
+already completed. This module holds the *decisions* — how often to
+try a point, how long one attempt may run, what to do when a point
+still fails — kept separate from the *mechanism*
+(:mod:`repro.resilience.executor`):
 
 - :class:`FailurePolicy` — what a sweep does when a point fails:
   raise immediately, collect and continue, or retry then collect;
-- :class:`RetryPolicy` — bounded retries with exponential backoff,
-  deterministic jitter, and an optional per-point wall-clock timeout;
+- :class:`RetryPolicy` — the attempt budget per point and an optional
+  per-point wall-clock timeout;
 - :class:`PointFailure` — the structured record of one failed point
   (exception class, traceback text, attempt count, worker pid) that
   flows into :class:`SweepOutcome`, the run manifest, and
@@ -22,7 +23,6 @@ separate from the *mechanism* (:mod:`repro.resilience.executor`):
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -59,70 +59,30 @@ class FailurePolicy(str, enum.Enum):
             ) from None
 
 
-#: Backoff growth factor per retry.
-BACKOFF_MULTIPLIER = 2.0
-#: Cap on the un-jittered backoff, in seconds.
-MAX_DELAY = 30.0
-#: Jitter fraction: a delay grows by up to this share of itself.
-JITTER = 0.5
-#: Seed of the deterministic jitter draws.
-JITTER_SEED = 0
-
-
-def _jitter_unit(key: Any, attempt: int) -> float:
-    """Deterministic uniform value in [0, 1) from (key, attempt).
-
-    Hash-derived rather than drawn from a shared RNG so the delay for
-    a given point and attempt never depends on scheduling order —
-    every run backs off identically.
-    """
-    digest = hashlib.sha256(
-        f"{JITTER_SEED}:{key!r}:{attempt}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retries with exponential backoff and deterministic jitter.
+    """The attempt budget and the per-point timeout.
 
-    The delay before attempt ``n + 1`` (after ``n`` failures) is::
-
-        min(MAX_DELAY, base_delay * BACKOFF_MULTIPLIER ** (n - 1))
-            * (1 + JITTER * u)
-
-    where ``u`` is a deterministic uniform draw from ``(point key,
-    attempt)`` — see :func:`_jitter_unit` — so two runs back off
-    identically, yet concurrent retries de-correlate.
+    A failed attempt goes back on the executor's queue and runs on the
+    next free worker, with no delay: a point is a deterministic replay,
+    so a raise recurs however long the wait, and the victims of a crash
+    or a timeout need a new worker, not a pause.
 
     Args:
         max_attempts: Total attempts per point (1 = no retries).
-        base_delay: Backoff before the first retry, in seconds.
         timeout: Per-point wall-clock budget in seconds, enforced by
             killing and re-creating the worker pool (``None`` = none).
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.5
     timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         """Validate ranges at construction time."""
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay < 0:
-            raise ConfigurationError("base_delay must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError("timeout must be positive")
-
-    def delay(self, key: Any, attempt: int) -> float:
-        """Backoff in seconds after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ConfigurationError("attempt numbers are 1-based")
-        raw = min(
-            MAX_DELAY, self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1)
-        )
-        return raw * (1.0 + JITTER * _jitter_unit(key, attempt))
 
 
 #: Failure kinds a :class:`PointFailure` can record.

@@ -121,6 +121,7 @@ def test_one_pass_equals_a_capture_per_l1(workload, geometries):
         expected = capture_miss_stream(workload.pairs(), alone)
         assert stream.content_hash() == expected.content_hash()
         assert l1.stats.readin_miss_ratio == alone.stats.readin_miss_ratio
+        assert stream.readin_miss_ratio == l1.stats.readin_miss_ratio
         assert stream.processor_references == expected.processor_references
         assert stream.processor_references == len(workload)
         assert stream.n_flushes == (

@@ -34,6 +34,14 @@ class TestConversion:
         stream.append(1, 128)
         assert (stream.readins, stream.writebacks) == (1, 1)
 
+    def test_readin_miss_ratio(self):
+        stream = PackedMissStream()
+        assert stream.readin_miss_ratio == 0.0
+        stream.append(0, 64)
+        stream.append(1, 128)
+        stream.processor_references = 4
+        assert stream.readin_miss_ratio == 0.25
+
 
 class TestSegments:
     def test_every_flush_cuts_a_window_even_an_empty_one(self):

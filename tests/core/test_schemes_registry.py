@@ -1,49 +1,9 @@
-"""Tests for the scheme registry and base-class validation."""
+"""Tests for the scheme base-class validation."""
 
 import pytest
 
-from repro.core.mru import MRULookup
-from repro.core.partial import PartialCompareLookup
-from repro.core.schemes import (
-    available_schemes,
-    build_scheme,
-    register_scheme,
-    require_power_of_two,
-)
+from repro.core.schemes import require_power_of_two
 from repro.errors import ConfigurationError
-
-
-class TestRegistry:
-    def test_builtin_schemes_registered(self):
-        names = available_schemes()
-        for name in ("traditional", "naive", "mru", "partial"):
-            assert name in names
-
-    def test_build_by_name(self):
-        scheme = build_scheme("naive", 4)
-        assert scheme.name == "naive"
-        assert scheme.associativity == 4
-
-    def test_build_with_kwargs(self):
-        scheme = build_scheme("mru", 8, list_length=2)
-        assert isinstance(scheme, MRULookup)
-        assert scheme.list_length == 2
-
-    def test_build_partial_with_kwargs(self):
-        scheme = build_scheme(
-            "partial", 8, tag_bits=32, subsets=2, transform="improved"
-        )
-        assert isinstance(scheme, PartialCompareLookup)
-        assert scheme.tag_bits == 32
-        assert scheme.subsets == 2
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ConfigurationError):
-            build_scheme("oracle", 4)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_scheme("naive", lambda a: None)
 
 
 class TestPowerOfTwo:

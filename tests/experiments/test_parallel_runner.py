@@ -16,9 +16,11 @@ import os
 import pytest
 
 import repro.cache.hierarchy as hierarchy
+from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import (
     cached_miss_stream,
     cached_miss_streams,
+    capture_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
 )
@@ -73,11 +75,14 @@ def observer_reference(
 ):
     """The result :meth:`ExperimentRunner.run` must produce, built by
     hand: one :class:`ProbeObserver` per scheme of the runner's plan
-    and an :class:`MruDistanceObserver`, attached to a plain L2."""
+    and an :class:`MruDistanceObserver`, attached to a plain L2, over
+    a stream captured apart from the memo. The L1 miss ratio comes
+    from that L1's own counters, which the stream's ratio must equal."""
     l1, l2 = parse_geometry(l1), parse_geometry(l2)
-    stream, l1_miss_ratio = cached_miss_stream(
-        workload, l1.capacity_bytes, l1.block_size
-    )
+    l1_cache = DirectMappedCache(l1.capacity_bytes, l1.block_size)
+    stream = capture_miss_stream(workload.pairs(), l1_cache)
+    l1_miss_ratio = l1_cache.stats.readin_miss_ratio
+    assert stream.readin_miss_ratio == l1_miss_ratio
     cache = SetAssociativeCache(l2.capacity_bytes, l2.block_size, associativity)
     plan = _scheme_plan(
         associativity, tag_bits, tuple(transforms),
@@ -170,13 +175,10 @@ def test_cached_miss_stream_is_shared():
     """Same workload + L1 geometry: one capture, shared object."""
     clear_miss_stream_cache()
     workload = small_workload()
-    first, ratio_a = cached_miss_stream(workload, 4096, 16)
-    second, ratio_b = cached_miss_stream(
-        small_workload(), 4096, 16
-    )
+    first = cached_miss_stream(workload, 4096, 16)
+    second = cached_miss_stream(small_workload(), 4096, 16)
     assert first is second
-    assert ratio_a == ratio_b
-    other, _ = cached_miss_stream(workload, 8192, 16)
+    other = cached_miss_stream(workload, 8192, 16)
     assert other is not first
     clear_miss_stream_cache()
 
@@ -196,7 +198,7 @@ def test_cached_miss_streams_captures_only_what_it_lacks(monkeypatch):
     workload = small_workload()
     metrics, tracer = MetricsRegistry(), Tracer()
     try:
-        held, _ = cached_miss_stream(workload, 4096, 16)
+        held = cached_miss_stream(workload, 4096, 16)
         both = cached_miss_streams(
             workload, [(4096, 16), (8192, 16)], tracer=tracer, metrics=metrics
         )
@@ -207,8 +209,8 @@ def test_cached_miss_streams_captures_only_what_it_lacks(monkeypatch):
     finally:
         clear_miss_stream_cache()
     assert passes == [[4096], [8192]]
-    assert both[0][0] is held
-    assert [entry[0] for entry in again] == [both[1][0], held]
+    assert both[0] is held
+    assert again == [both[1], held]
     snapshot = metrics.snapshot()
     assert snapshot["counters"]["miss_stream.cache_misses"] == 1
     assert snapshot["counters"]["miss_stream.cache_hits"] == 3

@@ -41,7 +41,7 @@ POINTS = [
     SweepPoint("8K-16", "64K-32", 4),
 ]
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
+RETRY = RetryPolicy(max_attempts=3)
 
 
 @pytest.fixture(autouse=True)
@@ -106,7 +106,7 @@ class TestInjectedFailures:
             FaultPlan([FaultSpec("raise", at=1, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
-            POINTS, failure_policy="retry_then_collect", retry=FAST
+            POINTS, failure_policy="retry_then_collect", retry=RETRY
         )
         assert outcome.ok and outcome.retries >= 1
         assert_matches_baseline(outcome, baseline)
@@ -117,7 +117,7 @@ class TestInjectedFailures:
         faultkit.activate(FaultPlan([FaultSpec("raise", at=1)]))
         runner = make_runner(obs_dir=tmp_path)
         outcome = runner.run_points(
-            POINTS, failure_policy="retry_then_collect", retry=FAST
+            POINTS, failure_policy="retry_then_collect", retry=RETRY
         )
         assert not outcome.ok
         assert outcome.results[1] is None
@@ -126,7 +126,7 @@ class TestInjectedFailures:
         assert failure.key == 1
         assert failure.error_type == "InjectedFaultError"
         assert failure.traceback
-        assert failure.attempts == FAST.max_attempts
+        assert failure.attempts == RETRY.max_attempts
         assert failure.point["associativity"] == POINTS[1].associativity
         assert failure.signature is not None
         # The degraded run is visibly degraded in its provenance manifest.
@@ -141,7 +141,7 @@ class TestInjectedFailures:
             FaultPlan([FaultSpec("exit", at=2, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
-            POINTS, failure_policy="retry_then_collect", retry=FAST
+            POINTS, failure_policy="retry_then_collect", retry=RETRY
         )
         assert outcome.ok and outcome.pool_restarts >= 1
         assert_matches_baseline(outcome, baseline)
@@ -155,7 +155,7 @@ class TestInjectedFailures:
         outcome = make_runner().run_points(
             POINTS,
             failure_policy="retry_then_collect",
-            retry=RetryPolicy(max_attempts=3, base_delay=0.01, timeout=1.0),
+            retry=RetryPolicy(max_attempts=3, timeout=1.0),
         )
         assert outcome.ok and outcome.timeouts == 1
         assert_matches_baseline(outcome, baseline)
@@ -174,7 +174,7 @@ class TestInjectedFailures:
             FaultPlan([FaultSpec("corrupt", at=0, attempts=frozenset({1}))])
         )
         outcome = make_runner().run_points(
-            POINTS, failure_policy="retry_then_collect", retry=FAST
+            POINTS, failure_policy="retry_then_collect", retry=RETRY
         )
         assert outcome.ok and outcome.retries == 1
         assert_matches_baseline(outcome, baseline)

@@ -67,6 +67,9 @@ class TestBitIdenticalMetrics:
         assert engine_counters(sweep_metrics) == serial
 
     def test_runner_counters_track_replays_and_cache_hits(self):
+        """A replay looks its L1 up in the memo once, and a result-cache
+        hit not at all: from a cold memo, one miss and no hit."""
+        clear_miss_stream_cache()
         metrics = MetricsRegistry()
         runner = ExperimentRunner(
             small_workload(), metrics=metrics, tracer=Tracer()
@@ -76,6 +79,8 @@ class TestBitIdenticalMetrics:
         counters = metrics.snapshot()["counters"]
         assert counters["runner.replays"] == 1
         assert counters["runner.result_cache_hits"] == 1
+        assert counters["miss_stream.cache_misses"] == 1
+        assert "miss_stream.cache_hits" not in counters
 
 
 class TestFailureWrapping:
@@ -178,7 +183,7 @@ class TestProvenanceEmission:
         )
         try:
             outcome = runner.run_points(
-                points, retry=RetryPolicy(max_attempts=2, base_delay=0.01)
+                points, retry=RetryPolicy(max_attempts=2)
             )
         finally:
             faultkit.deactivate()

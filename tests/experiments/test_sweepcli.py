@@ -42,7 +42,6 @@ def base_args(tmp_path, *extra):
         "--assoc", "2,4",
         "--scale", "0.002",
         "--processes", "2",
-        "--retry-base", "0.01",
         "--out", str(tmp_path / "results.json"),
         *extra,
     ]
@@ -199,8 +198,8 @@ class TestUsageErrors:
     def test_bad_axis_rejected_before_the_pool(
         self, tmp_path, capsys, extra, named
     ):
-        # Each of these used to fail inside every worker, retried with
-        # backoff, and exit 3 ("partial, rerun with --resume").
+        # Each of these used to fail inside every worker, be retried,
+        # and exit 3 ("partial, rerun with --resume").
         with pytest.raises(SystemExit) as excinfo:
             main(base_args(tmp_path, *extra))
         assert excinfo.value.code == 2

@@ -180,7 +180,7 @@ class TestProbeCountPin:
         workload = AtumWorkload(
             segments=1, references_per_segment=4000, seed=21
         )
-        stream, _ = cached_miss_stream(workload, 4096, 16)
+        stream = cached_miss_stream(workload, 4096, 16)
         cache = SetAssociativeCache(65536, 32, 4)
         engine = FusedProbeEngine(4)
         engine.add_scheme(NaiveLookup(4), label="naive")

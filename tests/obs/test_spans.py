@@ -1,4 +1,4 @@
-"""Tracing spans: nesting, clocks, JSONL round-trip, flame summary."""
+"""Tracing spans: nesting, clocks, JSONL round-trip, aggregation."""
 
 import threading
 
@@ -96,19 +96,6 @@ class TestAggregation:
         phases = tracer.phase_timings()
         assert phases["phase"]["count"] == 3
         assert phases["phase"]["wall_seconds"] > 0
-
-    def test_flame_lists_every_path(self):
-        tracer = Tracer()
-        with tracer.span("sweep"):
-            with tracer.span("l2_replay"):
-                pass
-        flame = tracer.flame()
-        assert "sweep" in flame
-        assert "sweep/l2_replay" in flame
-        assert "#" in flame
-
-    def test_flame_empty(self):
-        assert "no spans" in Tracer().flame()
 
 
 class TestJsonl:

@@ -1,10 +1,14 @@
 """ResilientPoolExecutor recovery paths, driven on real worker pools."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import SweepPointError, SweepTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
+from repro.resilience import executor as executor_module
 from repro.resilience.executor import ResilientPoolExecutor
 from repro.resilience.policy import FailurePolicy, RetryPolicy
 from tests import faultkit
@@ -30,12 +34,12 @@ def clean_plan():
     faultkit.deactivate()
 
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01)
+RETRY = RetryPolicy(max_attempts=3)
 
 
 def make(worker=double, **kwargs):
     kwargs.setdefault("processes", 2)
-    kwargs.setdefault("retry", FAST)
+    kwargs.setdefault("retry", RETRY)
     kwargs.setdefault("metrics", MetricsRegistry())
     return ResilientPoolExecutor(worker, **kwargs)
 
@@ -96,8 +100,31 @@ class TestWorkerExceptions:
         executor = make(picky, failure_policy="retry_then_collect")
         report = executor.run([(0, 13)])
         (failure,) = report.failures
-        assert failure.attempts == FAST.max_attempts
-        assert report.retries == FAST.max_attempts - 1
+        assert failure.attempts == RETRY.max_attempts
+        assert report.retries == RETRY.max_attempts - 1
+
+    def test_retry_runs_on_the_next_free_worker(self, monkeypatch):
+        """A failed attempt is resubmitted at once: the executor never
+        sleeps, even under the default policy."""
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s between attempts")
+
+        monkeypatch.setattr(
+            executor_module,
+            "time",
+            SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep),
+        )
+        policy = RetryPolicy()
+        executor = make(
+            picky, failure_policy="retry_then_collect", retry=policy
+        )
+        report = executor.run([(0, 1), (1, 13)])
+        assert report.results == {0: 2}
+        (failure,) = report.failures
+        assert failure.key == 1
+        assert failure.attempts == policy.max_attempts
+        assert report.retries == policy.max_attempts - 1
 
 
 class TestInjectedFaults:
@@ -141,7 +168,7 @@ class TestInjectedFaults:
         )
         executor = make(
             failure_policy="retry_then_collect",
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01, timeout=1.0),
+            retry=RetryPolicy(max_attempts=2, timeout=1.0),
         )
         report = executor.run([(0, 5), (1, 6)])
         assert report.results == {0: 10, 1: 12}
