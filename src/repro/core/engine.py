@@ -265,8 +265,8 @@ class FusedProbeEngine:
 
     Engines hold closures and are not picklable; ship plain results
     across process boundaries instead, as the sweep workers of
-    :class:`~repro.experiments.runner.ParallelSweepRunner` do with
-    each point's :class:`~repro.experiments.runner.ConfigResult`.
+    :meth:`~repro.experiments.runner.ExperimentRunner.run_points` do
+    with each point's :class:`~repro.experiments.runner.ConfigResult`.
 
     Args:
         associativity: Set size ``a`` of the instrumented cache.

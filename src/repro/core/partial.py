@@ -98,8 +98,8 @@ class PartialCompareLookup(LookupScheme):
         self._full_width = partial_bits == tag_bits
         # Fast path: when the transform uses the default field slicing
         # the per-position compare is an inline shift-and-mask over the
-        # (memoized) transformed tags, skipping compare_slice calls in
-        # the trace-driven hot loop.
+        # transformed tags, skipping compare_slice calls in the
+        # trace-driven hot loop.
         self._default_slicing = (
             type(transform).compare_slice is TagTransform.compare_slice
         )

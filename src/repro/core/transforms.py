@@ -28,32 +28,6 @@ from typing import Dict, List, Type
 from repro.errors import ConfigurationError
 
 
-def split_fields(tag: int, tag_bits: int, field_bits: int) -> List[int]:
-    """Split a ``tag_bits``-wide tag into ``field_bits``-wide fields.
-
-    Field 0 is the least-significant field. If ``field_bits`` does not
-    divide ``tag_bits``, the most-significant field is narrower.
-    """
-    if tag < 0 or tag >> tag_bits:
-        raise ValueError(f"tag {tag:#x} does not fit in {tag_bits} bits")
-    fields = []
-    remaining = tag_bits
-    mask = (1 << field_bits) - 1
-    while remaining > 0:
-        fields.append(tag & mask)
-        tag >>= field_bits
-        remaining -= field_bits
-    return fields
-
-
-def join_fields(fields: List[int], tag_bits: int, field_bits: int) -> int:
-    """Inverse of :func:`split_fields`."""
-    tag = 0
-    for index, field in enumerate(fields):
-        tag |= field << (index * field_bits)
-    return tag & ((1 << tag_bits) - 1)
-
-
 class TagTransform(ABC):
     """A bijection on ``t``-bit tags used to decorrelate partial fields.
 
@@ -63,6 +37,9 @@ class TagTransform(ABC):
     partial comparator at position ``i`` sees; the default reads field
     ``i`` of the transformed tag, which models the paper's addressing
     trick of giving each memory-chip collection a different address.
+
+    Field 0 is the least-significant ``k`` bits of a tag; if ``k`` does
+    not divide ``t``, the most-significant field is narrower.
     """
 
     #: Registry key; subclasses override.
@@ -81,27 +58,24 @@ class TagTransform(ABC):
         self.field_bits = field_bits
         self._field_mask = (1 << field_bits) - 1
         self._tag_mask = (1 << tag_bits) - 1
-        # Stored-tag transforms are hot in trace-driven runs and tags
-        # repeat heavily, so results are memoized per instance (the
-        # table is bounded by the distinct tags the workload touches).
-        self._apply_cache: Dict[int, int] = {}
 
     @property
     def num_fields(self) -> int:
         """Number of (possibly ragged) fields in a tag."""
         return -(-self.tag_bits // self.field_bits)
 
-    def apply(self, tag: int) -> int:
-        """Transform ``tag`` into its stored representation (memoized)."""
-        cached = self._apply_cache.get(tag)
-        if cached is None:
-            cached = self._apply(tag)
-            self._apply_cache[tag] = cached
-        return cached
+    def _copies(self, first: int) -> int:
+        """A word with bit 0 of every field from ``first`` up set:
+        multiplying a ``k``-bit value by it writes that value into each
+        of those fields (truncated to ``t`` bits by the caller)."""
+        return sum(
+            1 << (index * self.field_bits)
+            for index in range(first, self.num_fields)
+        )
 
     @abstractmethod
-    def _apply(self, tag: int) -> int:
-        """Compute the stored representation of ``tag``."""
+    def apply(self, tag: int) -> int:
+        """Transform ``tag`` into its stored representation."""
 
     @abstractmethod
     def invert(self, stored: int) -> int:
@@ -134,7 +108,7 @@ class IdentityTransform(TagTransform):
 
     name = "none"
 
-    def _apply(self, tag: int) -> int:
+    def apply(self, tag: int) -> int:
         return tag & self._tag_mask
 
     def invert(self, stored: int) -> int:
@@ -151,14 +125,13 @@ class XorLowTransform(TagTransform):
 
     name = "xor"
 
-    def _apply(self, tag: int) -> int:
-        fields = split_fields(tag, self.tag_bits, self.field_bits)
-        low = fields[0]
-        transformed = [fields[0]]
-        for index in range(1, len(fields)):
-            transformed.append(fields[index] ^ low)
-        result = join_fields(transformed, self.tag_bits, self.field_bits)
-        return result & self._tag_mask
+    def __init__(self, tag_bits: int, field_bits: int) -> None:
+        super().__init__(tag_bits, field_bits)
+        self._low_copies = self._copies(1)
+
+    def apply(self, tag: int) -> int:
+        low = tag & self._field_mask
+        return (tag ^ low * self._low_copies) & self._tag_mask
 
     def invert(self, stored: int) -> int:
         return self.apply(stored)
@@ -171,32 +144,29 @@ class ImprovedXorTransform(TagTransform):
     at index 2 or above is XOR-ed with both field 0 and field 1. As a
     linear map over GF(2) this is lower-triangular with ones on the
     diagonal, hence invertible — but unlike :class:`XorLowTransform` it
-    is *not* its own inverse.
+    is *not* its own inverse: stored field 1 is ``f1 ^ f0``, so the
+    inverse XORs stored field 0 into field 1 and stored field 1 (which
+    carries ``f0 ^ f1``) into every field from 2 up.
     """
 
     name = "improved"
 
-    def _apply(self, tag: int) -> int:
-        fields = split_fields(tag, self.tag_bits, self.field_bits)
-        transformed = list(fields)
-        if len(fields) > 1:
-            transformed[1] = fields[1] ^ fields[0]
-        for index in range(2, len(fields)):
-            transformed[index] = fields[index] ^ fields[0] ^ fields[1]
-        result = join_fields(transformed, self.tag_bits, self.field_bits)
-        return result & self._tag_mask
+    def __init__(self, tag_bits: int, field_bits: int) -> None:
+        super().__init__(tag_bits, field_bits)
+        self._low_copies = self._copies(1)
+        self._high_copies = self._copies(2)
+
+    def apply(self, tag: int) -> int:
+        k, mask = self.field_bits, self._field_mask
+        mixed = (tag & mask) * self._low_copies
+        mixed ^= (tag >> k & mask) * self._high_copies
+        return (tag ^ mixed) & self._tag_mask
 
     def invert(self, stored: int) -> int:
-        fields = split_fields(stored, self.tag_bits, self.field_bits)
-        original = list(fields)
-        if len(fields) > 1:
-            original[1] = fields[1] ^ fields[0]
-        for index in range(2, len(fields)):
-            # fields[index] = original[index] ^ original[0] ^ original[1]
-            # and original[1] has just been recovered above.
-            original[index] = fields[index] ^ original[0] ^ original[1]
-        result = join_fields(original, self.tag_bits, self.field_bits)
-        return result & self._tag_mask
+        k, mask = self.field_bits, self._field_mask
+        mixed = (stored & mask) << k
+        mixed ^= (stored >> k & mask) * self._high_copies
+        return (stored ^ mixed) & self._tag_mask
 
 
 class BitSwapTransform(TagTransform):
@@ -211,7 +181,7 @@ class BitSwapTransform(TagTransform):
 
     name = "swap"
 
-    def _apply(self, tag: int) -> int:
+    def apply(self, tag: int) -> int:
         return tag & self._tag_mask
 
     def invert(self, stored: int) -> int:

@@ -15,7 +15,6 @@ from repro.experiments.configs import (
 from repro.experiments.runner import (
     ConfigResult,
     ExperimentRunner,
-    ParallelSweepRunner,
     SchemeResult,
     SweepPoint,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CacheGeometry",
     "ConfigResult",
     "ExperimentRunner",
-    "ParallelSweepRunner",
     "SchemeResult",
     "SweepPoint",
     "TABLE4_CONFIGS",

@@ -83,10 +83,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     runner = None
     if any(t in _SIMULATED for t in args.targets):
-        workload = default_workload(scale=args.scale, seed=args.seed)
-        # With --save, the runner also emits its provenance manifest
-        # and span trace next to the artifacts.
-        runner = ExperimentRunner(workload, obs_dir=save_dir)
+        runner = ExperimentRunner(
+            default_workload(scale=args.scale, seed=args.seed)
+        )
         if {"table3", "table4"} & set(args.targets):
             # Table 3 reads, and Table 4 replays, the paper's three L1s:
             # capture them in one pass over the trace before any build.
@@ -114,9 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if save_dir is not None:
             _save_target(save_dir, target, result)
     if runner is not None and save_dir is not None:
-        # Not every builder replays an L2 (table3 only reads L1 miss
-        # ratios), so emit the provenance manifest unconditionally.
-        runner.write_obs()
+        runner.write_obs(save_dir)
     return 0
 
 

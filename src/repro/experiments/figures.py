@@ -9,7 +9,7 @@ at 4, 8, 16-way).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.analysis import default_subsets, expected_partial_hit_probes
 from repro.experiments.report import render_series
@@ -40,15 +40,13 @@ class FigureSeries:
 
 
 def build_figure3(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     associativities: Sequence[int] = FIGURE_ASSOCIATIVITIES,
     l1: str = DEFAULT_L1,
     l2: str = DEFAULT_L2,
 ) -> FigureSeries:
     """Figure 3: probes per access vs associativity, with and without
     the write-back optimization."""
-    if runner is None:
-        runner = ExperimentRunner()
     figure = FigureSeries(
         title=f"Figure 3. Probes for read-ins and write-backs ({l1} / {l2})",
         x_label="associativity",
@@ -66,14 +64,12 @@ def build_figure3(
 
 
 def build_figure4(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     associativities: Sequence[int] = FIGURE_ASSOCIATIVITIES,
     l1: str = DEFAULT_L1,
     l2: str = DEFAULT_L2,
 ) -> FigureSeries:
     """Figure 4: probes split into read-in hits and misses."""
-    if runner is None:
-        runner = ExperimentRunner()
     figure = FigureSeries(
         title=f"Figure 4. Probes for read-in hits and misses ({l1} / {l2})",
         x_label="associativity",
@@ -89,15 +85,13 @@ def build_figure4(
 
 
 def build_figure5(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     associativities: Sequence[int] = (4, 8, 16),
     list_lengths: Sequence[int] = (1, 2, 4, 8),
     l1: str = DEFAULT_L1,
     l2: str = DEFAULT_L2,
 ) -> "Figure5":
     """Figure 5: reduced MRU lists (left) and MRU hit distances (right)."""
-    if runner is None:
-        runner = ExperimentRunner()
     left = FigureSeries(
         title=f"Figure 5 (left). Reduced MRU lists ({l1} / {l2})",
         x_label="associativity",
@@ -138,7 +132,7 @@ class Figure5:
 
 
 def build_figure6(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     associativities: Sequence[int] = (4, 8, 16),
     tag_widths: Sequence[int] = (16, 32),
     transforms: Sequence[str] = ("none", "xor", "improved"),
@@ -147,8 +141,6 @@ def build_figure6(
 ) -> "Figure6":
     """Figure 6: partial-compare transforms vs theory (left) and the
     improved-transform partial scheme vs MRU (right)."""
-    if runner is None:
-        runner = ExperimentRunner()
     left = FigureSeries(
         title=f"Figure 6 (left). Partial transforms vs theory ({l1} / {l2})",
         x_label="associativity",

@@ -1,6 +1,6 @@
-"""Simulation runners: one trace pass for the L1 geometries a caller
+"""The simulation runner: one trace pass for the L1 geometries a caller
 asks for, many instrumented L2 replays on top of each captured stream —
-serially or one sweep point per worker.
+in this process, or one sweep point per worker.
 
 Three layers keep the full Table 4 grid (8 configs x 3
 associativities x all schemes) affordable:
@@ -15,17 +15,20 @@ associativities x all schemes) affordable:
 - each replay uses the fused probe-accounting engine
   (:class:`~repro.core.engine.FusedProbeEngine`), computing every
   scheme's probes from one set of shared lookup facts per access;
-- :class:`ParallelSweepRunner` runs each sweep point as one task on
-  the fault-tolerant
+- :meth:`ExperimentRunner.run_points` runs each sweep point as one
+  task on the fault-tolerant
   :class:`~repro.resilience.executor.ResilientPoolExecutor`,
-  bit-identical to the serial path for a fixed workload seed.
+  bit-identical to :meth:`ExperimentRunner.run` for a fixed workload
+  seed.
 
-Every runner is threaded through the :mod:`repro.obs` observability
-layer — phase tracing spans, a mergeable metrics registry, live
-per-point progress (``REPRO_PROGRESS=1``), and run provenance
-manifests (pass ``obs_dir=``) — with all instrumentation off the
-per-access hot path: workers publish one metric snapshot per point,
-and the parent merges them with the same bit-identical discipline.
+The runner is threaded through the :mod:`repro.obs` observability
+layer — phase tracing spans, a mergeable metrics registry and live
+per-point progress (``REPRO_PROGRESS=1``) — with all instrumentation
+off the per-access hot path: workers publish one metric snapshot per
+point, and the parent merges them with the same bit-identical
+discipline. It writes no files: a caller that wants the run's
+provenance manifest and span trace calls
+:meth:`ExperimentRunner.write_obs` once, when its run ends.
 """
 
 from __future__ import annotations
@@ -233,6 +236,25 @@ def _assemble_result(
     return result
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One (L1, L2, associativity) sweep point with its run options.
+
+    The keyword arguments of :meth:`ExperimentRunner.run`, spelled
+    once: ``run`` keys its result memo by the point it builds, and
+    ``asdict(point)`` is the point's manifest record.
+    """
+
+    l1: str
+    l2: str
+    associativity: int
+    tag_bits: int = DEFAULT_TAG_BITS
+    transforms: Tuple[str, ...] = ("xor",)
+    mru_list_lengths: Tuple[int, ...] = ()
+    extra_tag_bits: Tuple[int, ...] = ()
+    writeback_optimization: bool = True
+
+
 def _run_sweep_point(payload):
     """Worker: run one sweep point in an isolated runner.
 
@@ -250,20 +272,8 @@ def _run_sweep_point(payload):
     is part of the return value).
     """
     workload, point = payload
-    runner = ExperimentRunner(
-        workload, metrics=MetricsRegistry(), tracer=get_tracer()
-    )
-    result = runner.run(
-        point.l1,
-        point.l2,
-        point.associativity,
-        tag_bits=point.tag_bits,
-        transforms=point.transforms,
-        mru_list_lengths=point.mru_list_lengths,
-        extra_tag_bits=point.extra_tag_bits,
-        writeback_optimization=point.writeback_optimization,
-    )
-    return result, runner.metrics.snapshot()
+    runner = ExperimentRunner(workload, metrics=MetricsRegistry())
+    return runner.run(**asdict(point)), runner.metrics.snapshot()
 
 
 def _validate_point_result(key, value) -> None:
@@ -290,18 +300,31 @@ def _validate_point_result(key, value) -> None:
 class ExperimentRunner:
     """Runs instrumented two-level simulations with miss-stream reuse.
 
+    :meth:`run` simulates one configuration in this process;
+    :meth:`run_points` runs many sweep points, one task per point, on a
+    :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
+    retries on the next free worker, per-point wall-clock timeouts,
+    worker-death recovery, and crash-safe checkpoint/resume — see
+    ``docs/resilience.md``. Both replay the same memoized L1 streams
+    through the same fused engine, so a sweep is byte-identical to
+    running its points through :meth:`run` — only wall-clock changes.
+
+    The runner writes no files. Its record of the session — every
+    configuration replayed or submitted, the failed points, the
+    tracer's spans and the registry's metrics — goes to disk when the
+    caller ends its run with :meth:`write_obs`.
+
     Args:
         workload: Reference workload; defaults to
             :func:`~repro.experiments.configs.default_workload`.
         metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` for
-            ``engine.*`` and ``runner.*`` metrics; defaults to the
-            process-global registry.
+            ``engine.*``, ``runner.*`` and ``resilience.*`` metrics
+            (a sweep merges its workers' snapshots into it); defaults
+            to the process-global registry.
         tracer: Target :class:`~repro.obs.spans.Tracer` for phase
             spans; defaults to the process-global tracer.
-        obs_dir: When set, every completed run rewrites a provenance
-            ``manifest.json`` (covering all runs so far) and the span
-            ``trace.jsonl`` in this directory — see
-            :meth:`write_obs`.
+        processes: Worker count of :meth:`run_points`; defaults to the
+            CPU count.
     """
 
     def __init__(
@@ -309,14 +332,17 @@ class ExperimentRunner:
         workload: Optional[AtumWorkload] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        obs_dir=None,
+        processes: Optional[int] = None,
     ) -> None:
         self.workload = workload if workload is not None else default_workload()
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self._results: Dict[tuple, ConfigResult] = {}
-        self._run_log: List[Dict[str, Any]] = []
+        self.processes = processes
+        #: One :meth:`~repro.resilience.policy.PointFailure.to_dict`
+        #: record per sweep point that failed.
+        self.failures: List[Dict[str, Any]] = []
+        self._results: Dict[SweepPoint, ConfigResult] = {}
+        self._points_log: List[Dict[str, Any]] = []
 
     def miss_stream(
         self, l1: CacheGeometry, *also: CacheGeometry
@@ -365,12 +391,12 @@ class ExperimentRunner:
             l1 = parse_geometry(l1)
         if isinstance(l2, str):
             l2 = parse_geometry(l2)
-        cache_key = (
-            l1.label, l2.label, associativity, tag_bits,
-            tuple(transforms), tuple(mru_list_lengths),
-            tuple(extra_tag_bits), writeback_optimization,
+        point = SweepPoint(
+            l1.label, l2.label, associativity, tag_bits, tuple(transforms),
+            tuple(mru_list_lengths), tuple(extra_tag_bits),
+            writeback_optimization,
         )
-        cached = self._results.get(cache_key)
+        cached = self._results.get(point)
         if cached is not None:
             self.metrics.counter("runner.result_cache_hits").inc()
             return cached
@@ -380,8 +406,8 @@ class ExperimentRunner:
             l2.capacity_bytes, l2.block_size, associativity
         )
         plan = _scheme_plan(
-            associativity, tag_bits, tuple(transforms),
-            tuple(mru_list_lengths), tuple(extra_tag_bits),
+            associativity, tag_bits, point.transforms,
+            point.mru_list_lengths, point.extra_tag_bits,
         )
         accumulators, distance = _instrument(
             cache, plan, writeback_optimization
@@ -400,125 +426,9 @@ class ExperimentRunner:
             stream.processor_references, stream.readin_miss_ratio,
             accumulators, distance,
         )
-        self._results[cache_key] = result
-        self._record_run(
-            l1, l2, associativity, tag_bits, transforms,
-            mru_list_lengths, extra_tag_bits, writeback_optimization,
-        )
-        if self.obs_dir is not None:
-            self.write_obs()
+        self._results[point] = result
+        self._points_log.append(asdict(point))
         return result
-
-    def _record_run(
-        self, l1, l2, associativity, tag_bits, transforms,
-        mru_list_lengths, extra_tag_bits, writeback_optimization,
-    ) -> None:
-        """Append one run's configuration to the manifest run log."""
-        self._run_log.append({
-            "method": "run",
-            "l1": l1.label,
-            "l2": l2.label,
-            "associativity": associativity,
-            "tag_bits": tag_bits,
-            "transforms": list(transforms),
-            "mru_list_lengths": list(mru_list_lengths),
-            "extra_tag_bits": list(extra_tag_bits),
-            "writeback_optimization": writeback_optimization,
-        })
-
-    def write_obs(self, obs_dir=None) -> Optional[RunManifest]:
-        """Write the provenance manifest and span trace for this runner.
-
-        Emits ``manifest.json`` — config hash over every run so far,
-        workload identity, code identity, per-phase timings, and the
-        current metric snapshot — plus the tracer's ``trace.jsonl``
-        into ``obs_dir`` (defaulting to the runner's ``obs_dir``).
-        Called automatically after each run when the runner was
-        constructed with ``obs_dir=``; both files are rewritten whole,
-        so they always describe the complete session.
-
-        Returns:
-            The written :class:`~repro.obs.manifest.RunManifest`, or
-            ``None`` when no directory is configured.
-        """
-        obs_dir = Path(obs_dir) if obs_dir is not None else self.obs_dir
-        if obs_dir is None:
-            return None
-        manifest = RunManifest.build(
-            tool="ExperimentRunner",
-            config={"runs": self._run_log},
-            workload=self.workload,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        manifest.write(obs_dir / "manifest.json")
-        self.tracer.write_jsonl(obs_dir / "trace.jsonl")
-        return manifest
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (L1, L2, associativity) sweep point with its run options."""
-
-    l1: str
-    l2: str
-    associativity: int
-    tag_bits: int = DEFAULT_TAG_BITS
-    transforms: Tuple[str, ...] = ("xor",)
-    mru_list_lengths: Tuple[int, ...] = ()
-    extra_tag_bits: Tuple[int, ...] = ()
-    writeback_optimization: bool = True
-
-
-class ParallelSweepRunner:
-    """Runs independent sweep points across worker processes.
-
-    Each point is one task on a
-    :class:`~repro.resilience.executor.ResilientPoolExecutor`: bounded
-    retries on the next free worker, per-point wall-clock timeouts,
-    worker-death recovery, and crash-safe checkpoint/resume — see
-    ``docs/resilience.md``. The parent captures every distinct L1 of the
-    submitted points in one trace pass, inside its ``sweep`` span,
-    before the pool forks, so every worker inherits the streams it
-    replays; results come back in input order, so a parallel sweep is
-    byte-identical to running the points serially through an
-    :class:`ExperimentRunner` — only wall-clock changes.
-
-    A failed point becomes a structured
-    :class:`~repro.resilience.policy.PointFailure` naming the sweep
-    point (not a bare pool traceback), recorded in the run manifest
-    when one is being emitted. Live per-point progress (with ETA) can
-    be watched on stderr via ``REPRO_PROGRESS=1``.
-
-    Args:
-        workload: Shared workload; defaults to
-            :func:`~repro.experiments.configs.default_workload`.
-        processes: Worker count; defaults to the CPU count.
-        metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` the
-            merged worker snapshots land in; defaults to the
-            process-global registry.
-        tracer: Target :class:`~repro.obs.spans.Tracer` for the sweep
-            span; defaults to the process-global tracer.
-        obs_dir: When set, each :meth:`run_points` call writes a
-            provenance ``manifest.json`` and span ``trace.jsonl``
-            there — see :meth:`write_obs`.
-    """
-
-    def __init__(
-        self,
-        workload: Optional[AtumWorkload] = None,
-        processes: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        obs_dir=None,
-    ) -> None:
-        self.workload = workload if workload is not None else default_workload()
-        self.processes = processes
-        self.metrics = metrics if metrics is not None else get_metrics()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self.failures: List[Dict[str, Any]] = []
-        self._points_log: List[Dict[str, Any]] = []
 
     def run_points(
         self,
@@ -529,16 +439,22 @@ class ParallelSweepRunner:
     ) -> SweepOutcome:
         """Run every point, one task per point, preserving input order.
 
-        Returns a :class:`~repro.resilience.policy.SweepOutcome`
-        carrying every completed :class:`ConfigResult` plus structured
-        failure records; results stay bit-identical to the serial
-        runner.
+        The parent captures every distinct L1 of the submitted points in
+        one trace pass, inside its ``sweep`` span, before the pool
+        forks, so every worker inherits the streams it replays. Returns
+        a :class:`~repro.resilience.policy.SweepOutcome` carrying every
+        completed :class:`ConfigResult` plus structured failure records;
+        results stay bit-identical to :meth:`run`. A failed point
+        becomes a :class:`~repro.resilience.policy.PointFailure` naming
+        the sweep point (not a bare pool traceback), also kept in
+        :attr:`failures`. Live per-point progress (with ETA) can be
+        watched on stderr via ``REPRO_PROGRESS=1``.
 
         Args:
             points: The sweep points, in output order.
             failure_policy: ``"fail_fast"`` | ``"collect"`` |
                 ``"retry_then_collect"`` (or the enum).
-            retry: Backoff/timeout parameters; defaults to
+            retry: Attempt budget and timeout; defaults to
                 :class:`~repro.resilience.policy.RetryPolicy`'s.
             checkpoint: A
                 :class:`~repro.resilience.checkpoint.SweepCheckpoint`
@@ -550,8 +466,8 @@ class ParallelSweepRunner:
 
         Raises:
             SweepPointError: When a point fails under ``fail_fast``;
-                the failure is recorded (and, with ``obs_dir`` set, the
-                manifest written) before re-raising.
+                the failure is in :attr:`failures` before the error
+                propagates.
             CheckpointError: When ``checkpoint`` exists but was
                 written by a different sweep configuration.
         """
@@ -634,12 +550,6 @@ class ParallelSweepRunner:
             ):
                 self._capture_l1s(points[index].l1 for index, _ in tasks)
                 report = executor.run(tasks)
-        except SweepPointError:
-            # fail_fast: the failure is already in self.failures via
-            # the on_failure callback.
-            if self.obs_dir is not None:
-                self.write_obs()
-            raise
         finally:
             if checkpoint is not None:
                 checkpoint.close()
@@ -651,8 +561,6 @@ class ParallelSweepRunner:
             "sweep.done", points=len(points),
             completed=outcome.completed(), failed=len(outcome.failures),
         )
-        if self.obs_dir is not None:
-            self.write_obs()
         return outcome
 
     def _capture_l1s(self, labels) -> None:
@@ -672,9 +580,7 @@ class ParallelSweepRunner:
                 continue
             geometries.append(geometry)
         if geometries:
-            ExperimentRunner(
-                self.workload, metrics=self.metrics, tracer=self.tracer
-            ).miss_stream(*geometries)
+            self.miss_stream(*geometries)
 
     def sweep_config_hash(self) -> str:
         """Content address of this sweep's identity (checkpoint key).
@@ -692,28 +598,22 @@ class ParallelSweepRunner:
             "use_engine": True,
         })
 
-    def write_obs(self, obs_dir=None) -> Optional[RunManifest]:
-        """Write the sweep's provenance manifest and span trace.
+    def write_obs(self, obs_dir) -> RunManifest:
+        """Write this session's provenance manifest and span trace.
 
-        The manifest's config covers every point passed to
-        :meth:`run_points` so far (hashed into ``config_hash``), the
-        workload identity, merged metrics, per-phase timings, and any
-        recorded failures. Called automatically when the runner was
-        constructed with ``obs_dir=``.
-
-        Returns:
-            The written :class:`~repro.obs.manifest.RunManifest`, or
-            ``None`` when no directory is configured.
+        Emits ``obs_dir/manifest.json`` — a config hash over every
+        point replayed by :meth:`run` or passed to :meth:`run_points`
+        so far (``{"points": [...], "processes": N}``), the workload
+        identity, code identity, per-phase timings, the metric
+        snapshot, and the recorded failures — plus the tracer's
+        ``obs_dir/trace.jsonl``. Both files are rewritten whole, so
+        they describe the complete session; callers write them once,
+        when their run ends.
         """
-        obs_dir = Path(obs_dir) if obs_dir is not None else self.obs_dir
-        if obs_dir is None:
-            return None
+        obs_dir = Path(obs_dir)
         manifest = RunManifest.build(
-            tool="ParallelSweepRunner",
-            config={
-                "points": self._points_log,
-                "processes": self.processes,
-            },
+            tool="ExperimentRunner",
+            config={"points": self._points_log, "processes": self.processes},
             workload=self.workload,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -723,3 +623,7 @@ class ParallelSweepRunner:
         self.tracer.write_jsonl(obs_dir / "trace.jsonl")
         return manifest
 
+
+# ``benchmarks/pipeline/child.py`` builds its sweep under this name,
+# and that file changes only with the benchmark.
+ParallelSweepRunner = ExperimentRunner

@@ -64,8 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     runner = ExperimentRunner(
-        default_workload(scale=args.scale, seed=args.seed),
-        obs_dir=args.obs_dir,
+        default_workload(scale=args.scale, seed=args.seed)
     )
     result = runner.run(
         args.l1,
@@ -105,6 +104,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     log.info(f"MRU hit distances: {shown}")
     log.info(f"best low-cost scheme in total probes: {result.best_total()}")
     if args.obs_dir is not None:
+        runner.write_obs(args.obs_dir)
         log.debug("simcli.obs", obs_dir=args.obs_dir)
     return 0
 

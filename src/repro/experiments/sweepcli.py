@@ -2,7 +2,7 @@
 
 Runs the cartesian product of the requested L1 geometries, L2
 geometries, and associativities through the resilient
-:class:`~repro.experiments.runner.ParallelSweepRunner` path::
+:meth:`~repro.experiments.runner.ExperimentRunner.run_points` path::
 
     repro-sweep --l1 4K-16 --l2 64K-32,128K-32 --assoc 2,4
     repro-sweep ... --checkpoint sweep.ckpt            # record progress
@@ -13,8 +13,10 @@ With ``--checkpoint`` every completed point is durably appended to a
 crash-safe JSONL file; a killed run restarted with ``--resume``
 re-runs only the unfinished points and its merged results are
 bit-identical to an uninterrupted sweep. Failures are reported per
-point (and recorded in the ``--obs-dir`` manifest) instead of
-aborting the whole sweep.
+point instead of aborting the whole sweep. With ``--obs-dir`` the
+sweep's provenance manifest (failures included) and span trace are
+written once, when the sweep ends — also when a ``fail_fast`` failure
+or a SIGTERM/SIGINT ends it.
 
 Exit codes: 0 — every point completed; 3 — partial: some points
 failed, or a SIGTERM/SIGINT interrupted the sweep (completed points
@@ -37,7 +39,7 @@ from repro.cache.set_associative import SetAssociativeCache
 from repro.errors import ConfigurationError, console_script
 from repro.experiments.configs import default_workload, parse_geometry
 from repro.experiments.runner import (
-    ParallelSweepRunner,
+    ExperimentRunner,
     SweepPoint,
     _scheme_plan,
     config_result_to_dict,
@@ -203,10 +205,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         points = _build_points(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    runner = ParallelSweepRunner(
+    runner = ExperimentRunner(
         default_workload(scale=args.scale, seed=args.seed),
         processes=args.processes,
-        obs_dir=args.obs_dir,
     )
     retry = RetryPolicy(max_attempts=args.max_attempts, timeout=args.timeout)
     previous_handlers = _install_signal_handlers()
@@ -240,6 +241,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARTIAL
     finally:
         _restore_signal_handlers(previous_handlers)
+        if args.obs_dir is not None:
+            runner.write_obs(args.obs_dir)
 
     for point, result in zip(points, outcome.results):
         name = f"{point.l1} / {point.l2} {point.associativity}-way"

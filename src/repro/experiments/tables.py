@@ -203,11 +203,9 @@ class Table3:
         return self.workload_line() + separator + body
 
 
-def build_table3(runner: Optional[ExperimentRunner] = None) -> Table3:
+def build_table3(runner: ExperimentRunner) -> Table3:
     """Measured L1 miss ratios for the paper's three L1 geometries,
     captured in one pass over the trace."""
-    if runner is None:
-        runner = ExperimentRunner()
     geometries = [parse_geometry(label) for label in L1_GEOMETRIES]
     runner.miss_stream(*geometries)
     rows = [
@@ -292,13 +290,11 @@ class Table4:
 
 
 def build_table4(
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     associativities: Sequence[int] = TABLE4_ASSOCIATIVITIES,
     configs: Sequence[Tuple[str, str]] = tuple(TABLE4_CONFIGS),
 ) -> Table4:
     """Full Table 4 grid from trace-driven simulation."""
-    if runner is None:
-        runner = ExperimentRunner()
     table = Table4()
     for a in associativities:
         for l1_label, l2_label in configs:

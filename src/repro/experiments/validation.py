@@ -12,7 +12,7 @@ preserve — not absolute-number matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.experiments.configs import parse_geometry
 from repro.experiments.runner import ExperimentRunner
@@ -61,10 +61,8 @@ def _check(
         report.checks.append(CheckResult(name, False, str(exc) or "failed"))
 
 
-def validate(runner: Optional[ExperimentRunner] = None) -> ValidationReport:
+def validate(runner: ExperimentRunner) -> ValidationReport:
     """Run every headline check and return the report."""
-    if runner is None:
-        runner = ExperimentRunner()
     report = ValidationReport()
 
     def analytic_tables() -> str:

@@ -122,7 +122,7 @@ class RunManifest:
 
         Args:
             tool: Name of the producing entry point (e.g.
-                ``"ParallelSweepRunner"``).
+                ``"ExperimentRunner"``).
             config: JSON-representable run configuration; hashed into
                 ``config_hash``.
             workload: Optional workload, described via

@@ -6,9 +6,9 @@ lines on stderr::
     [sweep] shard 2/8 started   (point 64K-32, attempt 1)
     [sweep] shard 2/8 finished   (point 64K-32)  3/8 complete, elapsed 4.1s, ETA 6.9s
 
-:class:`~repro.experiments.runner.ParallelSweepRunner` reports from the
-resilient executor's submit and result callbacks, which run in the
-parent process; workers never report. The reporter itself is
+:meth:`~repro.experiments.runner.ExperimentRunner.run_points` reports
+from the resilient executor's submit and result callbacks, which run
+in the parent process; workers never report. The reporter itself is
 transport-agnostic — call :meth:`~ProgressReporter.started` and
 :meth:`~ProgressReporter.finished` from anywhere.
 

@@ -13,9 +13,8 @@ Durability discipline:
 - every record is wrapped in a CRC32 frame
   (:func:`repro.storage.framing.frame_line`, schema 2), so a read
   either verifies end-to-end or raises the typed
-  :class:`~repro.errors.IntegrityError` — a bit-flipped record can
-  never resume as a plausible wrong result. Legacy unframed (schema 1)
-  checkpoints load transparently and are upgraded on compaction;
+  :class:`~repro.errors.IntegrityError` — a bit-flipped or unframed
+  record can never resume as a plausible wrong result;
 - a torn final line (the crash happened mid-write) is detected on
   load — either as unparseable JSON or as a failed frame check — and
   dropped by rewriting the file via write-temp-then-rename — the
@@ -67,13 +66,10 @@ from repro.storage.io import (
     wrap_os_error,
 )
 
-#: Version of the checkpoint JSONL layout (bump on breaking changes).
-#: Schema 2 wraps every line in a CRC32 frame; schema 1 (unframed)
-#: files are still read transparently.
+#: Version of the checkpoint JSONL layout, the only one this reader
+#: accepts (bump on breaking changes). Schema 2 wraps every line in a
+#: CRC32 frame.
 CHECKPOINT_SCHEMA_VERSION = 2
-
-#: Schema versions this reader accepts.
-SUPPORTED_CHECKPOINT_SCHEMAS = (1, 2)
 
 #: What a mid-file corruption error tells the operator to do.
 _REMEDY = "move the checkpoint aside and rerun to recompute its points"
@@ -163,8 +159,9 @@ class SweepCheckpoint:
         Tolerates exactly one torn trailing line (a crash mid-append):
         the file is compacted — rewritten whole to a temp file and
         atomically renamed over the original — so the garbage never
-        accumulates. A frame-checksum failure anywhere *else* raises
-        the typed :class:`~repro.errors.IntegrityError`; any other
+        accumulates. A line anywhere *else* that fails its frame check,
+        or carries no frame, raises the typed
+        :class:`~repro.errors.IntegrityError`; any other
         malformed content, a missing or foreign header, or a
         ``config_hash`` mismatch raises
         :class:`~repro.errors.CheckpointError`. Both mid-file errors
@@ -217,7 +214,7 @@ class SweepCheckpoint:
                 f"{self.path}: not a sweep checkpoint (missing header)"
             )
         header = records[0]
-        if header.get("schema") not in SUPPORTED_CHECKPOINT_SCHEMAS:
+        if header.get("schema") != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(
                 f"{self.path}: unsupported checkpoint schema "
                 f"{header.get('schema')!r}"
@@ -420,10 +417,6 @@ class SweepCheckpoint:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        # Compaction rewrites every line framed; upgrade the header so
-        # the file advertises the layout it now has.
-        if records and records[0].get("kind") == "header":
-            records[0]["schema"] = CHECKPOINT_SCHEMA_VERSION
         self._write_atomically(records)
 
     def __repr__(self) -> str:

@@ -17,7 +17,7 @@ still fails — kept separate from the *mechanism*
   :class:`~repro.errors.SweepPointError`;
 - :class:`SweepOutcome` — completed results plus failure records, the
   return value of
-  :meth:`~repro.experiments.runner.ParallelSweepRunner.run_points`.
+  :meth:`~repro.experiments.runner.ExperimentRunner.run_points`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ earned instead of assumed:
   fault injector of ``tests/faultkit.py`` (torn writes, lost
   un-fsync'd data at a chosen crash point, ``ENOSPC``);
 - :mod:`repro.storage.framing` — CRC32-framed, length-prefixed record
-  envelopes for JSONL stores, with transparent reads of legacy
-  unframed lines.
+  envelopes for JSONL stores; a line that is not framed, or whose
+  frame does not verify, raises :class:`~repro.errors.IntegrityError`.
 
 Layering: these modules depend only on the standard library,
 :mod:`repro.errors` and each other, so :mod:`repro.obs` (which must

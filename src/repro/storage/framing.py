@@ -7,10 +7,9 @@ Sweep checkpoints frame every record. A framed line is::
 ``F1`` is the frame version, the CRC32 (of the UTF-8 payload bytes)
 and the byte length are both verified on read, and the payload itself
 never contains a newline — so a torn append is detectable three ways:
-a missing terminator, a short payload, or a checksum mismatch.
-:func:`parse_framed_line` passes lines *without* the ``F1 `` prefix
-through unchanged, which is how every reader stays compatible with
-legacy unframed files.
+a missing terminator, a short payload, or a checksum mismatch. A line
+without the ``F1 `` prefix carries no checksum, so
+:func:`parse_framed_line` rejects it like any other unverifiable line.
 
 All verification failures raise the typed
 :class:`~repro.errors.IntegrityError` — *detected, never silently
@@ -43,22 +42,16 @@ def frame_line(payload: str) -> str:
     return f"{FRAME_PREFIX}{crc32_hex(encoded)} {len(encoded)} {payload}"
 
 
-def is_framed(line: str) -> bool:
-    """Whether ``line`` carries a frame (vs. a legacy bare record)."""
-    return line.startswith(FRAME_PREFIX)
-
-
 def parse_framed_line(line: str, context: str = "record") -> str:
     """Verify one line's frame and return the payload.
 
-    Lines without the ``F1 `` prefix are legacy unframed records and
-    pass through unchanged. A present-but-unverifiable frame — bad
-    header shape, length mismatch, checksum mismatch — raises
+    A line that cannot be verified — no ``F1 `` prefix, bad header
+    shape, length mismatch, checksum mismatch — raises
     :class:`~repro.errors.IntegrityError` naming ``context``.
     """
     line = line.rstrip("\n").rstrip("\r")
-    if not is_framed(line):
-        return line
+    if not line.startswith(FRAME_PREFIX):
+        raise IntegrityError(f"{context}: unframed record {line[:32]!r}")
     body = line[len(FRAME_PREFIX):]
     crc_text, sep, rest = body.partition(" ")
     length_text, sep2, payload = rest.partition(" ")

@@ -11,9 +11,7 @@ from repro.core.transforms import (
     TagTransform,
     XorLowTransform,
     available_transforms,
-    join_fields,
     make_transform,
-    split_fields,
 )
 from repro.errors import ConfigurationError
 
@@ -25,27 +23,79 @@ ALL_TRANSFORMS = [
 ]
 
 
-class TestFieldSplitting:
-    def test_split_even(self):
-        assert split_fields(0xABCD, 16, 4) == [0xD, 0xC, 0xB, 0xA]
+def fields(tag, tag_bits, field_bits):
+    """The tag's ``field_bits``-wide fields, field 0 (the low bits)
+    first; the top field is narrower when the width does not divide
+    ``tag_bits``."""
+    mask = (1 << field_bits) - 1
+    return [(tag >> shift) & mask for shift in range(0, tag_bits, field_bits)]
 
-    def test_split_ragged(self):
-        # 10-bit tag, 4-bit fields: fields of 4, 4, 2 bits.
-        assert split_fields(0b11_0101_1001, 10, 4) == [0b1001, 0b0101, 0b11]
 
-    def test_join_inverts_split(self):
-        for tag in (0, 1, 0x1234, 0xFFFF):
-            fields = split_fields(tag, 16, 4)
-            assert join_fields(fields, 16, 4) == tag
+def join(parts, tag_bits, field_bits):
+    """The ``tag_bits``-wide tag holding ``parts`` as its fields."""
+    tag = 0
+    for index, part in enumerate(parts):
+        tag |= part << (index * field_bits)
+    return tag & ((1 << tag_bits) - 1)
 
-    def test_split_rejects_oversized_tag(self):
-        with pytest.raises(ValueError):
-            split_fields(1 << 16, 16, 4)
 
-    @given(tag=st.integers(0, 2**24 - 1), field_bits=st.sampled_from([2, 3, 4, 8]))
-    def test_split_join_roundtrip(self, tag, field_bits):
-        fields = split_fields(tag, 24, field_bits)
-        assert join_fields(fields, 24, field_bits) == tag
+#: Stored fields from the tag's fields ``f``, as §2.2 and Figure 6
+#: define each transform: "none" and "swap" store the tag unmodified,
+#: "xor" XORs field 0 into every other field, and "improved" XORs field
+#: 0 into field 1 and fields 0 and 1 into every higher field.
+DEFINITIONS = {
+    "none": lambda f: f,
+    "swap": lambda f: f,
+    "xor": lambda f: f[:1] + [x ^ f[0] for x in f[1:]],
+    "improved": lambda f: (
+        f[:1] + [x ^ f[0] for x in f[1:2]] + [x ^ f[0] ^ f[1] for x in f[2:]]
+    ),
+}
+
+
+def defined(name, tag, tag_bits, field_bits):
+    """The stored form of ``tag`` under transform ``name``, field by field."""
+    return join(
+        DEFINITIONS[name](fields(tag, tag_bits, field_bits)),
+        tag_bits, field_bits,
+    )
+
+
+def assert_matches_definition(name, tag_bits, field_bits, tags):
+    transform = make_transform(name, tag_bits, field_bits)
+    stored = [defined(name, tag, tag_bits, field_bits) for tag in tags]
+    assert [transform.apply(tag) for tag in tags] == stored
+    assert [transform.invert(value) for value in stored] == list(tags)
+
+
+class TestClosedForm:
+    """Each transform's shifts and XORs equal its field-by-field
+    definition, and ``invert`` undoes it."""
+
+    def test_definitions_cover_every_transform(self):
+        assert sorted(DEFINITIONS) == available_transforms()
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONS))
+    def test_every_16_bit_tag(self, name):
+        assert_matches_definition(name, 16, 4, range(1 << 16))
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONS))
+    def test_every_10_bit_tag_at_every_field_width(self, name):
+        # Ragged top fields, a ragged field 1 and a single field included.
+        for field_bits in range(1, 11):
+            assert_matches_definition(name, 10, field_bits, range(1 << 10))
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONS))
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_tags_up_to_48_bits(self, name, data):
+        tag_bits = data.draw(st.integers(1, 48), label="tag_bits")
+        field_bits = data.draw(st.integers(1, tag_bits), label="field_bits")
+        tags = data.draw(
+            st.lists(st.integers(0, 2**tag_bits - 1), min_size=1, max_size=8),
+            label="tags",
+        )
+        assert_matches_definition(name, tag_bits, field_bits, tags)
 
 
 class TestTransformValidation:

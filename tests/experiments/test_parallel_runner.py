@@ -1,7 +1,7 @@
 """The parallel sweep path is bit-identical to the serial runner.
 
 Point-sharded sweeps
-(:class:`~repro.experiments.runner.ParallelSweepRunner`) must
+(:meth:`~repro.experiments.runner.ExperimentRunner.run_points`) must
 reproduce the serial :meth:`~repro.experiments.runner.ExperimentRunner.run`
 results exactly for a fixed workload seed: every worker derives its
 trace deterministically from the shared seed.
@@ -29,7 +29,6 @@ from repro.cache.set_associative import SetAssociativeCache
 from repro.experiments.configs import DEFAULT_TAG_BITS, parse_geometry
 from repro.experiments.runner import (
     ExperimentRunner,
-    ParallelSweepRunner,
     SweepPoint,
     _assemble_result,
     _scheme_plan,
@@ -124,7 +123,7 @@ def test_parallel_sweep_matches_observer_oracle():
         workload, "4K-16", "64K-32", 4, **ORACLE_OPTIONS
     )
     point = SweepPoint("4K-16", "64K-32", 4, **ORACLE_OPTIONS)
-    (result,) = ParallelSweepRunner(workload, processes=2).run_points(
+    (result,) = ExperimentRunner(workload, processes=2).run_points(
         [point]
     ).results
     assert config_result_to_dict(result) == config_result_to_dict(expected)
@@ -151,7 +150,7 @@ def test_parallel_sweep_matches_serial(processes):
         )
         for p in points
     ]
-    parallel = ParallelSweepRunner(workload, processes=processes)
+    parallel = ExperimentRunner(workload, processes=processes)
     results = parallel.run_points(points).results
     assert len(results) == len(points)
     for got, want in zip(results, expected):
@@ -159,7 +158,7 @@ def test_parallel_sweep_matches_serial(processes):
 
 
 def test_parallel_sweep_empty():
-    outcome = ParallelSweepRunner(small_workload()).run_points([])
+    outcome = ExperimentRunner(small_workload()).run_points([])
     assert outcome == SweepOutcome()
 
 
@@ -167,7 +166,7 @@ def test_sweep_config_hash_is_pinned():
     """Checkpoints written by earlier versions must still resume: the
     sweep identity hash may not drift."""
     workload = AtumWorkload(segments=2, references_per_segment=2_000, seed=19)
-    sweep = ParallelSweepRunner(workload)
+    sweep = ExperimentRunner(workload)
     assert sweep.sweep_config_hash() == "149789745f53fd13"
 
 
@@ -256,7 +255,7 @@ class TestCaptureOncePerL1:
         clear_miss_stream_cache()
 
     def sweeper(self, tracer):
-        return ParallelSweepRunner(
+        return ExperimentRunner(
             small_workload(), processes=2,
             metrics=MetricsRegistry(), tracer=tracer,
         )

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import CheckpointError, IntegrityError, SweepPointError
 from repro.experiments.runner import (
     ExperimentRunner,
-    ParallelSweepRunner,
     SweepPoint,
     config_result_from_dict,
     config_result_to_dict,
@@ -57,7 +56,7 @@ def make_runner(**kwargs):
     kwargs.setdefault("workload", tiny_workload())
     kwargs.setdefault("processes", 2)
     kwargs.setdefault("metrics", MetricsRegistry())
-    return ParallelSweepRunner(**kwargs)
+    return ExperimentRunner(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +114,11 @@ class TestInjectedFailures:
         self, baseline, tmp_path
     ):
         faultkit.activate(FaultPlan([FaultSpec("raise", at=1)]))
-        runner = make_runner(obs_dir=tmp_path)
+        runner = make_runner()
         outcome = runner.run_points(
             POINTS, failure_policy="retry_then_collect", retry=RETRY
         )
+        runner.write_obs(tmp_path)
         assert not outcome.ok
         assert outcome.results[1] is None
         assert_matches_baseline(outcome, baseline, skip={1})

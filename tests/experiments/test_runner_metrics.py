@@ -3,9 +3,9 @@ wrapping, and provenance emission.
 
 The headline invariant (mirroring the probe-counter discipline of
 ``test_parallel_runner.py``): the ``engine.*`` counters merged from
-:class:`~repro.experiments.runner.ParallelSweepRunner` workers must
-equal the serial run's counters bit-identically for a fixed workload
-seed.
+:meth:`~repro.experiments.runner.ExperimentRunner.run_points` workers
+must equal the serial run's counters bit-identically for a fixed
+workload seed.
 """
 
 import json
@@ -15,11 +15,7 @@ import pytest
 
 from repro.cache.hierarchy import clear_miss_stream_cache
 from repro.errors import SweepPointError
-from repro.experiments.runner import (
-    ExperimentRunner,
-    ParallelSweepRunner,
-    SweepPoint,
-)
+from repro.experiments.runner import ExperimentRunner, SweepPoint
 from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
@@ -58,7 +54,7 @@ class TestBitIdenticalMetrics:
         for point in points:
             serial_runner.run(point.l1, point.l2, point.associativity)
         sweep_metrics = MetricsRegistry()
-        ParallelSweepRunner(
+        ExperimentRunner(
             workload, processes=2,
             metrics=sweep_metrics, tracer=Tracer(),
         ).run_points(points)
@@ -92,13 +88,13 @@ class TestFailureWrapping:
         for field in ("l2", "l1"):
             bad = replace(good, **{field: "not-a-geometry"})
             obs_dir = tmp_path / field
-            runner = ParallelSweepRunner(
+            runner = ExperimentRunner(
                 small_workload(), processes=processes,
                 metrics=MetricsRegistry(), tracer=Tracer(),
-                obs_dir=obs_dir,
             )
             with pytest.raises(SweepPointError) as excinfo:
                 runner.run_points([good, bad], failure_policy="fail_fast")
+            runner.write_obs(obs_dir)
             message = str(excinfo.value)
             assert "not-a-geometry" in message
             # The failure record is structured: kind, exception class,
@@ -118,29 +114,34 @@ class TestProvenanceEmission:
     def test_experiment_runner_obs_dir(self, tmp_path):
         runner = ExperimentRunner(
             small_workload(), metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path,
         )
         runner.run("4K-16", "64K-32", 4)
+        runner.run("4K-16", "64K-32", 4)
+        runner.write_obs(tmp_path)
         assert validate_manifest_file(tmp_path / "manifest.json") == []
         assert validate_trace_file(tmp_path / "trace.jsonl") == []
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["tool"] == "ExperimentRunner"
-        assert manifest["config"]["runs"][0]["l2"] == "64K-32"
+        # One record per replay: the second run was a result-cache hit.
+        (point,) = manifest["config"]["points"]
+        assert point["l2"] == "64K-32"
+        assert manifest["config"]["processes"] is None
         assert manifest["workload"]["seed"] == 19
         assert "l2_replay" in manifest["phases"]
         assert manifest["metrics"]["counters"]["engine.accesses"] > 0
 
     def test_sweep_runner_obs_dir(self, tmp_path):
-        runner = ParallelSweepRunner(
+        runner = ExperimentRunner(
             small_workload(), processes=1,
             metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path,
         )
         runner.run_points([SweepPoint("4K-16", "64K-32", 4)])
+        runner.write_obs(tmp_path)
         assert validate_manifest_file(tmp_path / "manifest.json") == []
         assert validate_trace_file(tmp_path / "trace.jsonl") == []
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["tool"] == "ParallelSweepRunner"
+        assert manifest["tool"] == "ExperimentRunner"
+        assert manifest["config"]["processes"] == 1
         assert manifest["config"]["points"][0]["l1"] == "4K-16"
         assert manifest["failures"] == []
         assert "sweep" in manifest["phases"]
@@ -150,10 +151,9 @@ class TestProvenanceEmission:
         so its manifest says what they cost: two L1s captured, in one
         pass over the trace."""
         clear_miss_stream_cache()
-        runner = ParallelSweepRunner(
+        runner = ExperimentRunner(
             small_workload(), processes=2,
             metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path,
         )
         try:
             outcome = runner.run_points([
@@ -163,16 +163,16 @@ class TestProvenanceEmission:
         finally:
             clear_miss_stream_cache()
         assert outcome.ok
+        runner.write_obs(tmp_path)
         metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
         assert metrics["counters"]["miss_stream.cache_misses"] == 2
         assert metrics["histograms"]["miss_stream.capture_seconds"]["count"] == 1
 
     def test_sweep_trace_is_one_tree_across_the_pool(self, tmp_path):
         """Worker spans, a retried attempt included, nest under one sweep."""
-        runner = ParallelSweepRunner(
+        runner = ExperimentRunner(
             small_workload(), processes=2,
             metrics=MetricsRegistry(), tracer=Tracer(),
-            obs_dir=tmp_path,
         )
         points = [
             SweepPoint("4K-16", "64K-32", 2),
@@ -188,6 +188,7 @@ class TestProvenanceEmission:
         finally:
             faultkit.deactivate()
         assert outcome.ok
+        runner.write_obs(tmp_path)
         records = list(read_jsonl(tmp_path / "trace.jsonl"))
         by_id = {record["span_id"]: record for record in records}
         assert len(by_id) == len(records)

@@ -388,12 +388,14 @@ class TestInterrupt:
         # lands mid-sweep, after point 0 has been checkpointed.
         faultkit.activate(FaultPlan([FaultSpec("hang", at=1, seconds=300)]))
         checkpoint = tmp_path / "sweep.ckpt"
+        obs_dir = tmp_path / "obs"
         thread = self._interrupt_when_checkpointed(checkpoint, signum)
         code = main(
             base_args(
                 tmp_path,
                 "--checkpoint", str(checkpoint),
                 "--failure-policy", "collect",
+                "--obs-dir", str(obs_dir),
             )
         )
         thread.join(timeout=10.0)
@@ -401,6 +403,12 @@ class TestInterrupt:
         # The completed point is durable, and the handler was restored.
         assert len(SweepCheckpoint(checkpoint).load()) >= 1
         assert signal_module.getsignal(signum) == previous
+        # The interrupted sweep still leaves its provenance, completed
+        # points included.
+        assert validate_manifest_file(obs_dir / "manifest.json") == []
+        manifest = json.loads((obs_dir / "manifest.json").read_text())
+        assert manifest["tool"] == "ExperimentRunner"
+        assert manifest["metrics"]["counters"]["runner.replays"] >= 1
 
     def test_resume_finishes_an_interrupted_sweep(self, tmp_path):
         import signal as signal_module

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, IntegrityError
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     SweepCheckpoint,
     point_signature,
 )
-from repro.storage.framing import parse_framed_line
+from repro.storage.framing import frame_line, parse_framed_line
 
 
 class TestPointSignature:
@@ -89,7 +89,7 @@ class TestDurability:
         lines = path.read_text().splitlines()
         lines[1] = "garbage {"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="line 2"):
+        with pytest.raises(IntegrityError, match="line 2"):
             SweepCheckpoint(path, config_hash="h").load()
 
     def test_append_resumes_after_reload(self, tmp_path):
@@ -118,7 +118,8 @@ class TestIdentityChecks:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "s.ckpt"
         path.write_text(
-            '{"kind": "result", "signature": "sig", "result": 1}\n'
+            frame_line('{"kind": "result", "signature": "sig", "result": 1}')
+            + "\n"
         )
         with pytest.raises(CheckpointError, match="header"):
             SweepCheckpoint(path, config_hash="h").load()
@@ -130,8 +131,8 @@ class TestIdentityChecks:
             "schema": CHECKPOINT_SCHEMA_VERSION + 1,
             "config_hash": "h",
         }
-        path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(CheckpointError, match="schema"):
+        path.write_text(frame_line(json.dumps(header)) + "\n")
+        with pytest.raises(CheckpointError, match="unsupported checkpoint"):
             SweepCheckpoint(path, config_hash="h").load()
 
     def test_unknown_record_kind_rejected(self, tmp_path):
@@ -139,8 +140,22 @@ class TestIdentityChecks:
         with SweepCheckpoint(path, config_hash="h") as checkpoint:
             checkpoint.record("sig", 1)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "mystery"}\n')
+            handle.write(frame_line('{"kind": "mystery"}') + "\n")
         with pytest.raises(CheckpointError, match="record kind"):
+            SweepCheckpoint(path, config_hash="h").load()
+
+    def test_unframed_record_is_not_trusted(self, tmp_path):
+        """A bare JSON result between framed ones has no checksum to
+        verify, so it cannot resume."""
+        path = tmp_path / "s.ckpt"
+        with SweepCheckpoint(path, config_hash="h") as checkpoint:
+            checkpoint.record("aaa", {"v": 1})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(
+                    {"kind": "result", "signature": "bbb", "result": {"v": 666}}
+                ) + "\n")
+            checkpoint.record("ccc", {"v": 3})
+        with pytest.raises(IntegrityError, match="line 3"):
             SweepCheckpoint(path, config_hash="h").load()
 
 

@@ -10,7 +10,6 @@ from repro.storage.framing import (
     FRAME_PREFIX,
     crc32_hex,
     frame_line,
-    is_framed,
     parse_framed_line,
 )
 
@@ -39,10 +38,6 @@ class TestFrameLine:
         with pytest.raises(ValueError):
             frame_line("two\nlines")
 
-    def test_is_framed(self):
-        assert is_framed(frame_line("x"))
-        assert not is_framed('{"plain": "json"}')
-
     def test_trailing_newline_stripped_before_parse(self):
         framed = frame_line("abc")
         assert parse_framed_line(framed + "\n") == "abc"
@@ -50,9 +45,10 @@ class TestFrameLine:
 
 
 class TestParseFramedLine:
-    def test_legacy_line_passes_through(self):
-        legacy = '{"kind": "header", "schema": 1}'
-        assert parse_framed_line(legacy) == legacy
+    def test_unframed_line_rejected(self):
+        # A bare record carries no checksum to verify.
+        with pytest.raises(IntegrityError, match="unframed record"):
+            parse_framed_line('{"kind": "header", "schema": 1}')
 
     def test_flipped_payload_byte_detected(self):
         framed = frame_line('{"value": 41}')
